@@ -11,7 +11,8 @@ from enum import Enum
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .core import ColoredFunction, InputError, is_zero
+from .core import CapacityError, ColoredFunction, InputError
+from .minauto import residual_levels
 
 
 class BoundKind(Enum):
@@ -40,11 +41,11 @@ DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354)
 CSG_COUNTS = (2, 3, 5, 10, 27, 119, 1173)
 
 
-class NeedDedekindError(ValueError):
+class NeedDedekindError(CapacityError, ValueError):
     """A term needs a monotone-function count beyond the built-in table."""
 
 
-class NeedCsgCountError(ValueError):
+class NeedCsgCountError(CapacityError, ValueError):
     """A term needs a complete-simple-game count beyond the built-in table."""
 
 
@@ -129,20 +130,7 @@ def cp_family(seed: Iterable[ColoredFunction]) -> list[int]:
     b, n, c = funcs[0].b, funcs[0].n, funcs[0].c
     if any((f.b, f.n, f.c) != (b, n, c) for f in funcs):
         raise InputError("seed members have mixed signatures")
-    level = {f.table for f in funcs if not is_zero(f)}
-    sizes = [len(level)]
-    for depth in range(n):
-        span = b ** (n - depth - 1)
-        dead = bytes(span)
-        nxt = set()
-        for table in level:
-            for i in range(b):
-                piece = table[i * span : (i + 1) * span]
-                if piece != dead:
-                    nxt.add(piece)
-        level = nxt
-        sizes.append(len(level))
-    return sizes
+    return [len(level) for level, _ in residual_levels((f.table for f in funcs), b, n)]
 
 
 def _table_term(i: int, k: int, table: Sequence[int], extra: Mapping[int, int] | None,

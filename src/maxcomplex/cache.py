@@ -1,8 +1,8 @@
 """On-disk cache for expensive enumerations and search certificates.
 
 Every entry is keyed by a content hash of (package version, kind,
-parameters); the hash is also stored inside the file so that stale or
-corrupted entries are detected and silently regenerated.
+parameters).  The file's header holds that hash and a hash of the body, so
+that stale or corrupted entries are detected and silently regenerated.
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ def cache_dir(explicit: str | None = None) -> Path:
 
 
 def content_hash(kind: str, params: str) -> str:
-    return hashlib.sha256(f"{__version__}|{kind}|{params}".encode()).hexdigest()[:16]
+    return _digest(f"{__version__}|{kind}|{params}")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class DiskCache:
@@ -41,17 +45,16 @@ class DiskCache:
         path = self._path(kind, params)
         try:
             text = path.read_text()
-        except OSError:
+        except (OSError, UnicodeDecodeError):
             return None
         header, _, body = text.partition("\n")
-        parts = header.split()
-        if parts[:1] != [_HEADER] or parts[1:] != [content_hash(kind, params)]:
-            return None  # stale or foreign entry: force regeneration
+        if header.split() != [_HEADER, content_hash(kind, params), _digest(body)]:
+            return None  # stale, foreign or corrupted entry: force regeneration
         return body
 
     def store(self, kind: str, params: str, body: str) -> Path:
         path = self._path(kind, params)
         if self.enabled:
             self.root.mkdir(parents=True, exist_ok=True)
-            path.write_text(f"{_HEADER} {content_hash(kind, params)}\n{body}")
+            path.write_text(f"{_HEADER} {content_hash(kind, params)} {_digest(body)}\n{body}")
         return path

@@ -140,8 +140,8 @@ def _emit(args, payload: dict, human: str):
 
 def cmd_complexity(args) -> int:
     f = parse_language_file(Path(args.file).read_text())
-    complexity = minauto.state_complexity(f)
     by_depth = minauto.states_by_depth(f)
+    complexity = sum(by_depth)
     if complexity == 0:
         print("warning: empty language (complexity 0)", file=sys.stderr)
     payload = {
@@ -206,7 +206,14 @@ def cmd_count_max(args) -> int:
         space = args.c ** (args.b**args.n)
         if space > 1 << 20:
             raise CapacityError(f"brute force over {space} functions refused")
-        brute, maximal = _brute_max(args.b, args.c, args.n)
+        bound = bounds.general_bound(args.b, args.c, args.n)
+        maximal = []
+        for code in range(1, space):
+            f = ColoredFunction(args.b, args.n, args.c,
+                                witness._nonzero_table(code, args.b, args.c, args.n))
+            if minauto.state_complexity(f) == bound:
+                maximal.append(f)
+        brute = len(maximal)
         payload["brute_count"] = str(brute)
         if brute != count:
             raise MismatchError(f"brute force counts {brute}, formula says {count}")
@@ -217,22 +224,6 @@ def cmd_count_max(args) -> int:
                 print(f"  {{{words}}}")
     _emit(args, payload, human)
     return EXIT_OK
-
-
-def _brute_max(b: int, c: int, n: int) -> tuple[int, list[ColoredFunction]]:
-    bound = bounds.general_bound(b, c, n)
-    cells = b**n
-    maximal = []
-    for code in range(1, c**cells):
-        table = bytearray(cells)
-        v = code
-        for pos in range(cells - 1, -1, -1):
-            v, d = divmod(v, c)
-            table[pos] = d
-        f = ColoredFunction(b, n, c, bytes(table))
-        if minauto.state_complexity(f) == bound:
-            maximal.append(f)
-    return len(maximal), maximal
 
 
 def cmd_lattice_enumerate(args) -> int:
@@ -277,7 +268,7 @@ def cmd_lattice_search(args) -> int:
     if args.resume:
         text = Path(args.resume).read_text()
         cert = lattice.verify_certificate(lattice.parse_certificate(text))
-        payload = {"i": args.i, "j": args.j, "kind": kind, "status": "verified",
+        payload = {"i": cert.i, "j": cert.j, "kind": cert.kind, "status": "verified",
                    "nodes": 0, "certificate": args.resume}
         _emit(args, payload, f"certificate verified: {args.resume}")
         return EXIT_OK
@@ -417,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="verify a previously saved certificate instead")
     p.add_argument("--out", help="write the certificate here instead of the cache")
     p.add_argument("--cache", help="cache directory (default ./.maxcomplex-cache)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface stability; the search is serial")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lattice_search)
 

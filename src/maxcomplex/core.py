@@ -141,9 +141,6 @@ class ColoredFunction:
             raise InputError(f"word length {len(w)} != n = {self.n}")
         return self.table[rank(w, self.b)]
 
-    def words_of_color(self, color: int) -> list[Word]:
-        return [unrank(r, self.n, self.b) for r, v in enumerate(self.table) if v == color]
-
     def support(self) -> list[Word]:
         """All words with nonzero color, in rank order."""
         return [unrank(r, self.n, self.b) for r, v in enumerate(self.table) if v]
@@ -230,20 +227,8 @@ class MonotoneFunction:
         if not _mask_is_monotone(self.n, self.mask):
             raise InputError("mask is not upward closed")
 
-    @classmethod
-    def from_colored(cls, f: ColoredFunction) -> "MonotoneFunction":
-        return cls(f.n, f.mask)
-
     def as_colored(self) -> ColoredFunction:
         return ColoredFunction.from_mask(self.n, self.mask)
-
-    def substituted(self, eps: int) -> "MonotoneFunction":
-        """Fix the first variable to eps, yielding an (n-1)-ary function."""
-        if self.n == 0:
-            raise InputError("cannot substitute into a 0-ary function")
-        half = 1 << (self.n - 1)
-        low = self.mask & ((1 << half) - 1)
-        return MonotoneFunction(self.n - 1, low if eps == 0 else self.mask >> half)
 
     def leq(self, other: "MonotoneFunction") -> bool:
         if self.n != other.n:

@@ -21,7 +21,7 @@ MAX_COUNT_WORK = 10**7
 DIGIT_LIMIT = 10**6
 
 
-class NoMaxError(ValueError):
+class NoMaxError(InputError):
     """The bound's term-by-term profile is not realizable for these parameters."""
 
 

@@ -20,6 +20,7 @@ from .core import (
     _mask_is_early,
     _mask_is_monotone,
     as_word,
+    rank,
     var_mask,
 )
 from . import lattice
@@ -47,13 +48,7 @@ def majorization_leq(x: WordLike, y: WordLike) -> bool:
         raise InputError("majorization compares words of equal length")
     if any(d not in (0, 1) for d in xw + yw):
         raise InputError("majorization is defined on binary words")
-    sx = sy = 0
-    for dx, dy in zip(xw, yw):
-        sx += dx
-        sy += dy
-        if sx > sy:
-            return False
-    return True
+    return _rank_leq(len(xw), rank(xw, 2), rank(yw, 2))
 
 
 def _rank_leq(n: int, rx: int, ry: int) -> bool:
@@ -191,6 +186,8 @@ def check_csg_relation(i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
 
 def search_csg_relation(i: int, j: int, budget: int = 10**8) -> SearchOutcome:
     """Search for an adequate majorization-ordered embedding E_i -> C_j^-."""
+    if j < 1:
+        raise InputError(f"j must be >= 1, got {j}")
     targets = csg_nonzero(j)
     if (1 << i) > len(targets):
         return SearchOutcome("none", None, 0)

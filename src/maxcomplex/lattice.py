@@ -236,7 +236,7 @@ class AdequacyCertificate:
     uses_zero: bool  # some substitution is the zero function
 
 
-class AdequacyError(ValueError):
+class AdequacyError(InputError):
     """The map fails one of the embedding requirements."""
 
 
@@ -406,6 +406,8 @@ def search_relation(i: int, j: int, budget: int = 10**8) -> SearchOutcome:
     branches that can no longer complete the cover are pruned.  The first
     map found in this canonical order is returned.
     """
+    if j < 1:
+        raise InputError(f"j must be >= 1, got {j}")
     source = boolean_cube(i)
     src_leq = cube_leq
     targets = monotone_nonzero(j)

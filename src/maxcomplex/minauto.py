@@ -9,6 +9,7 @@ automaton is leveled: transitions go from depth d to depth d+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .core import (
     ColoredFunction,
@@ -18,38 +19,49 @@ from .core import (
     as_word,
     is_zero,
     rank,
+    unrank,
     upward_closure_mask,
 )
 
 
-class NoAutomatonError(ValueError):
+class NoAutomatonError(InputError):
     """The zero function is recognized by no partial automaton."""
 
 
-def _slices(table: bytes, b: int) -> list[bytes]:
-    span = len(table) // b
-    return [table[i * span : (i + 1) * span] for i in range(b)]
+def residual_levels(tables: Iterable[bytes], b: int, n: int
+                    ) -> Iterator[tuple[list[bytes], list[int | None]]]:
+    """Distinct nonzero residuals at each depth 0..n, with their child links.
+
+    Yields one (level, children) pair per depth d.  level holds the distinct
+    nonzero residual tables of the length-d prefixes, in first-reached order:
+    depth 0 keeps the order of `tables`, a deeper level is scanned parent by
+    parent and symbol by symbol.  children[k*b + sym] is the index in the next
+    level of the residual after symbol sym from level[k], or None when that
+    residual is zero; it is empty at depth n.  All tables must have b^n cells.
+    """
+    span = b**n
+    dead = bytes(span)
+    level = list(dict.fromkeys(t for t in tables if t != dead))
+    for _ in range(n):
+        span //= b
+        dead = bytes(span)
+        starts = range(0, span * b, span)
+        index: dict[bytes, int] = {}
+        children: list[int | None] = []
+        for table in level:
+            for i in starts:
+                piece = table[i : i + span]
+                children.append(None if piece == dead else index.setdefault(piece, len(index)))
+        yield level, children
+        level = list(index)
+    yield level, []
 
 
 def states_by_depth(f: ColoredFunction) -> list[int]:
     """Number of distinct nonzero residuals at each prefix length 0..n."""
     if is_zero(f):
         return []
-    counts = []
-    level = {f.table}
-    for _ in range(f.n):
-        counts.append(len(level))
-        nxt = set()
-        for table in level:
-            span = len(table) // f.b
-            dead = bytes(span)
-            for i in range(f.b):
-                piece = table[i * span : (i + 1) * span]
-                if piece != dead:
-                    nxt.add(piece)
-        level = nxt
-    counts.append(len(level))
-    return counts
+    return [len(level) for level, _ in residual_levels([f.table], f.b, f.n)]
 
 
 def state_complexity(f: ColoredFunction) -> int:
@@ -78,10 +90,6 @@ class Pdfa:
     special: tuple  # index i-1 holds the id of q_i, or None if color i unused
     depth: tuple    # depth of each state
 
-    def successors(self, state: int) -> list[tuple[int, int]]:
-        return [(sym, self.transitions[(state, sym)])
-                for sym in range(self.b) if (state, sym) in self.transitions]
-
 
 def minimal_pdfa(f: ColoredFunction) -> Pdfa:
     """Construct the canonical minimal recognizer of a nonzero function.
@@ -93,37 +101,22 @@ def minimal_pdfa(f: ColoredFunction) -> Pdfa:
     if is_zero(f):
         raise NoAutomatonError("the zero function has no recognizer")
     transitions: dict[tuple[int, int], int] = {}
-    depth_of: list[int] = [0]
-    level: list[bytes] = [f.table]
-    level_ids = {f.table: 0}
-    next_id = 1
-    for depth in range(f.n):
-        nxt_ids: dict[bytes, int] = {}
-        nxt_level: list[bytes] = []
-        for table in level:
-            sid = level_ids[table]
-            span = len(table) // f.b
-            dead = bytes(span)
-            for sym in range(f.b):
-                piece = table[sym * span : (sym + 1) * span]
-                if piece == dead:
-                    continue
-                if piece not in nxt_ids:
-                    nxt_ids[piece] = next_id
-                    depth_of.append(depth + 1)
-                    nxt_level.append(piece)
-                    next_id += 1
-                transitions[(sid, sym)] = nxt_ids[piece]
-        level = nxt_level
-        level_ids = nxt_ids
+    depth_of: list[int] = []
+    for depth, (level, children) in enumerate(residual_levels([f.table], f.b, f.n)):
+        base = len(depth_of)
+        depth_of.extend([depth] * len(level))
+        for pos, child in enumerate(children):
+            if child is not None:
+                parent, sym = divmod(pos, f.b)
+                transitions[(base + parent, sym)] = base + len(level) + child
     special = [None] * (f.c - 1)
-    for table, sid in level_ids.items():
-        special[table[0] - 1] = sid
+    for k, table in enumerate(level):
+        special[table[0] - 1] = base + k
     return Pdfa(
         b=f.b,
         n=f.n,
         c=f.c,
-        state_count=next_id,
+        state_count=len(depth_of),
         start=0,
         transitions=transitions,
         special=tuple(special),
@@ -214,7 +207,7 @@ def mn_classes(f: ColoredFunction, up_closure: bool = False) -> EquivClasses:
     for depth in range(f.n + 1):
         groups: list[list[Word]] = []
         for r in _live_prefixes(f, depth):
-            prefix = tuple(_digits(r, depth, f.b))
+            prefix = unrank(r, depth, f.b)
             for group in groups:
                 if mn_equivalent(prefix, group[0], f, up_closure):
                     group.append(prefix)
@@ -230,14 +223,6 @@ def mn_class_count(f: ColoredFunction, up_closure: bool = False) -> int:
     if is_zero(f):
         return 0
     return mn_classes(f, up_closure).class_count
-
-
-def _digits(index: int, length: int, b: int) -> list[int]:
-    out = []
-    for _ in range(length):
-        index, d = divmod(index, b)
-        out.append(d)
-    return out[::-1]
 
 
 def export_dot(a: Pdfa) -> str:

@@ -14,7 +14,7 @@ from .core import CapacityError, ColoredFunction, InputError, MAX_TABLE_CELLS
 from .bounds import power_capped
 
 
-class NoWitnessError(ValueError):
+class NoWitnessError(InputError):
     """No maximal witness exists for these parameters."""
 
 

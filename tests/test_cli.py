@@ -164,6 +164,23 @@ def test_cmd_lattice_search_and_resume(tmp_path, capsys):
     assert "verified" in capsys.readouterr().out
 
 
+def test_cmd_lattice_search_resume_reports_certificate(tmp_path, capsys):
+    cert = str(tmp_path / "cert.txt")
+    assert main(["lattice", "search", "--i", "2", "--j", "3", "--out", cert]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["lattice", "search", "--csg", "--i", "4", "--j", "4",
+                 "--resume", cert, "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["kind"], payload["i"], payload["j"]) == ("monotone", 2, 3)
+    assert payload["status"] == "verified"
+
+
+@pytest.mark.parametrize("flag", [[], ["--csg"]])
+def test_cmd_lattice_search_rejects_j0(flag, capsys):
+    assert main(["lattice", "search", "--i", "1", "--j", "0"] + flag) == EXIT_USAGE
+    assert "j must be >= 1" in capsys.readouterr().err
+
+
 def test_cmd_lattice_search_cache(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     argv = ["lattice", "search", "--i", "1", "--j", "2", "--csg",
@@ -215,10 +232,43 @@ def test_empty_language_warns(tmp_path, capsys):
     assert "empty language" in captured.err
 
 
-def test_disk_cache_stale_entry(tmp_path):
+def test_disk_cache_stale_entry(tmp_path, capsys):
     cache = DiskCache(tmp_path / "cache")
     cache.store("certificate", "demo", "payload")
     assert cache.load("certificate", "demo") == "payload"
     path = cache._path("certificate", "demo")
     path.write_text("maxcomplex-cache deadbeef\npayload")
     assert cache.load("certificate", "demo") is None  # stale hash forces regeneration
+    # a body that does not match the header's hash is regenerated as well
+    argv = ["lattice", "enumerate", "--n", "4", "--cache", str(tmp_path / "cache")]
+    assert main(argv) == EXIT_OK
+    entry = cache._path("enumeration", "monotone-n4")
+    header = entry.read_text().partition("\n")[0]
+    for body in (b"42", b"99x", b"\xff"):
+        entry.write_bytes(header.encode() + b"\n" + body)
+        assert cache.load("enumeration", "monotone-n4") is None
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "monotone n=4: 168 functions (167 nonzero)"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["complexity", "{empty}", "--dot", "{dot}"], EXIT_USAGE),  # NoAutomatonError
+    (["construct", "--c", "1", "--n", "2", "--out", "{out}"], EXIT_USAGE),  # NoWitnessError
+    (["count-max", "--c", "1", "--n", "2"], EXIT_USAGE),  # NoMaxError
+    (["lattice", "search", "--i", "2", "--j", "2", "--resume", "{tampered}"],
+     EXIT_USAGE),  # AdequacyError
+    (["bound", "--kind", "csg", "--n", "18"], EXIT_CAPACITY),  # NeedCsgCountError
+    (["bound", "--kind", "monotone", "--n", "42"], EXIT_CAPACITY),  # NeedDedekindError
+], ids=["complexity-empty-dot", "construct-c1", "count-max-c1", "resume-tampered",
+        "bound-csg-18", "bound-monotone-42"])
+def test_library_errors_exit_with_documented_code(tmp_path, capsys, argv, code):
+    # the image of source 00 is {01}, which is not upward closed
+    tampered = "maxcomplex-certificate v1\ni: 2\nj: 2\nmap:\n00 -> 0100\ncover:\nend\n"
+    paths = {"empty": write(tmp_path, "empty.lang", "b=2 c=2 n=2\n"),
+             "dot": str(tmp_path / "e.dot"), "out": str(tmp_path / "w.lang"),
+             "tampered": write(tmp_path, "bad.txt", tampered)}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error:" if code == EXIT_USAGE else "capacity:")

@@ -17,6 +17,7 @@ from maxcomplex.core import (
     unrank,
     upward_closure_mask,
 )
+from maxcomplex.lattice import sub_masks
 
 ASIAN = ColoredFunction.from_language(3, ["011", "100", "101", "110", "111"])
 MAJORITY = ColoredFunction.from_language(3, ["011", "101", "110", "111"])
@@ -144,7 +145,7 @@ def test_monotone_function_validates():
 
 def test_monotone_substitution_and_leq():
     maj = MonotoneFunction(3, MAJORITY.mask)
-    low, high = maj.substituted(0), maj.substituted(1)
+    low, high = (MonotoneFunction(2, m) for m in sub_masks(3, maj.mask))
     # majority with first bit 0 is AND, with first bit 1 is OR
     assert low.mask == ColoredFunction.from_language(2, ["11"]).mask
     assert high.mask == ColoredFunction.from_language(2, ["01", "10", "11"]).mask

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from maxcomplex.core import ColoredFunction, InputError, unrank
-from maxcomplex.bounds import general_bound, monotone_bound
+from maxcomplex.bounds import cp_family, general_bound, monotone_bound
+from maxcomplex.lattice import build_witness_language
 from maxcomplex.minauto import (
     NoAutomatonError,
     export_dot,
@@ -41,6 +42,33 @@ def test_minimal_pdfa_singleton_chain():
     assert a.state_count == 4
     assert a.depth == (0, 1, 2, 3)
     assert a.transitions == {(0, 1): 1, (1, 1): 2, (2, 1): 3}
+
+
+def test_residual_levels_agree_and_number_states():
+    rng = random.Random(2024)
+    funcs = [build_witness_language(8).as_colored()]
+    for b, n in ((2, 6), (3, 4), (4, 3)):
+        for c in (2, 3, 4):
+            for density in (0.1, 0.5, 1.0):
+                funcs.append(ColoredFunction(b, n, c, bytes(
+                    rng.randrange(1, c) if rng.random() < density else 0
+                    for _ in range(b**n))))
+    for f in funcs:
+        a = minimal_pdfa(f)
+        per_depth = [a.depth.count(d) for d in range(f.n + 1)]
+        assert states_by_depth(f) == cp_family([f]) == per_depth
+        # state ids follow (depth, rank of the least prefix reaching the state)
+        least = {}
+        for depth in range(f.n + 1):
+            for r in range(f.b**depth):
+                state = a.start
+                for d in unrank(r, depth, f.b):
+                    state = a.transitions.get((state, d))
+                    if state is None:
+                        break
+                else:
+                    least.setdefault(state, (depth, r))
+        assert sorted(least, key=least.get) == list(range(a.state_count))
 
 
 def test_minimal_pdfa_rejects_zero():
