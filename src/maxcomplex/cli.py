@@ -206,13 +206,14 @@ def cmd_count_max(args) -> int:
         space = args.c ** (args.b**args.n)
         if space > 1 << 20:
             raise CapacityError(f"brute force over {space} functions refused")
-        bound = bounds.general_bound(args.b, args.c, args.n)
+        # each level is at most its term, so f is maximal iff no level falls short
+        terms = bounds.general_bound_terms(args.b, args.c, args.n)
         maximal = []
         for code in range(1, space):
-            f = ColoredFunction(args.b, args.n, args.c,
-                                witness._nonzero_table(code, args.b, args.c, args.n))
-            if minauto.state_complexity(f) == bound:
-                maximal.append(f)
+            table = witness._nonzero_table(code, args.b, args.c, args.n)
+            levels = minauto.residual_levels([table], args.b, args.n)
+            if all(len(level) == term for (level, _), term in zip(levels, terms)):
+                maximal.append(ColoredFunction(args.b, args.n, args.c, table))
         brute = len(maximal)
         payload["brute_count"] = str(brute)
         if brute != count:

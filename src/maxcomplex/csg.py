@@ -32,13 +32,14 @@ from .lattice import (
     _certify,
     _search_embedding,
     assemble_from_chain,
-    enumerate_monotone,
     sub_masks,
 )
 from .bounds import CSG_COUNTS
 
 MAX_EARLY_ARITY = 5
-MAX_CSG_ARITY = 6
+MAX_CSG_ARITY = 7
+# C_7^- has 44,314 elements: its order matrix alone would take about 245 MB.
+MAX_CSG_POSET_ARITY = 6
 
 
 def majorization_leq(x: WordLike, y: WordLike) -> bool:
@@ -123,28 +124,29 @@ _CSG_CACHE: dict[int, tuple] = {}
 
 
 def enumerate_csg(n: int) -> tuple:
-    """All complete simple games (early-monotone functions), ascending masks."""
+    """All complete simple games (early-monotone functions), ascending masks.
+
+    A game is assembled from the pair g = f|x0=0, h = f|x0=1 of (n-1)-ary
+    games, kept iff g and its one-deletion shadow both lie in h: g <= h is
+    monotonicity, and shadow(g) <= h is earliness between the first position
+    and every later one.  Earliness inside g and h holds because both are
+    games.  h runs in the outer loop, so the masks come out ascending.
+    """
     if n < 0:
         raise InputError("n must be >= 0")
     if n > MAX_CSG_ARITY:
         raise CapacityError(f"game enumeration beyond n={MAX_CSG_ARITY} is not desk-feasible")
     if n in _CSG_CACHE:
         return _CSG_CACHE[n]
-    masks = enumerate_monotone(n)
-    if n >= 6:
-        import numpy as np
-
-        arr = np.array(masks, dtype=np.uint64)
-        keep = np.ones(len(arr), dtype=bool)
-        full = np.uint64((1 << (1 << n)) - 1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                sel = np.uint64(var_mask(n, j) & ~var_mask(n, i))
-                delta = np.uint64((1 << (n - 1 - i)) - (1 << (n - 1 - j)))
-                keep &= (((arr & sel) << delta) & (~arr & full)) == 0
-        out = tuple(int(v) for v in arr[keep])
+    if n == 0:
+        out = (0, 1)
     else:
-        out = tuple(m for m in masks if _mask_is_early(n, m))
+        prev = enumerate_csg(n - 1)
+        closed = [(g | shadow_mask(n - 1, g), g) for g in prev]
+        shift = 1 << (n - 1)
+        out = tuple(
+            (h << shift) | g for h in prev for need, g in closed if need & ~h == 0
+        )
     _CSG_CACHE[n] = out
     return out
 
@@ -156,9 +158,15 @@ def csg_nonzero(n: int) -> tuple:
     return tuple(masks[1:])
 
 
+def _check_poset_arity(j: int) -> None:
+    if j > MAX_CSG_POSET_ARITY:
+        raise CapacityError(f"game lattices beyond j={MAX_CSG_POSET_ARITY} are not desk-feasible")
+
+
 @lru_cache(maxsize=None)
 def csg_nonzero_poset(j: int) -> Poset:
-    return Poset(csg_nonzero(j), lambda a, b: a & ~b == 0)
+    _check_poset_arity(j)
+    return Poset.by_inclusion(csg_nonzero(j))
 
 
 def csg_map(i: int, j: int, image_masks: Sequence[int]) -> LatticeMap:
@@ -186,8 +194,11 @@ def check_csg_relation(i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
 
 def search_csg_relation(i: int, j: int, budget: int = 10**8) -> SearchOutcome:
     """Search for an adequate majorization-ordered embedding E_i -> C_j^-."""
+    if i < 0:
+        raise InputError(f"i must be >= 0, got {i}")
     if j < 1:
         raise InputError(f"j must be >= 1, got {j}")
+    _check_poset_arity(j)
     targets = csg_nonzero(j)
     if (1 << i) > len(targets):
         return SearchOutcome("none", None, 0)

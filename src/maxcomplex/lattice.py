@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -89,39 +90,77 @@ def sub_masks(j: int, mask: int) -> tuple[int, int]:
     return mask & ((1 << half) - 1), mask >> half
 
 
+def _bits(x: int) -> list[int]:
+    """Positions of the set bits of x, ascending."""
+    return [r for r, digit in enumerate(reversed(bin(x))) if digit == "1"]
+
+
 class Poset:
     """Finite poset over explicit labels with a bit-matrix order relation."""
 
     def __init__(self, labels: Sequence, leq: Callable[[object, object], bool]):
         self.labels = tuple(labels)
+        self.rows = [
+            sum(1 << b for b, y in enumerate(self.labels) if leq(x, y))
+            for x in self.labels
+        ]
+        self._finish()
+
+    @classmethod
+    def by_inclusion(cls, masks: Iterable[int]) -> "Poset":
+        """Integer masks ordered by inclusion, with rows built from bit columns.
+
+        col[r] holds the labels that contain bit r, and the row of a label is
+        the AND of col[r] over its bits (every label for the empty mask).
+        """
+        poset = cls.__new__(cls)
+        poset.labels = tuple(masks)
+        cols = [0] * max(poset.labels, default=0).bit_length()
+        for a, label in enumerate(poset.labels):
+            for r in _bits(label):
+                cols[r] |= 1 << a
+        every = (1 << len(poset.labels)) - 1
+        poset.rows = [reduce(and_, [cols[r] for r in _bits(label)], every)
+                      for label in poset.labels]
+        poset._finish()
+        return poset
+
+    def _finish(self):
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise InputError("duplicate poset elements")
-        self.rows = [0] * n
-        for a in range(n):
-            row = 0
-            for b in range(n):
-                if leq(self.labels[a], self.labels[b]):
-                    row |= 1 << b
-            self.rows[a] = row
         self._index = {label: i for i, label in enumerate(self.labels)}
         if n <= POSET_CHECK_LIMIT:
             self._validate()
 
     def _validate(self):
-        n = len(self.labels)
-        for a in range(n):
-            if not (self.rows[a] >> a) & 1:
+        """Check that the rows are reflexive, antisymmetric and transitive.
+
+        Element a is verified once row(x) <= row(a) for every x in row(a).
+        Rows are taken smallest first, so in a poset each b strictly above a
+        is verified before a, and row(b) then vouches for all of its members:
+        only the members no such row covers yet are visited.  An unverified
+        b != a in row(a) has a row at least as large, which breaks
+        antisymmetry if it is equal and transitivity otherwise.
+        """
+        rows = self.rows
+        verified = 0
+        for a in sorted(range(len(rows)), key=lambda a: rows[a].bit_count()):
+            row = rows[a]
+            if not (row >> a) & 1:
                 raise InputError("relation is not reflexive")
-            row = self.rows[a]
-            rest = row
+            closure = 1 << a
+            rest = row & ~closure
             while rest:
                 b = (rest & -rest).bit_length() - 1
-                if a != b and (self.rows[b] >> a) & 1:
-                    raise InputError("relation is not antisymmetric")
-                if self.rows[b] & ~row:
-                    raise InputError("relation is not transitive")
-                rest &= rest - 1
+                if not (verified >> b) & 1:
+                    raise InputError("relation is not antisymmetric" if rows[b] == row
+                                     else "relation is not transitive")
+                closure |= rows[b]
+                rest &= ~closure
+            if closure != row:
+                raise InputError("relation is not transitive")
+            verified |= 1 << a
 
     def __len__(self):
         return len(self.labels)
@@ -134,36 +173,28 @@ class Poset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Hasse edges (a, b) with a < b and nothing strictly between."""
-        n = len(self.labels)
+        strict_downs = [0] * len(self.rows)
+        for a, row in enumerate(self.rows):
+            for b in _bits(row & ~(1 << a)):
+                strict_downs[b] |= 1 << a
         out = []
-        for a in range(n):
-            ups = self.rows[a] & ~(1 << a)
-            rest = ups
-            while rest:
-                b = (rest & -rest).bit_length() - 1
-                between = ups & self._strict_down(b)
-                if not between:
-                    out.append((a, b))
-                rest &= rest - 1
+        for a, row in enumerate(self.rows):
+            ups = row & ~(1 << a)
+            out.extend((a, b) for b in _bits(ups) if not ups & strict_downs[b])
         return out
-
-    def _strict_down(self, b: int) -> int:
-        mask = 0
-        for a in range(len(self.labels)):
-            if a != b and (self.rows[a] >> b) & 1:
-                mask |= 1 << a
-        return mask
 
 
 @lru_cache(maxsize=None)
 def boolean_cube(i: int) -> Poset:
     """{0,1}^i under the pointwise product order, elements labeled by rank."""
-    return Poset(range(1 << i), cube_leq)
+    if i < 0:
+        raise InputError(f"i must be >= 0, got {i}")
+    return Poset.by_inclusion(range(1 << i))
 
 
 @lru_cache(maxsize=None)
 def monotone_nonzero_poset(j: int) -> Poset:
-    return Poset(monotone_nonzero(j), lambda a, b: a & ~b == 0)
+    return Poset.by_inclusion(monotone_nonzero(j))
 
 
 @dataclass(frozen=True)
@@ -186,16 +217,8 @@ class LatticeMap:
 
 def is_isotone(m: LatticeMap) -> bool:
     """True iff the map preserves order."""
-    n = len(m.source)
-    for a in range(n):
-        row = m.source.rows[a]
-        rest = row
-        while rest:
-            b = (rest & -rest).bit_length() - 1
-            if not m.target.leq(m.image[a], m.image[b]):
-                return False
-            rest &= rest - 1
-    return True
+    return all(m.target.leq(m.image[a], m.image[b])
+               for a, row in enumerate(m.source.rows) for b in _bits(row))
 
 
 def is_injective(m: LatticeMap) -> bool:

@@ -119,12 +119,16 @@ def test_csg_bound_values():
     assert csg_bound(8) == 47
     assert csg_bound(3) == 1 + 2 + 2 + 1 == 6
     assert csg_bound(0) == 1
+    # depths 0..11 reach arities 18..7, whose games outnumber the prefixes
+    assert csg_bound(18) == sum(2**i for i in range(12)) + sum(c - 1 for c in CSG_COUNTS[:7])
 
 
 def test_csg_bound_needs_counts_eventually():
+    # n = 24 is the first bound with a term min(2^16, |C_8| - 1)
+    csg_bound(23)
     with pytest.raises(NeedCsgCountError):
-        csg_bound(18)
-    assert csg_bound(18, csg_counts={k: 10**9 for k in range(7, 19)}) > 0
+        csg_bound(24)
+    assert csg_bound(24, csg_counts={k: 10**9 for k in range(8, 25)}) > 0
 
 
 def test_bounds_nondecreasing_in_n():
@@ -146,8 +150,10 @@ def test_bound_kind_enum_is_exhaustive():
 
 def test_builtin_tables_match_enumerations():
     from maxcomplex.lattice import enumerate_monotone
-    from maxcomplex.csg import enumerate_csg
+    from maxcomplex.csg import enumerate_csg, is_csg_mask
 
     for n in range(6):
         assert DEDEKIND[n] == len(enumerate_monotone(n))
+    for n in range(8):
         assert CSG_COUNTS[n] == len(enumerate_csg(n))
+    assert all(is_csg_mask(7, m) for m in enumerate_csg(7))

@@ -15,6 +15,7 @@ from maxcomplex.cli import (
     parse_language_file,
 )
 from maxcomplex.core import ColoredFunction
+from maxcomplex.counting import count_max
 from maxcomplex import minauto
 
 ASIAN_TEXT = """\
@@ -122,6 +123,12 @@ def test_cmd_count_max(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == ["b", "c", "n", "i", "count", "brute_count"]
     assert payload["count"] == payload["brute_count"] == "60"
+
+
+def test_cmd_count_max_brute_n4(capsys):
+    assert main(["count-max", "--n", "4", "--verify-brute", "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["brute_count"] == payload["count"] == str(count_max(2, 2, 4)[1])
 
 
 def test_cmd_count_max_list(capsys):
@@ -258,10 +265,12 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
     (["count-max", "--c", "1", "--n", "2"], EXIT_USAGE),  # NoMaxError
     (["lattice", "search", "--i", "2", "--j", "2", "--resume", "{tampered}"],
      EXIT_USAGE),  # AdequacyError
-    (["bound", "--kind", "csg", "--n", "18"], EXIT_CAPACITY),  # NeedCsgCountError
+    (["bound", "--kind", "csg", "--n", "24"], EXIT_CAPACITY),  # NeedCsgCountError
     (["bound", "--kind", "monotone", "--n", "42"], EXIT_CAPACITY),  # NeedDedekindError
+    (["lattice", "search", "--i", "-1", "--j", "3"], EXIT_USAGE),
+    (["lattice", "search", "--i", "-1", "--j", "3", "--csg"], EXIT_USAGE),
 ], ids=["complexity-empty-dot", "construct-c1", "count-max-c1", "resume-tampered",
-        "bound-csg-18", "bound-monotone-42"])
+        "bound-csg-24", "bound-monotone-42", "search-negative-i", "search-csg-negative-i"])
 def test_library_errors_exit_with_documented_code(tmp_path, capsys, argv, code):
     # the image of source 00 is {01}, which is not upward closed
     tampered = "maxcomplex-certificate v1\ni: 2\nj: 2\nmap:\n00 -> 0100\ncover:\nend\n"

@@ -1,12 +1,15 @@
+from array import array
 from itertools import product
 
 import pytest
 
-from maxcomplex.core import ColoredFunction, InputError, _mask_is_early, rank
+from maxcomplex.core import (
+    CapacityError, ColoredFunction, InputError, _mask_is_early, rank, var_mask,
+)
 from maxcomplex.bounds import csg_bound
 from maxcomplex.minauto import state_complexity, states_by_depth
 from maxcomplex.witness import NoWitnessError
-from maxcomplex.lattice import AdequacyError, LatticeMap, enumerate_monotone
+from maxcomplex.lattice import AdequacyError, LatticeMap, Poset, enumerate_monotone
 from maxcomplex.csg import (
     build_csg_witness,
     check_csg_relation,
@@ -94,13 +97,61 @@ def test_early_count_n5():
 
 
 def test_csg_counts():
-    assert [len(enumerate_csg(n)) for n in range(7)] == [2, 3, 5, 10, 27, 119, 1173]
+    assert [len(enumerate_csg(n)) for n in range(8)] == [2, 3, 5, 10, 27, 119, 1173, 44315]
+
+
+def _early_monotone_filter_numpy(n, masks):
+    """The filter enumerate_csg once ran over every monotone mask of arity 6."""
+    import numpy as np
+
+    arr = np.frombuffer(masks, dtype=np.uint64)
+    keep = np.ones(len(arr), dtype=bool)
+    full = np.uint64((1 << (1 << n)) - 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            sel = np.uint64(var_mask(n, j) & ~var_mask(n, i))
+            delta = np.uint64((1 << (n - 1 - i)) - (1 << (n - 1 - j)))
+            keep &= (((arr & sel) << delta) & (~arr & full)) == 0
+    return tuple(int(v) for v in arr[keep])
 
 
 def test_csg_equals_monotone_intersect_early():
+    # the game-pair recursion against filters over all monotone functions
     for n in range(6):
-        filtered = [m for m in enumerate_monotone(n) if _mask_is_early(n, m)]
-        assert list(enumerate_csg(n)) == filtered
+        assert enumerate_csg(n) == tuple(m for m in enumerate_monotone(n) if is_csg_mask(n, m))
+        if n <= 4:
+            assert enumerate_csg(n) == tuple(
+                m for m in enumerate_monotone(n) if is_majorization_up_set(n, m))
+    monotone6 = enumerate_monotone(6)
+    assert enumerate_csg(6) == _early_monotone_filter_numpy(6, monotone6)
+    # the vectorized filter is is_csg_mask on the games plus a spread of non-games
+    sample = array("Q", sorted(set(enumerate_csg(6)) | set(monotone6[::4001])))
+    kept = _early_monotone_filter_numpy(6, sample)
+    assert kept == tuple(m for m in sample if is_csg_mask(6, m))
+    assert len(sample) > len(kept) == 1173
+
+
+def test_game_rows_from_bit_columns_match_callback():
+    for j in range(1, 7):
+        labels = csg_nonzero(j)
+        assert csg_nonzero_poset(j).rows == Poset(labels, lambda a, b: a & ~b == 0).rows
+
+
+def _covers_by_definition(poset):
+    n = len(poset)
+    return [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b and poset.leq(a, b)
+        and not any(c not in (a, b) and poset.leq(a, c) and poset.leq(c, b) for c in range(n))
+    ]
+
+
+def test_covers_match_definition():
+    for poset in (majorization_poset(4), csg_nonzero_poset(5)):
+        assert poset.covers() == _covers_by_definition(poset)
+    assert len(csg_nonzero_poset(6).covers()) == 3263
 
 
 def test_csg_equals_majorization_up_sets():
@@ -136,6 +187,15 @@ def test_check_csg_relation_rejects_non_isotone():
     m = LatticeMap(majorization_poset(1), poset, (top, 0))
     with pytest.raises(AdequacyError):
         check_csg_relation(1, 2, m)
+
+
+def test_search_rejects_negative_i_and_large_j():
+    with pytest.raises(InputError, match="i must be >= 0"):
+        search_csg_relation(-1, 3)
+    with pytest.raises(CapacityError):
+        search_csg_relation(10, 7)
+    with pytest.raises(CapacityError):
+        csg_nonzero_poset(7)
 
 
 def test_search_trivial_and_pigeonhole():

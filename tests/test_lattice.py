@@ -69,6 +69,66 @@ def test_poset_axioms_enforced():
         Poset([0, 1, 2], lambda a, b: (a, b) in {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)})
 
 
+def test_poset_axioms_each_named():
+    cases = {
+        "reflexive": {(0, 0), (1, 1)},
+        "antisymmetric": {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)},
+        "transitive": {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)},
+    }
+    for axiom, pairs in cases.items():
+        with pytest.raises(InputError, match=f"not {axiom}"):
+            Poset([0, 1, 2], lambda a, b, pairs=pairs: (a, b) in pairs)
+    with pytest.raises(InputError, match="duplicate"):
+        Poset.by_inclusion([1, 3, 1])
+
+
+def _is_partial_order(rows):
+    """The three axioms checked pair by pair."""
+    n = len(rows)
+    leq = [[(rows[a] >> b) & 1 for b in range(n)] for a in range(n)]
+    return (all(leq[a][a] for a in range(n))
+            and not any(a != b and leq[a][b] and leq[b][a] for a in range(n) for b in range(n))
+            and all(leq[a][c] for a in range(n) for b in range(n) for c in range(n)
+                    if leq[a][b] and leq[b][c]))
+
+
+def test_poset_validation_matches_axioms_on_random_relations():
+    import random
+
+    rng = random.Random(7)
+    accepted = 0
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        # transitive closures of random DAGs, then up to two flipped pairs
+        order = rng.sample(range(n), n)
+        rows = [1 << a for a in range(n)]
+        for x in range(n):
+            for y in range(x + 1, n):
+                if rng.random() < 0.4:
+                    rows[order[x]] |= 1 << order[y]
+        for _ in range(n):
+            rows = [row | sum(rows[b] for b in range(n) if row >> b & 1) for row in rows]
+            rows = [row | (1 << a) for a, row in enumerate(rows)]
+        for _ in range(rng.randint(0, 2)):
+            rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        expected = _is_partial_order(rows)
+        accepted += expected
+        try:
+            Poset(range(n), lambda a, b: bool(rows[a] >> b & 1))
+            assert expected, rows
+        except InputError:
+            assert not expected, rows
+    assert 500 < accepted < 2500
+
+
+def test_cube_and_monotone_rows_from_bit_columns_match_callback():
+    for i in range(7):
+        assert boolean_cube(i).rows == Poset(range(1 << i), lambda a, b: a & ~b == 0).rows
+    for j in range(1, 5):
+        labels = monotone_nonzero(j)
+        assert monotone_nonzero_poset(j).rows == Poset(labels, lambda a, b: a & ~b == 0).rows
+
+
 def test_poset_covers_chain():
     chain = Poset([0, 1, 2, 3], lambda a, b: a <= b)
     assert chain.covers() == [(0, 1), (1, 2), (2, 3)]
@@ -168,6 +228,13 @@ def test_search_finds_4_4():
     assert out.status == "found"
     cert = check_relation(4, 4, out.map)
     assert len(cert.covered) == 19
+
+
+def test_search_rejects_negative_i():
+    with pytest.raises(InputError, match="i must be >= 0"):
+        search_relation(-1, 3)
+    with pytest.raises(InputError, match="i must be >= 0"):
+        boolean_cube(-1)
 
 
 def test_search_pigeonhole_refutation():
