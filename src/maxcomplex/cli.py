@@ -15,7 +15,10 @@ from . import __version__
 from .core import (
     CapacityError,
     ColoredFunction,
+    ExhaustedError,
     InputError,
+    MaxcomplexError,
+    MismatchError,
     Word,
     unrank,
 )
@@ -23,24 +26,16 @@ from . import bounds, counting, csg, lattice, minauto, witness
 from .cache import DiskCache
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_MISMATCH = 2
-EXIT_CAPACITY = 3
-EXIT_EXHAUSTED = 4
+EXIT_USAGE = InputError.exit_code
+EXIT_MISMATCH = MismatchError.exit_code
+EXIT_CAPACITY = CapacityError.exit_code
+EXIT_EXHAUSTED = ExhaustedError.exit_code
 
 EMPTY_WORD_TOKEN = "-"
 
 
 class ParseError(InputError):
     """A language file is malformed; message carries the line number."""
-
-
-class MismatchError(RuntimeError):
-    """A verification cross-check failed."""
-
-
-class ExhaustedError(RuntimeError):
-    """A search ran out of budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +262,7 @@ def cmd_lattice_search(args) -> int:
     cache = DiskCache(args.cache)
     params = f"{kind}-i{args.i}-j{args.j}"
     if args.resume:
-        text = Path(args.resume).read_text()
-        cert = lattice.verify_certificate(lattice.parse_certificate(text))
+        cert = lattice.verify_certificate(lattice.parse_certificate(Path(args.resume).read_text()))
         payload = {"i": cert.i, "j": cert.j, "kind": cert.kind, "status": "verified",
                    "nodes": 0, "certificate": args.resume}
         _emit(args, payload, f"certificate verified: {args.resume}")
@@ -287,8 +281,7 @@ def cmd_lattice_search(args) -> int:
     payload = {"i": args.i, "j": args.j, "kind": kind, "status": outcome.status,
                "nodes": outcome.nodes, "certificate": None}
     if outcome.status == "found":
-        check = csg.check_csg_relation if args.csg else lattice.check_relation
-        cert = check(args.i, args.j, outcome.map)
+        cert = lattice.lattice_kind(kind).check(args.i, args.j, outcome.map)
         text = lattice.format_certificate(cert)
         if args.out:
             target = Path(args.out)
@@ -435,18 +428,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ParseError, InputError, FileNotFoundError) as exc:
+    except MaxcomplexError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable or unwritable user files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MismatchError as exc:
-        print(f"verification mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ExhaustedError as exc:
-        print(f"exhausted: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
 
 
 if __name__ == "__main__":

@@ -21,12 +21,33 @@ MAX_TABLE_CELLS = 1 << 22
 MAX_COLORS = 256
 
 
-class InputError(ValueError):
+class MaxcomplexError(Exception):
+    """Base of the library's errors: the CLI exits with `exit_code` and
+    writes the message to stderr after `prefix`."""
+
+    exit_code, prefix = 1, "error"
+
+
+class InputError(MaxcomplexError, ValueError):
     """An argument violates a structural precondition."""
 
 
-class CapacityError(RuntimeError):
+class MismatchError(MaxcomplexError, RuntimeError):
+    """A verification cross-check failed."""
+
+    exit_code, prefix = 2, "verification mismatch"
+
+
+class CapacityError(MaxcomplexError, RuntimeError):
     """The request would exceed the configured in-memory limits."""
+
+    exit_code, prefix = 3, "capacity"
+
+
+class ExhaustedError(MaxcomplexError, RuntimeError):
+    """A search ran out of budget."""
+
+    exit_code, prefix = 4, "exhausted"
 
 
 def as_word(word: WordLike) -> Word:
@@ -70,11 +91,6 @@ def var_mask(n: int, position: int) -> int:
     """
     place = 1 << (n - 1 - position)
     return sum(1 << r for r in range(1 << n) if r & place)
-
-
-def cube_leq(x_rank: int, y_rank: int) -> bool:
-    """Pointwise order on binary words of equal length, compared by rank."""
-    return x_rank & ~y_rank == 0
 
 
 @dataclass(frozen=True)

@@ -23,16 +23,16 @@ from .core import (
     rank,
     var_mask,
 )
-from . import lattice
 from .lattice import (
+    KINDS,
     AdequacyCertificate,
+    LatticeKind,
     LatticeMap,
     Poset,
     SearchOutcome,
-    _certify,
-    _search_embedding,
     assemble_from_chain,
-    sub_masks,
+    certify,
+    search_embedding,
 )
 from .bounds import CSG_COUNTS
 
@@ -158,57 +158,33 @@ def csg_nonzero(n: int) -> tuple:
     return tuple(masks[1:])
 
 
-def _check_poset_arity(j: int) -> None:
-    if j > MAX_CSG_POSET_ARITY:
-        raise CapacityError(f"game lattices beyond j={MAX_CSG_POSET_ARITY} are not desk-feasible")
-
-
 @lru_cache(maxsize=None)
 def csg_nonzero_poset(j: int) -> Poset:
-    _check_poset_arity(j)
+    if j > MAX_CSG_POSET_ARITY:
+        raise CapacityError(f"game lattices beyond j={MAX_CSG_POSET_ARITY} are not desk-feasible")
     return Poset.by_inclusion(csg_nonzero(j))
 
 
 def csg_map(i: int, j: int, image_masks: Sequence[int]) -> LatticeMap:
     """Map from the majorization cube E_i into the nonzero games of arity j."""
-    index = {mask: idx for idx, mask in enumerate(csg_nonzero(j))}
-    try:
-        image = tuple(index[mask] for mask in image_masks)
-    except KeyError:
-        raise lattice.AdequacyError("image contains a non-game element")
-    return LatticeMap(majorization_poset(i), csg_nonzero_poset(j), image)
+    return LatticeMap.from_labels(majorization_poset(i), csg_nonzero_poset(j), image_masks)
 
 
 def check_csg_relation(i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
-    """Certify E_i -> C_j^- with substitutions into C_{j-1} onto C_{j-1}^-."""
-    if m.source.labels != majorization_poset(i).labels:
-        raise InputError(f"source poset is not the majorization cube E_{i}")
-    if m.target.labels != csg_nonzero_poset(j).labels:
-        raise InputError(f"target poset is not the nonzero game lattice C_{j}^-")
-    for mask in m.image_labels():
-        for sub in sub_masks(j, mask):
-            if sub and not is_csg_mask(j - 1, sub):
-                raise lattice.AdequacyError("a substitution leaves the game class")
-    return _certify(i, j, m, "csg", set(csg_nonzero(j - 1)))
+    """Certify E_i -> C_j^- with substitutions onto C_{j-1}^-."""
+    return certify("csg", i, j, m)
 
 
 def search_csg_relation(i: int, j: int, budget: int = 10**8) -> SearchOutcome:
     """Search for an adequate majorization-ordered embedding E_i -> C_j^-."""
-    if i < 0:
-        raise InputError(f"i must be >= 0, got {i}")
-    if j < 1:
-        raise InputError(f"j must be >= 1, got {j}")
-    _check_poset_arity(j)
-    targets = csg_nonzero(j)
-    if (1 << i) > len(targets):
-        return SearchOutcome("none", None, 0)
-    needed = set(csg_nonzero(j - 1))
-    outcome = _search_embedding(
-        1 << i, lambda a, b: _rank_leq(i, a, b), targets, j, needed, budget, None
-    )
-    if outcome.status != "found":
-        return outcome
-    return SearchOutcome("found", csg_map(i, j, outcome.map), outcome.nodes)
+    return search_embedding("csg", i, j, budget)
+
+
+KINDS["csg"] = LatticeKind(
+    order="majorization", source_name="the majorization cube E_{}",
+    target_name="the nonzero game lattice C_{}^-",
+    source=lambda i: majorization_poset(i), nonzero=lambda j: csg_nonzero(j),
+    target=lambda j: csg_nonzero_poset(j), check=lambda i, j, m: check_csg_relation(i, j, m))
 
 
 def shadow_mask(j: int, mask: int) -> int:
@@ -250,12 +226,8 @@ def build_csg_witness(n: int = 8, budget: int = 10**8, require_early: bool = Fal
     from .witness import NoWitnessError
 
     i, j = csg_witness_chain(n)
-    targets = csg_nonzero(j)
-    needed = set(csg_nonzero(j - 1))
     shadow = (lambda mask: shadow_mask(j, mask)) if require_early else None
-    outcome = _search_embedding(
-        1 << i, lambda a, b: _rank_leq(i, a, b), targets, j, needed, budget, shadow
-    )
+    outcome = search_embedding("csg", i, j, budget, shadow)
     if outcome.status == "exhausted":
         raise CapacityError(f"witness search exhausted after {outcome.nodes} nodes")
     if outcome.status != "found":
@@ -263,6 +235,6 @@ def build_csg_witness(n: int = 8, budget: int = 10**8, require_early: bool = Fal
             f"no chain embedding exists for n={n}"
             + (" with the earliness conditions" if require_early else "")
         )
-    cert = check_csg_relation(i, j, csg_map(i, j, outcome.map))
-    witness = MonotoneFunction(n, assemble_from_chain(n, i, j, outcome.map))
+    cert = check_csg_relation(i, j, outcome.map)
+    witness = MonotoneFunction(n, assemble_from_chain(n, i, j, outcome.map.image_labels()))
     return witness, cert

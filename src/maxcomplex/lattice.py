@@ -8,7 +8,8 @@ reduce to bit arithmetic.
 An embedding 2^i -> F_j^- is "adequate onto F_{j-1}^-" when it is injective
 and order-preserving and the first-variable substitutions of its image hit
 every nonzero monotone (j-1)-ary function.  Certificates of this are the
-persistence format for expensive searches.
+persistence format for expensive searches.  Through `KINDS`, the search and
+the certifier serve the game lattices of `csg` as well.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from .core import (
     CapacityError,
     InputError,
     MonotoneFunction,
-    cube_leq,
     var_mask,
 )
 
 MAX_MONOTONE_ARITY = 6
+# F_6^- has 7,828,353 elements: its order matrix alone would take about 7.7 TB.
+MAX_MONOTONE_POSET_ARITY = 5
 POSET_CHECK_LIMIT = 1 << 12
 
 _MONO_CACHE: dict[int, array] = {}
@@ -77,11 +79,6 @@ def monotone_nonzero(n: int) -> tuple:
     masks = enumerate_monotone(n)
     assert masks[0] == 0
     return tuple(masks[1:])
-
-
-@lru_cache(maxsize=None)
-def _nonzero_index(n: int) -> dict:
-    return {mask: idx for idx, mask in enumerate(monotone_nonzero(n))}
 
 
 def sub_masks(j: int, mask: int) -> tuple[int, int]:
@@ -194,7 +191,13 @@ def boolean_cube(i: int) -> Poset:
 
 @lru_cache(maxsize=None)
 def monotone_nonzero_poset(j: int) -> Poset:
+    if j > MAX_MONOTONE_POSET_ARITY:
+        raise CapacityError(f"monotone lattices beyond j={MAX_MONOTONE_POSET_ARITY} are too large")
     return Poset.by_inclusion(monotone_nonzero(j))
+
+
+class AdequacyError(InputError):
+    """The map fails one of the embedding requirements."""
 
 
 @dataclass(frozen=True)
@@ -210,6 +213,15 @@ class LatticeMap:
             raise InputError("image must be total on the source")
         if any(not 0 <= t < len(self.target) for t in self.image):
             raise InputError("image index out of range")
+
+    @classmethod
+    def from_labels(cls, source: Poset, target: Poset, masks: Iterable) -> "LatticeMap":
+        """The map sending source index s to the target element labeled masks[s]."""
+        try:
+            image = tuple(target.index(mask) for mask in masks)
+        except KeyError:
+            raise AdequacyError("image contains a non-lattice element") from None
+        return cls(source, target, image)
 
     def image_labels(self) -> tuple:
         return tuple(self.target.labels[t] for t in self.image)
@@ -259,20 +271,40 @@ class AdequacyCertificate:
     uses_zero: bool  # some substitution is the zero function
 
 
-class AdequacyError(InputError):
-    """The map fails one of the embedding requirements."""
+@dataclass(frozen=True)
+class LatticeKind:
+    """One lattice family; its callables look up the module functions when called."""
+
+    order: str  # the source order's name in certificates
+    source: Callable[[int], Poset]  # i -> the source cube, labeled by rank
+    nonzero: Callable[[int], tuple]  # j -> the nonzero j-ary masks, ascending
+    target: Callable[[int], Poset]  # j -> those masks under inclusion
+    check: Callable[[int, int, LatticeMap], AdequacyCertificate]  # the public certifier
+    source_name: str  # formatted with i in error messages
+    target_name: str  # formatted with j in error messages
 
 
-def check_relation(i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
-    """Certify an injective isotone embedding 2^i -> F_j^- adequate onto F_{j-1}^-."""
-    if m.source.labels != boolean_cube(i).labels:
-        raise InputError(f"source poset is not the {i}-cube")
-    if m.target.labels != monotone_nonzero_poset(j).labels:
-        raise InputError(f"target poset is not the nonzero monotone {j}-lattice")
-    return _certify(i, j, m, "monotone", set(monotone_nonzero(j - 1)))
+KINDS: dict[str, LatticeKind] = {}
 
 
-def _certify(i: int, j: int, m: LatticeMap, kind: str, needed: set) -> AdequacyCertificate:
+def lattice_kind(kind: str) -> LatticeKind:
+    if kind not in KINDS:
+        raise InputError(f"unknown lattice kind {kind!r}; choose from {tuple(KINDS)}")
+    return KINDS[kind]
+
+
+def certify(kind: str, i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
+    """Certify an injective isotone map from the kind's i-cube into its nonzero
+    j-ary lattice whose substitutions cover the nonzero (j-1)-ary lattice.
+    Substitutions of members are members, so they need no check of their own.
+    """
+    family = lattice_kind(kind)
+    source, target = family.source(i), family.target(j)
+    if (m.source.labels, m.source.rows) != (source.labels, source.rows):
+        raise InputError(f"source poset is not {family.source_name.format(i)}")
+    if (m.target.labels, m.target.rows) != (target.labels, target.rows):
+        raise InputError(f"target poset is not {family.target_name.format(j)}")
+    needed = set(family.nonzero(j - 1))
     if not is_injective(m):
         raise AdequacyError("map is not injective")
     if not is_isotone(m):
@@ -283,10 +315,19 @@ def _certify(i: int, j: int, m: LatticeMap, kind: str, needed: set) -> AdequacyC
         missing = len(needed) - len(covered)
         raise AdequacyError(f"substitutions miss {missing} required functions")
     uses_zero = any(v == 0 for pair in subs for v in pair)
-    return AdequacyCertificate(
-        kind=kind, i=i, j=j, map=m, substitutions=subs,
-        covered=frozenset(covered), uses_zero=uses_zero,
-    )
+    return AdequacyCertificate(kind=kind, i=i, j=j, map=m, substitutions=subs,
+                               covered=frozenset(covered), uses_zero=uses_zero)
+
+
+def check_relation(i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
+    """Certify an injective isotone embedding 2^i -> F_j^- adequate onto F_{j-1}^-."""
+    return certify("monotone", i, j, m)
+
+
+KINDS["monotone"] = LatticeKind(
+    order="product", source_name="the {}-cube", target_name="the nonzero monotone {}-lattice",
+    source=lambda i: boolean_cube(i), nonzero=lambda j: monotone_nonzero(j),
+    target=lambda j: monotone_nonzero_poset(j), check=lambda i, j, m: check_relation(i, j, m))
 
 
 # ---------------------------------------------------------------------------
@@ -369,26 +410,21 @@ def _embedding_tables() -> dict[str, tuple[int, int, tuple]]:
 EMBEDDING_NAMES = ("post_alh", "fig39", "both_restricted", "alh", "small", "friday")
 
 
-def named_embedding(name: str) -> LatticeMap:
-    """One of the built-in certified embeddings, as explicit map data."""
+def _catalog_entry(name: str) -> tuple[int, int, tuple]:
     tables = _embedding_tables()
     if name not in tables:
         raise InputError(f"unknown embedding {name!r}; choose from {EMBEDDING_NAMES}")
-    i, j, masks = tables[name]
-    index = _nonzero_index(j)
-    return LatticeMap(
-        source=boolean_cube(i),
-        target=monotone_nonzero_poset(j),
-        image=tuple(index[mask] for mask in masks),
-    )
+    return tables[name]
+
+
+def named_embedding(name: str) -> LatticeMap:
+    """One of the built-in certified embeddings, as explicit map data."""
+    i, j, masks = _catalog_entry(name)
+    return LatticeMap.from_labels(boolean_cube(i), monotone_nonzero_poset(j), masks)
 
 
 def embedding_shape(name: str) -> tuple[int, int]:
-    tables = _embedding_tables()
-    if name not in tables:
-        raise InputError(f"unknown embedding {name!r}; choose from {EMBEDDING_NAMES}")
-    i, j, _ = tables[name]
-    return i, j
+    return _catalog_entry(name)[:2]
 
 
 def lemma_les_check() -> bool:
@@ -421,41 +457,34 @@ class SearchOutcome:
     nodes: int
 
 
-def search_relation(i: int, j: int, budget: int = 10**8) -> SearchOutcome:
-    """Look for an embedding 2^i -> F_j^- adequate onto F_{j-1}^-.
+def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
+                     shadow: "Callable[[int], int] | None" = None) -> SearchOutcome:
+    """Look for an injective isotone map from the kind's i-cube into its
+    nonzero j-ary lattice whose substitutions cover the nonzero (j-1)-ary one.
 
-    Sources are assigned in ascending rank order (a linear extension), target
-    candidates must extend all previously assigned comparable images, and
-    branches that can no longer complete the cover are pruned.  The first
+    Pigeonhole and the cover count (two substitutions per source) answer
+    "none" after 0 nodes.  Otherwise sources are assigned in ascending rank
+    order (a linear extension of both cube orders), target candidates must
+    extend all previously assigned comparable images, and branches that can
+    no longer complete the cover are pruned.  With `shadow`, an image must
+    also contain shadow(image) of every source one bit below it.  The first
     map found in this canonical order is returned.
     """
+    if i < 0:
+        raise InputError(f"i must be >= 0, got {i}")
     if j < 1:
         raise InputError(f"j must be >= 1, got {j}")
-    source = boolean_cube(i)
-    src_leq = cube_leq
-    targets = monotone_nonzero(j)
-    needed = set(monotone_nonzero(j - 1))
-    outcome = _search_embedding(len(source), src_leq, targets, j, needed, budget, None)
-    if outcome.status != "found":
-        return outcome
-    index = _nonzero_index(j)
-    m = LatticeMap(source, monotone_nonzero_poset(j),
-                   tuple(index[mask] for mask in outcome.map))
-    return SearchOutcome("found", m, outcome.nodes)
-
-
-def _search_embedding(size, src_leq, targets, j, needed, budget,
-                      shadow: "Callable[[int], int] | None") -> SearchOutcome:
-    """Core backtracking over source ranks 0..size-1; map returned as masks."""
-    subs = {t: sub_masks(j, t) for t in targets}
-    contrib = {t: frozenset(v for v in subs[t] if v in needed) for t in targets}
-    preds: list[list[int]] = [
-        [s2 for s2 in range(s) if src_leq(s2, s)] for s in range(size)
-    ]
-    bit_preds: list[list[int]] = [
-        [s & ~(1 << b) for b in range(s.bit_length()) if (s >> b) & 1]
-        for s in range(size)
-    ]
+    family = lattice_kind(kind)
+    target = family.target(j)
+    size = 1 << i
+    needed = set(family.nonzero(j - 1))
+    if size > len(target) or len(needed) > 2 * size:
+        return SearchOutcome("none", None, 0)
+    source = family.source(i)
+    targets = target.labels
+    contrib = {t: frozenset(v for v in sub_masks(j, t) if v in needed) for t in targets}
+    preds = [[s2 for s2 in range(s) if source.leq(s2, s)] for s in range(size)]
+    bit_preds = [[s & ~(1 << b) for b in _bits(s)] for s in range(size)]
     assignment: list[int] = [0] * size
     used: set[int] = set()
     cover_count: dict[int, int] = {v: 0 for v in needed}
@@ -473,8 +502,7 @@ def _search_embedding(size, src_leq, targets, j, needed, budget,
             for s2 in bit_preds[s]:
                 required |= shadow(assignment[s2])
         # targets come ascending, so the first solution is canonical
-        opts = [t for t in targets if t not in used and required & ~t == 0]
-        for t in opts:
+        for t in [t for t in targets if t not in used and required & ~t == 0]:
             state["nodes"] += 1
             if state["nodes"] > budget:
                 state["exhausted"] = True
@@ -497,9 +525,15 @@ def _search_embedding(size, src_leq, targets, j, needed, budget,
         return False
 
     if extend(0):
-        return SearchOutcome("found", tuple(assignment), state["nodes"])
+        return SearchOutcome("found", LatticeMap.from_labels(source, target, assignment),
+                             state["nodes"])
     return SearchOutcome("exhausted" if state["exhausted"] else "none",
                          None, state["nodes"])
+
+
+def search_relation(i: int, j: int, budget: int = 10**8) -> SearchOutcome:
+    """Look for an embedding 2^i -> F_j^- adequate onto F_{j-1}^-."""
+    return search_embedding("monotone", i, j, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +566,7 @@ def witness_chain(n: int) -> tuple[int, int, tuple]:
         return 0, 0, (1,)
     if n <= 4:
         return _small_maps()[n]
-    name = _WITNESS_CHAIN[n]
-    i, j, masks = _embedding_tables()[name]
-    return i, j, masks
+    return _embedding_tables()[_WITNESS_CHAIN[n]]
 
 
 def assemble_from_chain(n: int, i: int, j: int, masks: Sequence[int]) -> int:
@@ -564,24 +596,15 @@ def build_witness_language(n: int) -> MonotoneFunction:
 # ---------------------------------------------------------------------------
 
 def _mask_to_bits(mask: int, cells: int) -> str:
-    return "".join("1" if (mask >> r) & 1 else "0" for r in range(cells))
-
-
-def _bits_to_mask(bits: str) -> int:
-    value = 0
-    for r, ch in enumerate(bits):
-        if ch == "1":
-            value |= 1 << r
-    return value
+    return format(mask, f"0{cells}b")[::-1]  # character r is bit r
 
 
 def format_certificate(cert: AdequacyCertificate) -> str:
     """Stable re-loadable text rendering of a certified embedding."""
-    order = "majorization" if cert.kind == "csg" else "product"
     lines = [
         "maxcomplex-certificate v1",
         f"kind: {cert.kind}",
-        f"order: {order}",
+        f"order: {lattice_kind(cert.kind).order}",
         f"i: {cert.i}",
         f"j: {cert.j}",
         "map:",
@@ -598,44 +621,45 @@ def format_certificate(cert: AdequacyCertificate) -> str:
 
 
 def parse_certificate(text: str) -> dict:
-    """Parse the certificate text format; returns kind, i, j and image masks."""
+    """Parse the certificate text format; returns kind, i, j and image masks.
+
+    The map must list each of the 2^i sources once, as i bits ("-" when
+    i = 0), with a 2^j-bit image; anything else raises InputError.  The
+    cover section is not read: verification recomputes it.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if lines and lines[0].startswith("maxcomplex-cache"):
         lines = lines[1:]  # certificate stored through the disk cache
     if not lines or lines[0] != "maxcomplex-certificate v1":
         raise InputError("not a certificate file")
-    fields: dict[str, str] = {}
-    pos = 1
-    while pos < len(lines) and lines[pos] != "map:":
-        key, _, value = lines[pos].partition(":")
-        fields[key.strip()] = value.strip()
-        pos += 1
-    if pos == len(lines):
-        raise InputError("certificate has no map section")
-    i, j = int(fields["i"]), int(fields["j"])
-    kind = fields.get("kind", "monotone")
-    image = [0] * (1 << i)
-    pos += 1
-    while pos < len(lines) and lines[pos] != "cover:":
-        src, _, bits = lines[pos].partition("->")
-        src = src.strip()
-        rank_s = 0 if src == "-" else int(src, 2)
-        image[rank_s] = _bits_to_mask(bits.strip())
-        pos += 1
-    return {"kind": kind, "i": i, "j": j, "image_masks": tuple(image)}
+    try:
+        start = lines.index("map:")
+        rows = lines[start + 1:lines.index("cover:", start)]
+    except ValueError:
+        raise InputError("certificate needs a map: and then a cover: section") from None
+    fields = {k.strip(): v.strip() for k, _, v in (ln.partition(":") for ln in lines[1:start])}
+    try:
+        i, j = int(fields["i"]), int(fields["j"])
+    except (KeyError, ValueError):
+        raise InputError("certificate needs integer fields i: and j:") from None
+    if not (0 <= i < 64 and 1 <= j < 64 and len(rows) == 1 << i):
+        raise InputError("certificate needs 0 <= i < 64, 1 <= j < 64 and 2^i map rows")
+    image: dict[int, int] = {}
+    for row in rows:
+        src, arrow, bits = (part.strip() for part in row.partition("->"))
+        src = "" if i == 0 and src == "-" else src
+        if not arrow or len(src) != i or len(bits) != 1 << j or set(src + bits) - {"0", "1"}:
+            raise InputError(f"bad certificate map row {row!r}")
+        image[int(src or "0", 2)] = int(bits[::-1], 2)
+    if len(image) != len(rows):
+        raise InputError("certificate map lists a source twice")
+    return {"kind": fields.get("kind", "monotone"), "i": i, "j": j,
+            "image_masks": tuple(image[s] for s in range(len(rows)))}
 
 
 def verify_certificate(parsed: dict) -> AdequacyCertificate:
-    """Re-check a parsed certificate from scratch."""
+    """Re-check a parsed certificate from scratch with its kind's certifier."""
+    family = lattice_kind(parsed["kind"])
     i, j = parsed["i"], parsed["j"]
-    if parsed["kind"] == "csg":
-        from . import csg
-
-        return csg.check_csg_relation(i, j, csg.csg_map(i, j, parsed["image_masks"]))
-    index = _nonzero_index(j)
-    try:
-        image = tuple(index[mask] for mask in parsed["image_masks"])
-    except KeyError:
-        raise AdequacyError("certificate image contains a non-lattice element")
-    m = LatticeMap(boolean_cube(i), monotone_nonzero_poset(j), image)
-    return check_relation(i, j, m)
+    m = LatticeMap.from_labels(family.source(i), family.target(j), parsed["image_masks"])
+    return family.check(i, j, m)

@@ -269,14 +269,27 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
     (["bound", "--kind", "monotone", "--n", "42"], EXIT_CAPACITY),  # NeedDedekindError
     (["lattice", "search", "--i", "-1", "--j", "3"], EXIT_USAGE),
     (["lattice", "search", "--i", "-1", "--j", "3", "--csg"], EXIT_USAGE),
+    (["lattice", "search", "--i", "1", "--j", "6"], EXIT_CAPACITY),  # monotone poset guard
+    (["complexity", "{dir}"], EXIT_USAGE),  # IsADirectoryError
+    (["complexity", "{binary}"], EXIT_USAGE),  # UnicodeDecodeError
+    (["construct", "--n", "3", "--out", "{dir}"], EXIT_USAGE),  # IsADirectoryError
+    (["lattice", "search", "--i", "1", "--j", "3", "--resume", "{binary}"], EXIT_USAGE),
+    (["lattice", "search", "--i", "1", "--j", "3", "--resume", "{truncated}"], EXIT_USAGE),
 ], ids=["complexity-empty-dot", "construct-c1", "count-max-c1", "resume-tampered",
-        "bound-csg-24", "bound-monotone-42", "search-negative-i", "search-csg-negative-i"])
+        "bound-csg-24", "bound-monotone-42", "search-negative-i", "search-csg-negative-i",
+        "search-monotone-j6", "complexity-directory", "complexity-binary",
+        "construct-out-directory", "resume-binary", "resume-truncated"])
 def test_library_errors_exit_with_documented_code(tmp_path, capsys, argv, code):
     # the image of source 00 is {01}, which is not upward closed
-    tampered = "maxcomplex-certificate v1\ni: 2\nj: 2\nmap:\n00 -> 0100\ncover:\nend\n"
+    tampered = ("maxcomplex-certificate v1\ni: 2\nj: 2\nmap:\n00 -> 0100\n01 -> 0101\n"
+                "10 -> 0011\n11 -> 0111\ncover:\nend\n")
+    truncated = "maxcomplex-certificate v1\ni: 2\nj: 2\nmap:\n00 -> 0001\ncover:\nend\n"
     paths = {"empty": write(tmp_path, "empty.lang", "b=2 c=2 n=2\n"),
              "dot": str(tmp_path / "e.dot"), "out": str(tmp_path / "w.lang"),
-             "tampered": write(tmp_path, "bad.txt", tampered)}
+             "tampered": write(tmp_path, "bad.txt", tampered),
+             "truncated": write(tmp_path, "short.txt", truncated),
+             "dir": str(tmp_path), "binary": str(tmp_path / "binary")}
+    (tmp_path / "binary").write_bytes(b"\x7fELF\xd0\xff\xfe\x00")
     assert main([arg.format(**paths) for arg in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err

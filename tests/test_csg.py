@@ -9,7 +9,7 @@ from maxcomplex.core import (
 from maxcomplex.bounds import csg_bound
 from maxcomplex.minauto import state_complexity, states_by_depth
 from maxcomplex.witness import NoWitnessError
-from maxcomplex.lattice import AdequacyError, LatticeMap, Poset, enumerate_monotone
+from maxcomplex.lattice import AdequacyError, LatticeMap, Poset, enumerate_monotone, sub_masks
 from maxcomplex.csg import (
     build_csg_witness,
     check_csg_relation,
@@ -262,6 +262,13 @@ def test_csg_complexity_law_small():
         # the bound is attained by an actual game at these arities
         if n in (1, 2, 3, 5):
             assert max(values) == bound
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_game_substitutions_are_games(j):
+    # why the certifier checks only that each image is a nonzero j-ary game
+    games = set(enumerate_csg(j - 1))
+    assert all(set(sub_masks(j, mask)) <= games for mask in csg_nonzero(j))
 
 
 def test_csg_map_rejects_foreign_masks():

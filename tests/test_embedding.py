@@ -1,0 +1,190 @@
+"""The embedding engine shared by the monotone and game lattices, its
+certifier, the certificate parser and the error hierarchy."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from maxcomplex import cli
+from maxcomplex.core import (
+    CapacityError,
+    ExhaustedError,
+    InputError,
+    MaxcomplexError,
+    MismatchError,
+)
+from maxcomplex.csg import check_csg_relation, csg_nonzero_poset, search_csg_relation
+from maxcomplex.lattice import (
+    KINDS,
+    AdequacyError,
+    LatticeMap,
+    boolean_cube,
+    certify,
+    check_relation,
+    format_certificate,
+    monotone_nonzero_poset,
+    named_embedding,
+    parse_certificate,
+    search_embedding,
+    search_relation,
+    verify_certificate,
+)
+
+# First maps in canonical order, with the nodes the search visits to reach them.
+PINNED = [
+    ("monotone", 3, 3, 56, (0x80, 0x88, 0xa0, 0xa8, 0xc0, 0xc8, 0xe0, 0xf8)),
+    ("monotone", 4, 3, 12484, (0x80, 0x88, 0xa0, 0xa8, 0xc0, 0xc8, 0xe0, 0xee,
+                               0xe8, 0xea, 0xec, 0xfe, 0xf8, 0xfa, 0xfc, 0xff)),
+    ("monotone", 4, 4, 160641, (0x8000, 0x8080, 0x8800, 0x8880, 0x8888, 0xa888, 0xa8a8,
+                                0xaaa8, 0xa000, 0xe8c0, 0xeae0, 0xfaf0, 0xecc8, 0xeecc,
+                                0xfef8, 0xfffc)),
+    ("csg", 3, 4, 216, (0x8000, 0xc000, 0xe000, 0xe800, 0xf000, 0xf800, 0xfc00, 0xfffe)),
+    ("csg", 4, 4, 57, (0x8000, 0xc000, 0xe000, 0xe800, 0xe880, 0xf880, 0xfc80, 0xfcc0,
+                       0xfe80, 0xfec0, 0xfee0, 0xfee8, 0xfff0, 0xfff8, 0xfffc, 0xfffe)),
+]
+
+
+@pytest.mark.parametrize("kind,i,j,nodes,image", PINNED,
+                         ids=[f"{k}-{i},{j}" for k, i, j, _, _ in PINNED])
+def test_search_pins_nodes_and_map(kind, i, j, nodes, image):
+    search = search_relation if kind == "monotone" else search_csg_relation
+    out = search(i, j)
+    assert (out.status, out.nodes) == ("found", nodes)
+    assert isinstance(out.map, LatticeMap)
+    assert out.map.image_labels() == image
+    assert out.map.source is KINDS[kind].source(i)
+    assert out.map.target is KINDS[kind].target(j)
+    assert search_embedding(kind, i, j).map == out.map
+    cert = KINDS[kind].check(i, j, out.map)
+    assert cert.kind == kind and cert.covered == frozenset(KINDS[kind].nonzero(j - 1))
+
+
+@pytest.mark.parametrize("kind", ["monotone", "csg"])
+@pytest.mark.parametrize("i,j", [(5, 3), (6, 3), (3, 2), (2, 1), (1, 5), (0, 3)])
+def test_pigeonhole_and_cover_count_answer_none_at_once(kind, i, j):
+    out = search_embedding(kind, i, j, budget=0)
+    assert (out.status, out.map, out.nodes) == ("none", None, 0)
+
+
+def test_cli_search_refutes_by_pigeonhole(capsys):
+    assert cli.main(["lattice", "search", "--i", "5", "--j", "3"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.strip() == "none after 0 nodes"
+
+
+def test_monotone_search_beyond_poset_capacity():
+    with pytest.raises(CapacityError):
+        search_relation(1, 6)
+    with pytest.raises(CapacityError):
+        monotone_nonzero_poset(6)
+
+
+def test_engine_rejects_bad_arguments():
+    with pytest.raises(InputError, match="i must be >= 0"):
+        search_embedding("csg", -1, 3)
+    with pytest.raises(InputError, match="j must be >= 1"):
+        search_embedding("monotone", 1, 0)
+    with pytest.raises(InputError, match="unknown lattice kind"):
+        search_embedding("early", 1, 2)
+
+
+def test_certify_checks_the_source_order():
+    # injective, product-isotone and covering, but 01 <= 10 in majorization
+    # while the image of 01 is not below the image of 10
+    found = search_csg_relation(2, 3).map
+    assert found.image == (0, 1, 2, 4)
+    assert certify("csg", 2, 3, found).kind == "csg"
+    swapped = LatticeMap(boolean_cube(2), csg_nonzero_poset(3), (0, 2, 1, 4))
+    with pytest.raises(InputError, match="majorization cube"):
+        check_csg_relation(2, 3, swapped)
+
+
+def test_from_labels_rejects_foreign_masks():
+    f3 = monotone_nonzero_poset(3)
+    with pytest.raises(AdequacyError, match="non-lattice element"):
+        LatticeMap.from_labels(boolean_cube(1), f3, (0x80, 0x0f))
+    m = LatticeMap.from_labels(boolean_cube(1), f3, (0x80, 0xff))
+    assert m.image_labels() == (0x80, 0xff)
+
+
+def test_verify_certificate_rejects_unknown_kind():
+    text = format_certificate(check_relation(2, 3, named_embedding("post_alh")))
+    with pytest.raises(InputError, match="unknown lattice kind"):
+        verify_certificate(parse_certificate(text.replace("kind: monotone", "kind: early")))
+
+
+def _post_alh_text():
+    return format_certificate(check_relation(2, 3, named_embedding("post_alh")))
+
+
+def _game_text():
+    out = search_csg_relation(2, 3)
+    return format_certificate(check_csg_relation(2, 3, out.map))
+
+
+MALFORMED = {
+    "missing-i": lambda t: t.replace("i: 2\n", ""),
+    "missing-j": lambda t: t.replace("j: 3\n", ""),
+    "i-not-a-number": lambda t: t.replace("i: 2", "i: x"),
+    "source-out-of-range": lambda t: t.replace("\n11 ->", "\n111 ->"),
+    "huge-i-no-rows": lambda t: t.replace("i: 2", "i: 40").split("map:")[0] + "map:\ncover:\nend\n",
+    "no-cover": lambda t: t.split("cover:")[0] + "end\n",
+    "bit-not-binary": lambda t: t.replace("00 -> 0", "00 -> 2"),
+    "source-twice": lambda t: t.replace("\n01 ->", "\n00 ->"),
+    "short-row": lambda t: t.replace("00 -> 0", "00 -> "),
+    "negative-i": lambda t: t.replace("i: 2", "i: -1"),
+    "j-zero": lambda t: t.replace("j: 3", "j: 0"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_parse_certificate_rejects_malformed(name):
+    with pytest.raises(InputError):
+        parse_certificate(MALFORMED[name](_post_alh_text()))
+
+
+def test_parse_certificate_reads_valid_certificates():
+    parsed = parse_certificate(_post_alh_text())
+    assert (parsed["kind"], parsed["i"], parsed["j"]) == ("monotone", 2, 3)
+    assert parsed["image_masks"] == named_embedding("post_alh").image_labels()
+    cert = check_relation(0, 1, search_relation(0, 1).map)
+    assert "\n- -> " in format_certificate(cert)
+    assert verify_certificate(parse_certificate(format_certificate(cert))) == cert
+
+
+def _returns_or_input_error(text):
+    try:
+        verify_certificate(parse_certificate(text))
+    except InputError:
+        pass
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(st.text(), st.booleans())
+def test_fuzz_arbitrary_text(text, with_header):
+    _returns_or_input_error(("maxcomplex-certificate v1\n" if with_header else "") + text)
+
+
+@FUZZ
+@given(st.booleans(), st.integers(min_value=0, max_value=100),
+       st.one_of(st.none(), st.text(alphabet=st.characters(blacklist_characters="\r\n"))))
+def test_fuzz_single_line_mutations(game, pos, line):
+    lines = (_game_text() if game else _post_alh_text()).splitlines()
+    pos %= len(lines)
+    lines[pos:pos + 1] = [] if line is None else [line]
+    _returns_or_input_error("\n".join(lines) + "\n")
+
+
+def test_error_hierarchy_carries_exit_codes():
+    assert issubclass(InputError, ValueError) and issubclass(CapacityError, RuntimeError)
+    codes = {cls: (cls.exit_code, cls.prefix) for cls in
+             (InputError, MismatchError, CapacityError, ExhaustedError)}
+    assert codes == {InputError: (1, "error"), MismatchError: (2, "verification mismatch"),
+                     CapacityError: (3, "capacity"), ExhaustedError: (4, "exhausted")}
+    for cls in codes:
+        assert issubclass(cls, MaxcomplexError)
+    exits = (cli.EXIT_USAGE, cli.EXIT_MISMATCH, cli.EXIT_CAPACITY, cli.EXIT_EXHAUSTED)
+    assert exits == (1, 2, 3, 4)
+    assert cli.MismatchError is MismatchError and cli.ExhaustedError is ExhaustedError
