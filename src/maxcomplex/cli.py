@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import compress, product
 from pathlib import Path
 
 from . import __version__
@@ -19,8 +20,8 @@ from .core import (
     InputError,
     MaxcomplexError,
     MismatchError,
-    Word,
-    unrank,
+    rank,
+    table_cells,
 )
 from . import bounds, counting, csg, lattice, minauto, witness
 from .cache import DiskCache
@@ -33,6 +34,10 @@ EXIT_EXHAUSTED = ExhaustedError.exit_code
 
 EMPTY_WORD_TOKEN = "-"
 
+# The pairwise oracle is quadratic in the live prefixes of each depth, so
+# `complexity --mn-crosscheck` refuses larger tables (binary n <= 12 passes).
+MAX_CROSSCHECK_CELLS = 1 << 12
+
 
 class ParseError(InputError):
     """A language file is malformed; message carries the line number."""
@@ -42,12 +47,10 @@ class ParseError(InputError):
 # Language files
 # ---------------------------------------------------------------------------
 
-def _parse_word_token(token: str, lineno: int) -> Word:
-    if token == EMPTY_WORD_TOKEN:
-        return ()
-    if not token.isdigit():
-        raise ParseError(f"line {lineno}: bad word {token!r}")
-    return tuple(int(ch) for ch in token)
+def _is_number(text: str) -> bool:
+    """ASCII digits (str.isdigit alone also passes '²'), at most 640 of them: int()
+    converts that many under any setting of the interpreter's digit limit."""
+    return text.isascii() and text.isdigit() and len(text) <= 640
 
 
 def parse_language_file(text: str) -> ColoredFunction:
@@ -56,10 +59,11 @@ def parse_language_file(text: str) -> ColoredFunction:
     An optional header line "b=<int> c=<int> n=<int>" fixes the signature;
     body lines are "word" (color 1) or "word <color>".  '#' comments and
     blank lines are ignored; unlisted words have color 0.  Alphabets beyond
-    size 10 do not fit the single-digit word syntax.
+    size 10 do not fit the single-digit word syntax.  Capacity is checked
+    before the table is allocated.
     """
     header: dict[str, int] = {}
-    entries: list[tuple[int, Word, int]] = []
+    entries: list[tuple[int, str, int]] = []  # (line number, digit string, color)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -67,58 +71,66 @@ def parse_language_file(text: str) -> ColoredFunction:
         if "=" in line and not entries and not header:
             for part in line.split():
                 key, _, value = part.partition("=")
-                if key not in ("b", "c", "n") or not value.lstrip("-").isdigit():
+                if key not in ("b", "c", "n") or not _is_number(value.removeprefix("-")):
                     raise ParseError(f"line {lineno}: bad header field {part!r}")
                 header[key] = int(value)
             continue
         fields = line.split()
-        if len(fields) == 1:
-            word, color = _parse_word_token(fields[0], lineno), 1
-        elif len(fields) == 2:
-            word = _parse_word_token(fields[0], lineno)
-            if not fields[1].isdigit():
+        if len(fields) > 2:
+            raise ParseError(f"line {lineno}: expected 'word' or 'word color'")
+        token = "" if fields[0] == EMPTY_WORD_TOKEN else fields[0]
+        if token and not _is_number(token):
+            raise ParseError(f"line {lineno}: bad word {fields[0]!r}")
+        color = 1
+        if len(fields) == 2:
+            if not _is_number(fields[1]):
                 raise ParseError(f"line {lineno}: bad color {fields[1]!r}")
             color = int(fields[1])
-        else:
-            raise ParseError(f"line {lineno}: expected 'word' or 'word color'")
-        entries.append((lineno, word, color))
+        entries.append((lineno, token, color))
     if "n" in header:
         n = header["n"]
     elif entries:
         n = len(entries[0][1])
     else:
         raise ParseError("empty file without a header: language length is unknown")
-    b = header.get("b", max((max(w, default=0) for _, w, _ in entries), default=0) + 1)
-    b = max(b, 2)
-    c = header.get("c", max((color for _, _, color in entries), default=1) + 1)
-    c = max(c, 2)
-    seen: dict[Word, tuple[int, int]] = {}
-    for lineno, word, color in entries:
-        if len(word) != n:
-            raise ParseError(f"line {lineno}: word length {len(word)} != n = {n}")
-        if any(d >= b for d in word):
-            raise ParseError(f"line {lineno}: digit out of range for b = {b}")
+    b = header["b"] if "b" in header else int(max("".join(t for _, t, _ in entries) or "0")) + 1
+    c = header["c"] if "c" in header else max((col for _, _, col in entries), default=1) + 1
+    b, c = max(b, 2), max(c, 2)
+    table = bytearray(table_cells(b, n, c))
+    zero_listed: set[int] = set()  # words listed with color 0, which their cells cannot show
+    for k, (lineno, token, color) in enumerate(entries):
+        if len(token) != n:
+            raise ParseError(f"line {lineno}: word length {len(token)} != n = {n}")
+        try:
+            r = int(token or "0", b) if b <= 36 else rank(token, b)
+        except ValueError:  # a digit >= b
+            raise ParseError(f"line {lineno}: digit out of range for b = {b}") from None
         if color >= c:
             raise ParseError(f"line {lineno}: color {color} out of range for c = {c}")
-        if word in seen and seen[word][1] != color:
-            raise ParseError(
-                f"line {lineno}: word repeats line {seen[word][0]} with a different color"
-            )
-        seen[word] = (lineno, color)
-    return ColoredFunction.from_words(b, n, c, {w: col for w, (_, col) in seen.items()})
+        if (table[r] and table[r] != color) or (color and r in zero_listed):
+            previous = max(ln for ln, t, _ in entries[:k] if t == token)
+            raise ParseError(f"line {lineno}: word repeats line {previous} with a different color")
+        table[r] = color
+        if not color:
+            zero_listed.add(r)
+    return ColoredFunction(b, n, c, bytes(table))
 
 
 def format_language_file(f: ColoredFunction, comment: str = "") -> str:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
+    """A header, then one line per nonzero cell in rank order.  A word is a head of
+    n - n//2 digits and a tail of n//2: the tails are built once, the heads one by
+    one, and each head's block of cells is filtered to its nonzero cells in C."""
+    lines = [f"# {comment}"] if comment else []
     lines.append(f"b={f.b} c={f.c} n={f.n}")
-    for r, color in enumerate(f.table):
-        if color == 0:
-            continue
-        word = unrank(r, f.n, f.b)
-        token = EMPTY_WORD_TOKEN if not word else "".join(map(str, word))
-        lines.append(token if color == 1 else f"{token} {color}")
+    digits = [str(d) for d in range(f.b)]
+    low = f.n // 2
+    tails = list(map("".join, product(digits, repeat=low)))
+    heads = map("".join, product(digits, repeat=f.n - low))
+    for start, head in zip(range(0, len(f.table), len(tails)), heads):
+        block = f.table[start : start + len(tails)]
+        for tail, color in zip(compress(tails, block), block.replace(b"\0", b"")):
+            token = head + tail or EMPTY_WORD_TOKEN
+            lines.append(token if color == 1 else f"{token} {color}")
     return "\n".join(lines) + "\n"
 
 
@@ -135,6 +147,8 @@ def _emit(args, payload: dict, human: str):
 
 def cmd_complexity(args) -> int:
     f = parse_language_file(Path(args.file).read_text())
+    if args.mn_crosscheck and len(f.table) > MAX_CROSSCHECK_CELLS:
+        raise CapacityError(f"--mn-crosscheck takes at most {MAX_CROSSCHECK_CELLS} cells")
     by_depth = minauto.states_by_depth(f)
     complexity = sum(by_depth)
     if complexity == 0:

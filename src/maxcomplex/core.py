@@ -93,6 +93,18 @@ def var_mask(n: int, position: int) -> int:
     return sum(1 << r for r in range(1 << n) if r & place)
 
 
+def table_cells(b: int, n: int, c: int) -> int:
+    """Cell count b^n of a [b]^n -> [c] table, checked before any allocation
+    (and, when n alone is too large, before b**n is computed)."""
+    if b < 1 or c < 1 or n < 0:
+        raise InputError(f"bad signature b={b}, n={n}, c={c}")
+    if c > MAX_COLORS:
+        raise CapacityError(f"at most {MAX_COLORS} colors supported")
+    if (b > 1 and n > MAX_TABLE_CELLS.bit_length()) or b**n > MAX_TABLE_CELLS:
+        raise CapacityError(f"table of {b}^{n} cells exceeds capacity")
+    return b**n
+
+
 @dataclass(frozen=True)
 class ColoredFunction:
     """Total map [b]^n -> [c], stored as a dense rank-indexed table."""
@@ -103,16 +115,10 @@ class ColoredFunction:
     table: bytes
 
     def __post_init__(self):
-        if self.b < 1 or self.c < 1 or self.n < 0:
-            raise InputError(f"bad signature b={self.b}, n={self.n}, c={self.c}")
-        if self.c > MAX_COLORS:
-            raise CapacityError(f"at most {MAX_COLORS} colors supported")
-        cells = self.b**self.n
-        if cells > MAX_TABLE_CELLS:
-            raise CapacityError(f"table of {cells} cells exceeds capacity")
+        cells = table_cells(self.b, self.n, self.c)
         if len(self.table) != cells:
             raise InputError(f"table length {len(self.table)} != b^n = {cells}")
-        if any(v >= self.c for v in self.table):
+        if max(self.table) >= self.c:
             raise InputError(f"table entry out of color range [{self.c}]")
 
     @classmethod
@@ -122,7 +128,7 @@ class ColoredFunction:
     @classmethod
     def from_words(cls, b: int, n: int, c: int, colored: dict[Word, int]) -> "ColoredFunction":
         """Build from a word -> color mapping; unlisted words get color 0."""
-        table = bytearray(b**n)
+        table = bytearray(table_cells(b, n, c))
         for word, color in colored.items():
             if len(word) != n:
                 raise InputError(f"word {word} does not have length {n}")
@@ -139,7 +145,7 @@ class ColoredFunction:
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "ColoredFunction":
         """Binary language from a 2^n-bit mask, bit r = membership of rank r."""
-        return cls(2, n, 2, bytes((mask >> r) & 1 for r in range(1 << n)))
+        return cls(2, n, 2, bytes((mask >> r) & 1 for r in range(table_cells(2, n, 2))))
 
     @property
     def mask(self) -> int:

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .core import (
     CapacityError,
+    ExhaustedError,
     InputError,
     MonotoneFunction,
     WordLike,
@@ -229,7 +230,7 @@ def build_csg_witness(n: int = 8, budget: int = 10**8, require_early: bool = Fal
     shadow = (lambda mask: shadow_mask(j, mask)) if require_early else None
     outcome = search_embedding("csg", i, j, budget, shadow)
     if outcome.status == "exhausted":
-        raise CapacityError(f"witness search exhausted after {outcome.nodes} nodes")
+        raise ExhaustedError(f"witness search exhausted after {outcome.nodes} nodes")
     if outcome.status != "found":
         raise NoWitnessError(
             f"no chain embedding exists for n={n}"

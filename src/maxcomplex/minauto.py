@@ -14,7 +14,6 @@ from typing import Iterable, Iterator
 from .core import (
     ColoredFunction,
     InputError,
-    Word,
     WordLike,
     as_word,
     is_zero,
@@ -155,23 +154,33 @@ def mn_equivalent(s: WordLike, t: WordLike, f: ColoredFunction,
     sw, tw = as_word(s), as_word(t)
     if len(sw) > f.n or len(tw) > f.n:
         raise InputError("prefix longer than n")
-    table = f.table
-    if up_closure:
-        if f.b != 2 or f.c != 2:
-            raise InputError("up-closure test requires b=2, c=2")
-        closed = upward_closure_mask(f.n, f.mask)
-        table = bytes((closed >> r) & 1 for r in range(len(f.table)))
-    rs, rt = rank(sw, f.b), rank(tw, f.b)
-    for ext in range(f.n - max(len(sw), len(tw)) + 1):
-        s_full = len(sw) + ext == f.n
-        t_full = len(tw) + ext == f.n
+    return _equivalent(_oracle_table(f, up_closure), f.b, f.n,
+                       rank(sw, f.b), len(sw), rank(tw, f.b), len(tw))
+
+
+def _oracle_table(f: ColoredFunction, up_closure: bool) -> bytes:
+    """The table the oracle reads: f's own, or its upward closure's."""
+    if not up_closure:
+        return f.table
+    if f.b != 2 or f.c != 2:
+        raise InputError("up-closure test requires b=2, c=2")
+    closed = upward_closure_mask(f.n, f.mask)
+    return bytes((closed >> r) & 1 for r in range(len(f.table)))
+
+
+def _equivalent(table: bytes, b: int, n: int, rs: int, ls: int, rt: int, lt: int) -> bool:
+    """mn_equivalent on prefix ranks rs, rt and lengths ls, lt.  The colors of s.u
+    over all u of length ext are table[rs*b^ext : (rs+1)*b^ext] when ls + ext = n,
+    else all 0 (notes/decisions.md)."""
+    for ext in range(n - max(ls, lt) + 1):
+        s_full, t_full = ls + ext == n, lt + ext == n
         if not s_full and not t_full:
             continue
-        for u in range(f.b**ext):
-            cs = table[rs * f.b**ext + u] if s_full else 0
-            ct = table[rt * f.b**ext + u] if t_full else 0
-            if cs != ct:
-                return False
+        width = b**ext
+        cs = table[rs * width : (rs + 1) * width] if s_full else bytes(width)
+        ct = table[rt * width : (rt + 1) * width] if t_full else bytes(width)
+        if cs != ct:
+            return False
     return True
 
 
@@ -203,18 +212,18 @@ class EquivClasses:
 
 def mn_classes(f: ColoredFunction, up_closure: bool = False) -> EquivClasses:
     """Group all live prefixes by the pairwise bounded-equivalence test."""
+    table = _oracle_table(f, up_closure)
     by_depth = []
     for depth in range(f.n + 1):
-        groups: list[list[Word]] = []
+        groups: list[list[int]] = []
         for r in _live_prefixes(f, depth):
-            prefix = unrank(r, depth, f.b)
             for group in groups:
-                if mn_equivalent(prefix, group[0], f, up_closure):
-                    group.append(prefix)
+                if _equivalent(table, f.b, f.n, r, depth, group[0], depth):
+                    group.append(r)
                     break
             else:
-                groups.append([prefix])
-        by_depth.append(tuple(tuple(g) for g in groups))
+                groups.append([r])
+        by_depth.append(tuple(tuple(unrank(r, depth, f.b) for r in g) for g in groups))
     return EquivClasses(f.b, f.n, tuple(by_depth))
 
 

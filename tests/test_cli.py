@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from maxcomplex.cache import DiskCache
 from maxcomplex.cli import (
@@ -9,12 +10,13 @@ from maxcomplex.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_CROSSCHECK_CELLS,
     ParseError,
     format_language_file,
     main,
     parse_language_file,
 )
-from maxcomplex.core import ColoredFunction
+from maxcomplex.core import CapacityError, ColoredFunction, MaxcomplexError
 from maxcomplex.counting import count_max
 from maxcomplex import minauto
 
@@ -49,6 +51,16 @@ def test_parse_language_file_infers_signature():
     assert g.value("012") == 2 and g.value("000") == 1
 
 
+def test_parse_language_file_large_alphabets():
+    # past base 36 int() cannot rank a word; each ASCII digit is still one symbol
+    f = parse_language_file("b=40 c=3 n=2\n39 2\n00\n")
+    assert f.table[3 * 40 + 9] == 2 and f.table[0] == 1 and sum(f.table) == 3
+    assert parse_language_file("b=5000 c=2 n=1\n7\n").support() == [(7,)]
+    assert parse_language_file("b=10 c=2 n=1\n9\n").support() == [(9,)]
+    with pytest.raises(ParseError, match="line 2: digit out of range for b = 9"):
+        parse_language_file("b=9 c=2 n=1\n9\n")
+
+
 def test_parse_language_file_errors():
     with pytest.raises(ParseError, match="line 2"):
         parse_language_file("011\n01\n")
@@ -58,6 +70,13 @@ def test_parse_language_file_errors():
         parse_language_file("# nothing\n")
     # same color twice is tolerated
     parse_language_file("01\n01\n")
+    # the message names the latest earlier listing, a color-0 one included
+    with pytest.raises(ParseError, match="line 4: word repeats line 3 with"):
+        parse_language_file("b=2 c=3 n=2\n01\n01\n01 2\n")
+    with pytest.raises(ParseError, match="line 3: word repeats line 2 with"):
+        parse_language_file("b=2 c=2 n=2\n01 0\n01 1\n")
+    with pytest.raises(ParseError, match="line 3: word repeats line 2 with"):
+        parse_language_file("b=2 c=2 n=2\n01 1\n01 0\n")
 
 
 def test_language_file_round_trip():
@@ -94,6 +113,22 @@ def test_cmd_complexity_crosscheck_mismatch(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "asian.lang", ASIAN_TEXT)
     monkeypatch.setattr(minauto, "mn_class_count", lambda f: 99)
     assert main(["complexity", path, "--mn-crosscheck"]) == EXIT_MISMATCH
+
+
+def test_cmd_complexity_crosscheck_capacity(tmp_path, capsys, monkeypatch):
+    # one cell above the limit is refused before the oracle runs; the limit itself passes
+    def oracle_must_not_run(f):
+        raise AssertionError("the pairwise oracle ran")
+
+    above = write(tmp_path, "above.lang", f"b={MAX_CROSSCHECK_CELLS + 1} c=2 n=1\n5\n")
+    at = write(tmp_path, "at.lang", f"b={MAX_CROSSCHECK_CELLS} c=2 n=1\n5\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(minauto, "mn_class_count", oracle_must_not_run)
+        assert main(["complexity", above, "--mn-crosscheck"]) == EXIT_CAPACITY
+    assert capsys.readouterr().err.startswith("capacity:")
+    assert main(["complexity", above]) == EXIT_OK
+    assert main(["complexity", at, "--mn-crosscheck", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["mn_class_count"] == 2
 
 
 def test_cmd_bound_json(capsys):
@@ -205,6 +240,14 @@ def test_cmd_lattice_search_exhausted(capsys):
                  "--budget", "3"]) == EXIT_EXHAUSTED
 
 
+def test_cmd_lattice_witness_budget_exhausted(tmp_path, capsys):
+    # the same condition as `lattice search --budget 3`, and the same exit code
+    out = str(tmp_path / "c8.lang")
+    assert main(["lattice", "witness", "--n", "8", "--csg", "--budget", "3",
+                 "--out", out]) == EXIT_EXHAUSTED
+    assert capsys.readouterr().err.startswith("exhausted:")
+
+
 def test_cmd_lattice_witness(tmp_path, capsys):
     out = str(tmp_path / "w8.lang")
     assert main(["lattice", "witness", "--n", "8", "--out", out, "--json"]) == EXIT_OK
@@ -275,10 +318,19 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
     (["construct", "--n", "3", "--out", "{dir}"], EXIT_USAGE),  # IsADirectoryError
     (["lattice", "search", "--i", "1", "--j", "3", "--resume", "{binary}"], EXIT_USAGE),
     (["lattice", "search", "--i", "1", "--j", "3", "--resume", "{truncated}"], EXIT_USAGE),
+    (["complexity", "{unicode_word}"], EXIT_USAGE),  # str.isdigit passes '²', int() does not
+    (["complexity", "{unicode_color}"], EXIT_USAGE),
+    (["complexity", "{unicode_header}"], EXIT_USAGE),
+    (["complexity", "{n23}"], EXIT_CAPACITY),  # refused before its 8 MB table is allocated
+    (["complexity", "{n64}"], EXIT_CAPACITY),  # b**n is never allocated, nor computed
+    (["complexity", "{long_header}"], EXIT_USAGE),  # past the interpreter's int/str limit
+    (["complexity", "{long_color}"], EXIT_USAGE),
 ], ids=["complexity-empty-dot", "construct-c1", "count-max-c1", "resume-tampered",
         "bound-csg-24", "bound-monotone-42", "search-negative-i", "search-csg-negative-i",
         "search-monotone-j6", "complexity-directory", "complexity-binary",
-        "construct-out-directory", "resume-binary", "resume-truncated"])
+        "construct-out-directory", "resume-binary", "resume-truncated",
+        "unicode-digit-word", "unicode-digit-color", "unicode-digit-header",
+        "header-n23", "header-n64", "long-header-value", "long-color"])
 def test_library_errors_exit_with_documented_code(tmp_path, capsys, argv, code):
     # the image of source 00 is {01}, which is not upward closed
     tampered = ("maxcomplex-certificate v1\ni: 2\nj: 2\nmap:\n00 -> 0100\n01 -> 0101\n"
@@ -288,9 +340,76 @@ def test_library_errors_exit_with_documented_code(tmp_path, capsys, argv, code):
              "dot": str(tmp_path / "e.dot"), "out": str(tmp_path / "w.lang"),
              "tampered": write(tmp_path, "bad.txt", tampered),
              "truncated": write(tmp_path, "short.txt", truncated),
-             "dir": str(tmp_path), "binary": str(tmp_path / "binary")}
+             "dir": str(tmp_path), "binary": str(tmp_path / "binary"),
+             "unicode_word": write(tmp_path, "uw.lang", "0\u00b21\n"),
+             "unicode_color": write(tmp_path, "uc.lang", "01 \u00b2\n"),
+             "unicode_header": write(tmp_path, "uh.lang", "b=2 c=\u00b2 n=2\n"),
+             "n23": write(tmp_path, "n23.lang", "b=2 c=2 n=23\n"),
+             "n64": write(tmp_path, "n64.lang", "b=2 c=2 n=64\n"),
+             "long_header": write(tmp_path, "lh.lang", "b=2 c=2 n=" + "1" * 5000 + "\n"),
+             "long_color": write(tmp_path, "lc.lang", "01 " + "9" * 5000 + "\n")}
     (tmp_path / "binary").write_bytes(b"\x7fELF\xd0\xff\xfe\x00")
     assert main([arg.format(**paths) for arg in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("error:" if code == EXIT_USAGE else "capacity:")
+
+
+def test_table_capacity_checked_before_allocation():
+    for build in (lambda: ColoredFunction.from_words(2, 64, 2, {}),
+                  lambda: ColoredFunction.from_mask(64, 1),
+                  lambda: ColoredFunction(2, 64, 2, b""),
+                  lambda: parse_language_file("b=2 c=2 n=64\n"),
+                  lambda: parse_language_file("b=2 c=2 n=23\n0\n"),
+                  lambda: parse_language_file("b=2 c=2 n=999999999999\n")):
+        with pytest.raises(CapacityError):
+            build()
+
+
+def _signatures_and_tables():
+    """((b, c, n), table) with b in 2..10, c in 2..5, n in 0..6: sparse, dense or all zero."""
+    def table(sig):
+        b, c, n = sig
+        cells = b**n
+        sparse = st.dictionaries(st.integers(0, cells - 1), st.integers(1, c - 1),
+                                 max_size=40).map(
+            lambda cols: bytes(cols.get(r, 0) for r in range(cells)))
+        dense = st.lists(st.integers(0, c - 1), min_size=cells, max_size=cells).map(bytes)
+        return st.tuples(st.just(sig), sparse if cells > 256 else sparse | dense)
+    return st.tuples(st.integers(2, 10), st.integers(2, 5), st.integers(0, 6)).flatmap(table)
+
+
+PROPERTY = settings(max_examples=200, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@PROPERTY
+@given(_signatures_and_tables(), st.text(alphabet="abc #", max_size=8))
+@example(((2, 2, 0), b"\0"), "")
+@example(((3, 4, 0), b"\3"), "x")
+@example(((10, 5, 6), bytes(10**6)), "")
+def test_language_file_round_trip_property(drawn, comment):
+    (b, c, n), table = drawn
+    f = ColoredFunction(b, n, c, table)
+    assert parse_language_file(format_language_file(f, comment)) == f
+
+
+LANGUAGE_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.text(alphabet="0123456789-=#bcn \t\n\u00b2\u0663x", max_size=60),
+    st.lists(st.one_of(st.sampled_from(["b=2", "c=3", "n=2", "n=0", "b=11", "c=-1", "n=-2",
+                                        "b=--5", "-", "#", "01", "0 2", "012 2", "10 0"]),
+                       st.from_regex(r"[0-9]{1,4}( [0-9]{1,3})?", fullmatch=True)),
+             max_size=8).map("\n".join),
+)
+
+
+@PROPERTY
+@given(LANGUAGE_TEXT)
+def test_language_file_parser_fuzz(text):
+    try:
+        f = parse_language_file(text)
+    except MaxcomplexError:
+        return
+    assert isinstance(f, ColoredFunction)
+    assert parse_language_file(format_language_file(f)) == f

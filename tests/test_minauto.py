@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+
+from maxcomplex import minauto
 
 from maxcomplex.core import ColoredFunction, InputError, unrank
 from maxcomplex.bounds import cp_family, general_bound, monotone_bound
@@ -10,6 +13,7 @@ from maxcomplex.minauto import (
     export_dot,
     minimal_pdfa,
     mn_class_count,
+    mn_classes,
     mn_equivalent,
     run,
     state_complexity,
@@ -165,6 +169,71 @@ def test_mn_up_closure_variant():
     f = ColoredFunction.from_language(2, ["01"])
     assert not mn_equivalent("0", "1", f)
     assert mn_equivalent("0", "1", f, up_closure=True)
+
+
+def _word_level_classes(f, up_closure=False):
+    """mn_classes from the definition, word by word: no library code but the table.
+
+    Per depth, live prefixes (some extension to length n has a nonzero
+    color) are taken in rank order and put in the first class whose first
+    member no extension separates; a word shorter than n has color 0.
+    """
+    words = [list(itertools.product(range(f.b), repeat=k)) for k in range(f.n + 1)]
+    color = dict(zip(words[f.n], f.table))  # product order is rank order
+    member = color
+    if up_closure:
+        accepted = [w for w in words[f.n] if color[w]]
+        member = {w: int(any(all(a <= x for a, x in zip(v, w)) for v in accepted))
+                  for w in words[f.n]}
+    by_depth = []
+    for d in range(f.n + 1):
+        classes = []
+        for p in words[d]:
+            if not any(color[p + u] for u in words[f.n - d]):
+                continue
+            for cls in classes:
+                q = cls[0]
+                if all(member.get(p + u, 0) == member.get(q + u, 0)
+                       for k in range(f.n - d + 1) for u in words[k]):
+                    cls.append(p)
+                    break
+            else:
+                classes.append([p])
+        by_depth.append(tuple(tuple(cls) for cls in classes))
+    return tuple(by_depth)
+
+
+def test_mn_classes_match_word_level_definition():
+    rng = random.Random(6)
+    funcs = [ASIAN, MAJORITY, build_witness_language(5).as_colored()]
+    for b, n in ((2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)):
+        for c in (2, 3, 4):
+            for density in (0.2, 0.6, 1.0):
+                funcs.append(ColoredFunction(b, n, c, bytes(
+                    rng.randrange(1, c) if rng.random() < density else 0
+                    for _ in range(b**n))))
+    for f in funcs:
+        assert mn_classes(f).by_depth == _word_level_classes(f), f
+    for n in range(5):
+        for _ in range(6):
+            f = ColoredFunction(2, n, 2, bytes(int(rng.random() < 0.3) for _ in range(2**n)))
+            assert mn_classes(f, up_closure=True).by_depth == _word_level_classes(f, True), f
+    f = build_witness_language(5).as_colored()
+    assert mn_classes(f, up_closure=True).by_depth == _word_level_classes(f, True)
+
+
+def test_mn_oracle_does_not_use_the_residual_engine(monkeypatch):
+    f = build_witness_language(8).as_colored()
+    expected = state_complexity(f)
+
+    def engine_must_not_run(*args):
+        raise AssertionError("the oracle called residual_levels")
+
+    monkeypatch.setattr(minauto, "residual_levels", engine_must_not_run)
+    with pytest.raises(AssertionError):
+        state_complexity(f)  # the patch is in effect
+    assert mn_class_count(f) == expected == 58
+    assert mn_classes(f, up_closure=True).class_count > 0
 
 
 def test_per_depth_cap_n3():
