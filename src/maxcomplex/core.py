@@ -19,6 +19,8 @@ WordLike = Union[str, Sequence[int]]
 # Tables are bytes, one cell per word; big instances must stay desk-sized.
 MAX_TABLE_CELLS = 1 << 22
 MAX_COLORS = 256
+# Binary tables <-> digit strings, character r being cell r.
+_FROM_DIGITS, _TO_DIGITS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"\0\1", b"01")
 
 
 class MaxcomplexError(Exception):
@@ -145,17 +147,17 @@ class ColoredFunction:
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "ColoredFunction":
         """Binary language from a 2^n-bit mask, bit r = membership of rank r."""
-        return cls(2, n, 2, bytes((mask >> r) & 1 for r in range(table_cells(2, n, 2))))
+        cells = table_cells(2, n, 2)
+        if mask < 0 or mask.bit_length() > cells:
+            raise InputError(f"mask out of range for n = {n}")
+        return cls(2, n, 2, format(mask, f"0{cells}b")[::-1].encode().translate(_FROM_DIGITS))
 
     @property
     def mask(self) -> int:
         """2^n-bit membership mask; only defined for b=2, c=2."""
         if self.b != 2 or self.c != 2:
             raise InputError("mask view requires b=2, c=2")
-        value = 0
-        for r, v in enumerate(self.table):
-            value |= v << r
-        return value
+        return int(self.table[::-1].translate(_TO_DIGITS), 2)
 
     def value(self, word: WordLike) -> int:
         w = as_word(word)

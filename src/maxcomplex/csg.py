@@ -121,9 +121,7 @@ def is_majorization_up_set(n: int, mask: int) -> bool:
     return True
 
 
-_CSG_CACHE: dict[int, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def enumerate_csg(n: int) -> tuple:
     """All complete simple games (early-monotone functions), ascending masks.
 
@@ -137,19 +135,12 @@ def enumerate_csg(n: int) -> tuple:
         raise InputError("n must be >= 0")
     if n > MAX_CSG_ARITY:
         raise CapacityError(f"game enumeration beyond n={MAX_CSG_ARITY} is not desk-feasible")
-    if n in _CSG_CACHE:
-        return _CSG_CACHE[n]
     if n == 0:
-        out = (0, 1)
-    else:
-        prev = enumerate_csg(n - 1)
-        closed = [(g | shadow_mask(n - 1, g), g) for g in prev]
-        shift = 1 << (n - 1)
-        out = tuple(
-            (h << shift) | g for h in prev for need, g in closed if need & ~h == 0
-        )
-    _CSG_CACHE[n] = out
-    return out
+        return (0, 1)
+    prev = enumerate_csg(n - 1)
+    closed = [(g | shadow_mask(n - 1, g), g) for g in prev]
+    shift = 1 << (n - 1)
+    return tuple((h << shift) | g for h in prev for need, g in closed if need & ~h == 0)
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +176,8 @@ KINDS["csg"] = LatticeKind(
     order="majorization", source_name="the majorization cube E_{}",
     target_name="the nonzero game lattice C_{}^-",
     source=lambda i: majorization_poset(i), nonzero=lambda j: csg_nonzero(j),
-    target=lambda j: csg_nonzero_poset(j), check=lambda i, j, m: check_csg_relation(i, j, m))
+    target=lambda j: csg_nonzero_poset(j), check=lambda i, j, m: check_csg_relation(i, j, m),
+    max_j=MAX_CSG_POSET_ARITY)
 
 
 def shadow_mask(j: int, mask: int) -> int:

@@ -14,11 +14,12 @@ the certifier serve the game lattices of `csg` as well.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     CapacityError,
@@ -32,45 +33,57 @@ MAX_MONOTONE_ARITY = 6
 MAX_MONOTONE_POSET_ARITY = 5
 POSET_CHECK_LIMIT = 1 << 12
 
-_MONO_CACHE: dict[int, array] = {}
+_RECORD = "BBBBHIQ"  # array type of a k-ary mask (2^k bits), by k
+_LOW = int(sys.byteorder == "big")  # lane of a record's low half
 
 
+def _pair(k: int, high: int, lows: array) -> array:
+    """The k-ary records (high << 2^(k-1)) | low, for each low in lows."""
+    if _RECORD[k] == lows.typecode:  # halves narrower than a byte
+        return array(lows.typecode, [(high << (1 << (k - 1))) | low for low in lows])
+    lanes = lows * 2  # every lane is overwritten
+    lanes[_LOW::2], lanes[1 - _LOW::2] = lows, array(lows.typecode, [high]) * len(lows)
+    return array(_RECORD[k], lanes.tobytes())
+
+
+def _down_sets(k: int) -> Iterator[tuple[int, array]]:
+    """Each monotone k-ary mask h, ascending, with the records of all g <= h, ascending.
+
+    g = (g0, g1) <= h = (h0, h1) iff g1 <= h1 and g0 <= g1 & h0, so the pairs
+    below h are, for each g1 <= h1 in turn, those with g0 <= g1 & h0; they
+    depend on the key (g1, g1 & h0) alone and are built once.
+    """
+    if k == 0:
+        yield from {0: array("B", [0]), 1: array("B", [0, 1])}.items()
+        return
+    prev = dict(_down_sets(k - 1))
+    pairs = lru_cache(maxsize=None)(lambda g1, m: _pair(k, g1, prev[m]))
+    for h1, below_h1 in prev.items():
+        for h0 in below_h1:
+            below = array(_RECORD[k])
+            for g1 in below_h1:
+                below += pairs(g1, g1 & h0)
+            yield (h1 << (1 << (k - 1))) | h0, below
+
+
+@lru_cache(maxsize=None)
 def enumerate_monotone(n: int) -> array:
     """All monotone functions of n variables as ascending masks, 0 and 1 included.
 
-    A function is assembled from an ordered pair g <= h of (n-1)-ary monotone
-    functions (the two first-variable substitutions), which also drives the
-    enumeration.
+    A function f is the pair g = f|x0=0 <= h = f|x0=1 of (n-1)-ary monotone
+    functions, so F_n lists, for each h in F_{n-1} ascending, the pairs with
+    g <= h ascending.
     """
     if n < 0:
         raise InputError("n must be >= 0")
     if n > MAX_MONOTONE_ARITY:
         raise CapacityError(f"enumeration beyond n={MAX_MONOTONE_ARITY} is not desk-feasible")
-    if n in _MONO_CACHE:
-        return _MONO_CACHE[n]
     if n == 0:
-        out = array("Q", [0, 1])
-    elif n <= 5:
-        prev = enumerate_monotone(n - 1)
-        shift = 1 << (n - 1)
-        out = array("Q")
-        for h in prev:
-            hi = h << shift
-            for g in prev:
-                if g & ~h == 0:
-                    out.append(hi | g)
-    else:
-        import numpy as np
-
-        prev = np.array(enumerate_monotone(n - 1), dtype=np.uint64)
-        chunks = []
-        for h in prev:
-            sel = prev[(prev & ~h) == 0]
-            chunks.append(sel | (h << np.uint64(32)))
-        out = array("Q")
-        out.frombytes(np.concatenate(chunks).tobytes())
-    _MONO_CACHE[n] = out
-    return out
+        return array("Q", [0, 1])
+    out = array(_RECORD[n])
+    for h, below in _down_sets(n - 1):
+        out += _pair(n, h, below)
+    return out if out.typecode == "Q" else array("Q", out)
 
 
 @lru_cache(maxsize=None)
@@ -280,6 +293,7 @@ class LatticeKind:
     nonzero: Callable[[int], tuple]  # j -> the nonzero j-ary masks, ascending
     target: Callable[[int], Poset]  # j -> those masks under inclusion
     check: Callable[[int, int, LatticeMap], AdequacyCertificate]  # the public certifier
+    max_j: int  # largest j whose target poset is built
     source_name: str  # formatted with i in error messages
     target_name: str  # formatted with j in error messages
 
@@ -327,7 +341,8 @@ def check_relation(i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
 KINDS["monotone"] = LatticeKind(
     order="product", source_name="the {}-cube", target_name="the nonzero monotone {}-lattice",
     source=lambda i: boolean_cube(i), nonzero=lambda j: monotone_nonzero(j),
-    target=lambda j: monotone_nonzero_poset(j), check=lambda i, j, m: check_relation(i, j, m))
+    target=lambda j: monotone_nonzero_poset(j), check=lambda i, j, m: check_relation(i, j, m),
+    max_j=MAX_MONOTONE_POSET_ARITY)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +477,9 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
     """Look for an injective isotone map from the kind's i-cube into its
     nonzero j-ary lattice whose substitutions cover the nonzero (j-1)-ary one.
 
-    Pigeonhole and the cover count (two substitutions per source) answer
-    "none" after 0 nodes.  Otherwise sources are assigned in ascending rank
+    Pigeonhole (2^i > |target| iff i >= its bit length) and the cover count
+    (two substitutions per source) answer "none" after 0 nodes, before the
+    target poset is built.  Otherwise sources are assigned in ascending rank
     order (a linear extension of both cube orders), target candidates must
     extend all previously assigned comparable images, and branches that can
     no longer complete the cover are pruned.  With `shadow`, an image must
@@ -475,12 +491,12 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
     if j < 1:
         raise InputError(f"j must be >= 1, got {j}")
     family = lattice_kind(kind)
-    target = family.target(j)
-    size = 1 << i
+    if j > family.max_j:
+        raise CapacityError(f"{family.target_name.format(j)} is too large to search")
     needed = set(family.nonzero(j - 1))
-    if size > len(target) or len(needed) > 2 * size:
+    if i >= len(family.nonzero(j)).bit_length() or len(needed) > 2 << i:
         return SearchOutcome("none", None, 0)
-    source = family.source(i)
+    source, target, size = family.source(i), family.target(j), 1 << i
     targets = target.labels
     contrib = {t: frozenset(v for v in sub_masks(j, t) if v in needed) for t in targets}
     preds = [[s2 for s2 in range(s) if source.leq(s2, s)] for s in range(size)]

@@ -165,7 +165,7 @@ def _oracle_table(f: ColoredFunction, up_closure: bool) -> bytes:
     if f.b != 2 or f.c != 2:
         raise InputError("up-closure test requires b=2, c=2")
     closed = upward_closure_mask(f.n, f.mask)
-    return bytes((closed >> r) & 1 for r in range(len(f.table)))
+    return ColoredFunction.from_mask(f.n, closed).table
 
 
 def _equivalent(table: bytes, b: int, n: int, rs: int, ls: int, rt: int, lt: int) -> bool:

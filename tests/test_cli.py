@@ -313,6 +313,7 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
     (["lattice", "search", "--i", "-1", "--j", "3"], EXIT_USAGE),
     (["lattice", "search", "--i", "-1", "--j", "3", "--csg"], EXIT_USAGE),
     (["lattice", "search", "--i", "1", "--j", "6"], EXIT_CAPACITY),  # monotone poset guard
+    (["lattice", "search", "--i", "1", "--j", "7", "--csg"], EXIT_CAPACITY),  # game poset guard
     (["complexity", "{dir}"], EXIT_USAGE),  # IsADirectoryError
     (["complexity", "{binary}"], EXIT_USAGE),  # UnicodeDecodeError
     (["construct", "--n", "3", "--out", "{dir}"], EXIT_USAGE),  # IsADirectoryError
@@ -327,7 +328,7 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
     (["complexity", "{long_color}"], EXIT_USAGE),
 ], ids=["complexity-empty-dot", "construct-c1", "count-max-c1", "resume-tampered",
         "bound-csg-24", "bound-monotone-42", "search-negative-i", "search-csg-negative-i",
-        "search-monotone-j6", "complexity-directory", "complexity-binary",
+        "search-monotone-j6", "search-csg-j7", "complexity-directory", "complexity-binary",
         "construct-out-directory", "resume-binary", "resume-truncated",
         "unicode-digit-word", "unicode-digit-color", "unicode-digit-header",
         "header-n23", "header-n64", "long-header-value", "long-color"])

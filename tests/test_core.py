@@ -3,6 +3,7 @@ import random
 import pytest
 
 from maxcomplex.core import (
+    CapacityError,
     ColoredFunction,
     InputError,
     MonotoneFunction,
@@ -171,6 +172,27 @@ def test_residual_preserves_early_monotone_n5():
             assert _mask_is_monotone(4, sub) and _mask_is_early(4, sub)
             if sub:
                 assert is_csg_mask(4, sub)
+
+
+def test_mask_view_is_the_bitwise_table():
+    rng = random.Random(5)
+    for n in range(8):
+        cells = 1 << n
+        for mask in [0, (1 << cells) - 1] + [rng.getrandbits(cells) for _ in range(20)]:
+            f = ColoredFunction.from_mask(n, mask)
+            assert f.table == bytes((mask >> r) & 1 for r in range(cells))
+            assert f.mask == mask
+            assert ColoredFunction(2, n, 2, f.table).mask == mask
+
+
+def test_from_mask_rejects_masks_out_of_range():
+    for n, mask in ((2, 1 << 10), (2, 1 << 4), (2, -1), (0, 2), (5, -(1 << 40))):
+        with pytest.raises(InputError, match="out of range"):
+            ColoredFunction.from_mask(n, mask)
+    with pytest.raises(CapacityError):
+        ColoredFunction.from_mask(64, -1)  # capacity is checked first
+    with pytest.raises(InputError, match="b=2, c=2"):
+        ColoredFunction(3, 1, 2, bytes(3)).mask
 
 
 def test_n0_language_is_legal():

@@ -98,6 +98,7 @@ def test_early_count_n5():
 
 def test_csg_counts():
     assert [len(enumerate_csg(n)) for n in range(8)] == [2, 3, 5, 10, 27, 119, 1173, 44315]
+    assert enumerate_csg(6) is enumerate_csg(6)  # cached: one object per arity
 
 
 def _early_monotone_filter_numpy(n, masks):

@@ -4,7 +4,7 @@ certifier, the certificate parser and the error hierarchy."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from maxcomplex import cli
+from maxcomplex import cli, csg, lattice
 from maxcomplex.core import (
     CapacityError,
     ExhaustedError,
@@ -68,6 +68,17 @@ def test_pigeonhole_and_cover_count_answer_none_at_once(kind, i, j):
 def test_cli_search_refutes_by_pigeonhole(capsys):
     assert cli.main(["lattice", "search", "--i", "5", "--j", "3"]) == cli.EXIT_OK
     assert capsys.readouterr().out.strip() == "none after 0 nodes"
+
+
+def test_refutations_come_before_the_target_poset(monkeypatch):
+    def refuse(j):
+        raise AssertionError(f"target poset of arity {j} built for a refuted search")
+
+    monkeypatch.setattr(lattice, "monotone_nonzero_poset", refuse)
+    monkeypatch.setattr(csg, "csg_nonzero_poset", refuse)
+    for out in (search_relation(1, 5), search_csg_relation(1, 6),
+                search_relation(2**62, 3), search_csg_relation(2**62, 4)):
+        assert (out.status, out.nodes) == ("none", 0)
 
 
 def test_monotone_search_beyond_poset_capacity():

@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from array import array
+from pathlib import Path
+
 import pytest
 
+import maxcomplex
 from maxcomplex.core import (
     CapacityError,
     ColoredFunction,
@@ -62,6 +70,53 @@ def test_enumeration_n2_explicit():
 def test_enumeration_capacity():
     with pytest.raises(CapacityError):
         enumerate_monotone(7)
+
+
+def _pair_loop(n):
+    """The mask-by-mask pair loop that once listed F_n for n <= 5."""
+    if n == 0:
+        return array("Q", [0, 1])
+    prev = _pair_loop(n - 1)
+    shift = 1 << (n - 1)
+    out = array("Q")
+    for h in prev:
+        hi = h << shift
+        for g in prev:
+            if g & ~h == 0:
+                out.append(hi | g)
+    return out
+
+
+def _numpy_f6():
+    """The numpy branch that once listed F_6 from F_5."""
+    import numpy as np
+
+    prev = np.array(_pair_loop(5), dtype=np.uint64)
+    chunks = [prev[(prev & ~h) == 0] | (h << np.uint64(32)) for h in prev]
+    out = array("Q")
+    out.frombytes(np.concatenate(chunks).tobytes())
+    return out
+
+
+def test_enumeration_equals_the_former_implementations():
+    for n in range(6):
+        assert enumerate_monotone(n) == _pair_loop(n)
+    masks = enumerate_monotone(6)
+    assert masks.typecode == "Q" and masks.tobytes() == _numpy_f6().tobytes()
+    assert enumerate_monotone(6) is masks  # cached: one object per arity
+
+
+def test_cli_enumerates_arity_6_without_numpy(tmp_path):
+    src = str(Path(maxcomplex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys; sys.modules['numpy'] = None; from maxcomplex.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", code, "lattice", "enumerate", "--n", "6",
+                           "--json", "--cache", str(tmp_path / "cache")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["count"] == 7828354
 
 
 def test_poset_axioms_enforced():
