@@ -105,6 +105,15 @@ def _bits(x: int) -> list[int]:
     return [r for r, digit in enumerate(reversed(bin(x))) if digit == "1"]
 
 
+def _columns(masks: Sequence[int]) -> list[int]:
+    """cols[r] holds the indices of the masks that contain bit r."""
+    cols = [0] * max(masks, default=0).bit_length()
+    for a, mask in enumerate(masks):
+        for r in _bits(mask):
+            cols[r] |= 1 << a
+    return cols
+
+
 class Poset:
     """Finite poset over explicit labels with a bit-matrix order relation."""
 
@@ -125,10 +134,7 @@ class Poset:
         """
         poset = cls.__new__(cls)
         poset.labels = tuple(masks)
-        cols = [0] * max(poset.labels, default=0).bit_length()
-        for a, label in enumerate(poset.labels):
-            for r in _bits(label):
-                cols[r] |= 1 << a
+        cols = _columns(poset.labels)
         every = (1 << len(poset.labels)) - 1
         poset.rows = [reduce(and_, [cols[r] for r in _bits(label)], every)
                       for label in poset.labels]
@@ -480,71 +486,80 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
     Pigeonhole (2^i > |target| iff i >= its bit length) and the cover count
     (two substitutions per source) answer "none" after 0 nodes, before the
     target poset is built.  Otherwise sources are assigned in ascending rank
-    order (a linear extension of both cube orders), target candidates must
-    extend all previously assigned comparable images, and branches that can
-    no longer complete the cover are pruned.  With `shadow`, an image must
-    also contain shadow(image) of every source one bit below it.  The first
-    map found in this canonical order is returned.
+    order (a linear extension of both cube orders).  A source's candidates,
+    a bitset of target indices, are the unused targets in the up-set rows of
+    its lower covers' images, tried lowest index (so lowest label) first;
+    branches that can no longer complete the cover are pruned.  With
+    `shadow`, an image must also contain shadow(image) of every source one
+    bit below it.  The first map found in this canonical order is returned.
     """
     if i < 0:
         raise InputError(f"i must be >= 0, got {i}")
     if j < 1:
         raise InputError(f"j must be >= 1, got {j}")
+    if budget < 0:
+        raise InputError("budget must be >= 0")
     family = lattice_kind(kind)
     if j > family.max_j:
         raise CapacityError(f"{family.target_name.format(j)} is too large to search")
-    needed = set(family.nonzero(j - 1))
+    needed = {v: k for k, v in enumerate(family.nonzero(j - 1))}
     if i >= len(family.nonzero(j)).bit_length() or len(needed) > 2 << i:
         return SearchOutcome("none", None, 0)
     source, target, size = family.source(i), family.target(j), 1 << i
-    targets = target.labels
-    contrib = {t: frozenset(v for v in sub_masks(j, t) if v in needed) for t in targets}
-    preds = [[s2 for s2 in range(s) if source.leq(s2, s)] for s in range(size)]
+    labels, rows = target.labels, target.rows
+    contrib = [tuple({needed[v] for v in sub_masks(j, t) if v in needed}) for t in labels]
+    lower_covers: list[list[int]] = [[] for _ in range(size)]
+    for a, b in source.covers():
+        lower_covers[b].append(a)
     bit_preds = [[s & ~(1 << b) for b in _bits(s)] for s in range(size)]
-    assignment: list[int] = [0] * size
-    used: set[int] = set()
-    cover_count: dict[int, int] = {v: 0 for v in needed}
-    state = {"nodes": 0, "exhausted": False, "missing": len(needed)}
+    every = (1 << len(labels)) - 1
+    cols = _columns(labels) if shadow is not None else []
+    assignment, counts = [0] * size, [0] * len(needed)
+    free, nodes, missing, exhausted = every, 0, len(needed), 0
+
+    @lru_cache(maxsize=None)
+    def above_shadow(t: int) -> int:  # the targets containing shadow(labels[t])
+        return reduce(and_, [cols[r] for r in _bits(shadow(labels[t]))], every)
 
     def extend(s: int) -> bool:
+        nonlocal free, nodes, missing, exhausted
         if s == size:
-            return state["missing"] == 0
-        if state["missing"] > 2 * (size - s):
+            return missing == 0
+        if missing > 2 * (size - s):
             return False
-        required = 0
-        for s2 in preds[s]:
-            required |= assignment[s2]
+        candidates = free
+        for c in lower_covers[s]:
+            candidates &= rows[assignment[c]]
         if shadow is not None:
-            for s2 in bit_preds[s]:
-                required |= shadow(assignment[s2])
-        # targets come ascending, so the first solution is canonical
-        for t in [t for t in targets if t not in used and required & ~t == 0]:
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                state["exhausted"] = True
+            for p in bit_preds[s]:
+                candidates &= above_shadow(assignment[p])
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            nodes += 1
+            if nodes > budget:
+                exhausted = 1
                 return False
-            assignment[s] = t
-            used.add(t)
+            t = assignment[s] = bit.bit_length() - 1
+            free ^= bit
             for v in contrib[t]:
-                if cover_count[v] == 0:
-                    state["missing"] -= 1
-                cover_count[v] += 1
+                if counts[v] == 0:
+                    missing -= 1
+                counts[v] += 1
             if extend(s + 1):
                 return True
             for v in contrib[t]:
-                cover_count[v] -= 1
-                if cover_count[v] == 0:
-                    state["missing"] += 1
-            used.discard(t)
-            if state["exhausted"]:
+                counts[v] -= 1
+                if counts[v] == 0:
+                    missing += 1
+            free |= bit
+            if exhausted:
                 return False
         return False
 
     if extend(0):
-        return SearchOutcome("found", LatticeMap.from_labels(source, target, assignment),
-                             state["nodes"])
-    return SearchOutcome("exhausted" if state["exhausted"] else "none",
-                         None, state["nodes"])
+        return SearchOutcome("found", LatticeMap(source, target, tuple(assignment)), nodes)
+    return SearchOutcome("exhausted" if exhausted else "none", None, nodes)
 
 
 def search_relation(i: int, j: int, budget: int = 10**8) -> SearchOutcome:

@@ -312,6 +312,9 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
     (["bound", "--kind", "monotone", "--n", "42"], EXIT_CAPACITY),  # NeedDedekindError
     (["lattice", "search", "--i", "-1", "--j", "3"], EXIT_USAGE),
     (["lattice", "search", "--i", "-1", "--j", "3", "--csg"], EXIT_USAGE),
+    (["lattice", "search", "--i", "3", "--j", "3", "--budget", "-1", "--cache", "{dir}"],
+     EXIT_USAGE),
+    (["lattice", "witness", "--csg", "--n", "8", "--budget", "-1", "--out", "{out}"], EXIT_USAGE),
     (["lattice", "search", "--i", "1", "--j", "6"], EXIT_CAPACITY),  # monotone poset guard
     (["lattice", "search", "--i", "1", "--j", "7", "--csg"], EXIT_CAPACITY),  # game poset guard
     (["complexity", "{dir}"], EXIT_USAGE),  # IsADirectoryError
@@ -328,6 +331,7 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
     (["complexity", "{long_color}"], EXIT_USAGE),
 ], ids=["complexity-empty-dot", "construct-c1", "count-max-c1", "resume-tampered",
         "bound-csg-24", "bound-monotone-42", "search-negative-i", "search-csg-negative-i",
+        "search-negative-budget", "witness-csg-negative-budget",
         "search-monotone-j6", "search-csg-j7", "complexity-directory", "complexity-binary",
         "construct-out-directory", "resume-binary", "resume-truncated",
         "unicode-digit-word", "unicode-digit-color", "unicode-digit-header",

@@ -2,7 +2,7 @@
 certifier, the certificate parser and the error hierarchy."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from maxcomplex import cli, csg, lattice
 from maxcomplex.core import (
@@ -58,6 +58,99 @@ def test_search_pins_nodes_and_map(kind, i, j, nodes, image):
     assert cert.kind == kind and cert.covered == frozenset(KINDS[kind].nonzero(j - 1))
 
 
+@pytest.mark.parametrize("search,i,j", [(search_relation, 5, 4), (search_csg_relation, 4, 5)])
+def test_search_pins_exhaustion(search, i, j):
+    out = search(i, j, budget=10**4)
+    assert (out.status, out.map, out.nodes) == ("exhausted", None, 10**4 + 1)
+
+
+def _early_shadow(j):
+    return lambda mask: csg.shadow_mask(j, mask)
+
+
+def test_game_witness_searches_with_the_shadow_pin_nodes():
+    got = []
+    for n in range(4, 9):
+        i, j = csg.csg_witness_chain(n)
+        out = search_embedding("csg", i, j, shadow=_early_shadow(j))
+        got.append((out.status, out.nodes, out.map and out.map.image_labels()))
+    assert got == [("none", 9, None), ("found", 6, (0x80, 0xe8, 0xfc, 0xff)), ("none", 51, None),
+                   ("none", 2001, None), ("none", 2019, None)]
+
+
+def _former_search(kind, i, j, budget, shadow=None):
+    """The engine before bitset candidates, kept as an oracle: it rescans the
+    target labels at every node.  Returns (status, nodes, image indices)."""
+    family = KINDS[kind]
+    needed = set(family.nonzero(j - 1))
+    if i >= len(family.nonzero(j)).bit_length() or len(needed) > 2 << i:
+        return "none", 0, None
+    source, target, size = family.source(i), family.target(j), 1 << i
+    targets = target.labels
+    contrib = {t: frozenset(v for v in lattice.sub_masks(j, t) if v in needed) for t in targets}
+    preds = [[s2 for s2 in range(s) if source.leq(s2, s)] for s in range(size)]
+    bit_preds = [[s & ~(1 << b) for b in range(i) if s >> b & 1] for s in range(size)]
+    assignment = [0] * size
+    used = set()
+    cover_count = {v: 0 for v in needed}
+    state = {"nodes": 0, "exhausted": False, "missing": len(needed)}
+
+    def extend(s):
+        if s == size:
+            return state["missing"] == 0
+        if state["missing"] > 2 * (size - s):
+            return False
+        required = 0
+        for s2 in preds[s]:
+            required |= assignment[s2]
+        if shadow is not None:
+            for s2 in bit_preds[s]:
+                required |= shadow(assignment[s2])
+        for t in [t for t in targets if t not in used and required & ~t == 0]:
+            state["nodes"] += 1
+            if state["nodes"] > budget:
+                state["exhausted"] = True
+                return False
+            assignment[s] = t
+            used.add(t)
+            for v in contrib[t]:
+                if cover_count[v] == 0:
+                    state["missing"] -= 1
+                cover_count[v] += 1
+            if extend(s + 1):
+                return True
+            for v in contrib[t]:
+                cover_count[v] -= 1
+                if cover_count[v] == 0:
+                    state["missing"] += 1
+            used.discard(t)
+            if state["exhausted"]:
+                return False
+        return False
+
+    if extend(0):
+        return "found", state["nodes"], tuple(target.index(t) for t in assignment)
+    return "exhausted" if state["exhausted"] else "none", state["nodes"], None
+
+
+SHAPES = [("monotone", 3, 3), ("monotone", 4, 3), ("monotone", 4, 4), ("monotone", 5, 4),
+          ("csg", 2, 2), ("csg", 2, 3), ("csg", 3, 3), ("csg", 3, 4), ("csg", 4, 4), ("csg", 4, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHAPES), st.booleans(), st.integers(min_value=0, max_value=5000))
+@example(("monotone", 4, 3), False, 5000)
+@example(("monotone", 4, 4), True, 5000)
+@example(("csg", 4, 4), True, 5000)
+@example(("csg", 4, 5), True, 5000)
+def test_bitset_engine_matches_the_former_engine(shape, with_shadow, budget):
+    kind, i, j = shape
+    shadow = _early_shadow(j) if with_shadow else None
+    out = search_embedding(kind, i, j, budget, shadow)
+    image = out.map.image if out.map else None
+    assert (out.status, out.nodes, image) == _former_search(kind, i, j, budget, shadow)
+
+
 @pytest.mark.parametrize("kind", ["monotone", "csg"])
 @pytest.mark.parametrize("i,j", [(5, 3), (6, 3), (3, 2), (2, 1), (1, 5), (0, 3)])
 def test_pigeonhole_and_cover_count_answer_none_at_once(kind, i, j):
@@ -95,6 +188,8 @@ def test_engine_rejects_bad_arguments():
         search_embedding("monotone", 1, 0)
     with pytest.raises(InputError, match="unknown lattice kind"):
         search_embedding("early", 1, 2)
+    with pytest.raises(InputError, match="budget must be >= 0"):
+        search_embedding("monotone", 3, 3, budget=-1)
 
 
 def test_certify_checks_the_source_order():
