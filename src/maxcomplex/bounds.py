@@ -12,7 +12,6 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .core import CapacityError, ColoredFunction, InputError
-from .minauto import residual_levels
 
 
 class BoundKind(Enum):
@@ -131,6 +130,8 @@ def cp_family(seed: Iterable[ColoredFunction]) -> list[int]:
     first k inputs; zero functions are discarded.  All seeds must share the
     same signature (b, n, c).
     """
+    from .minauto import residual_levels  # here: evaluating a bound needs no minauto
+
     funcs = list(seed)
     if not funcs:
         raise InputError("empty seed")

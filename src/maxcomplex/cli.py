@@ -16,6 +16,7 @@ from . import __version__
 from .core import (
     CapacityError,
     ColoredFunction,
+    EMBEDDING_NAMES,
     ExhaustedError,
     InputError,
     MaxcomplexError,
@@ -23,8 +24,10 @@ from .core import (
     rank,
     table_cells,
 )
-from . import bounds, counting, csg, lattice, minauto, witness
-from .cache import DiskCache
+
+# Each command imports the library modules it runs, so that a process pays
+# only for those.  Calls go through the module (`bounds.general_bound(...)`),
+# so that a function replaced on its module is the one called.
 
 EXIT_OK = 0
 EXIT_USAGE = InputError.exit_code
@@ -145,7 +148,20 @@ def _emit(args, payload: dict, human: str):
         print(human)
 
 
+def _decimal(value: int) -> str:
+    """str(value) for a non-negative int of any size.  Parts of at most 602
+    digits convert under any setting of the interpreter's int/str digit limit,
+    so the number is split at a power of ten until its parts are that short."""
+    if value.bit_length() <= 2000:
+        return str(value)
+    half = value.bit_length() * 3 // 20  # about half its digits (log10 2 > 3/10)
+    high, low = divmod(value, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def cmd_complexity(args) -> int:
+    from . import minauto
+
     f = parse_language_file(Path(args.file).read_text())
     if args.mn_crosscheck and len(f.table) > MAX_CROSSCHECK_CELLS:
         raise CapacityError(f"--mn-crosscheck takes at most {MAX_CROSSCHECK_CELLS} cells")
@@ -171,6 +187,8 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from . import bounds
+
     kind = bounds.BoundKind(args.kind)
     payload: dict = {"kind": args.kind, "b": args.b, "c": args.c, "n": args.n}
     if kind is bounds.BoundKind.GENERAL_PDFA:
@@ -182,12 +200,14 @@ def cmd_bound(args) -> int:
         value = bounds.monotone_bound(args.n)
     else:
         value = bounds.csg_bound(args.n)
-    payload["bound"] = str(value)
-    _emit(args, payload, f"{args.kind} bound {value}")
+    payload["bound"] = digits = _decimal(value)
+    _emit(args, payload, f"{args.kind} bound {digits}")
     return EXIT_OK
 
 
 def cmd_construct(args) -> int:
+    from . import bounds, minauto, witness
+
     f = witness.construct_maximal(args.b, args.c, args.n)
     complexity = minauto.state_complexity(f)
     bound = bounds.general_bound(args.b, args.c, args.n)
@@ -208,6 +228,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_count_max(args) -> int:
+    from . import counting
+
     i, count = counting.count_max(args.b, args.c, args.n)
     payload: dict = {"b": args.b, "c": args.c, "n": args.n, "i": i, "count": str(count)}
     human = f"crossover {i}, {count} maximal functions"
@@ -215,6 +237,8 @@ def cmd_count_max(args) -> int:
         space = args.c ** (args.b**args.n)
         if space > 1 << 20:
             raise CapacityError(f"brute force over {space} functions refused")
+        from . import bounds, minauto, witness
+
         # each level is at most its term, so f is maximal iff no level falls short
         terms = bounds.general_bound_terms(args.b, args.c, args.n)
         maximal = []
@@ -237,6 +261,8 @@ def cmd_count_max(args) -> int:
 
 
 def cmd_lattice_enumerate(args) -> int:
+    from .cache import DiskCache
+
     kind = "csg" if args.csg else "monotone"
     cache = DiskCache(args.cache)
     params = f"{kind}-n{args.n}"
@@ -244,7 +270,14 @@ def cmd_lattice_enumerate(args) -> int:
     if cached is not None:
         count = int(cached)
     else:
-        masks = csg.enumerate_csg(args.n) if args.csg else lattice.enumerate_monotone(args.n)
+        if args.csg:
+            from . import csg
+
+            masks = csg.enumerate_csg(args.n)
+        else:
+            from . import lattice
+
+            masks = lattice.enumerate_monotone(args.n)
         count = len(masks)
         cache.store("enumeration", params, str(count))
     payload = {
@@ -258,6 +291,8 @@ def cmd_lattice_enumerate(args) -> int:
 
 
 def cmd_lattice_verify(args) -> int:
+    from . import lattice
+
     i, j = lattice.embedding_shape(args.name)
     cert = lattice.check_relation(i, j, lattice.named_embedding(args.name))
     payload = {
@@ -272,6 +307,9 @@ def cmd_lattice_verify(args) -> int:
 
 
 def cmd_lattice_search(args) -> int:
+    from . import lattice
+    from .cache import DiskCache
+
     kind = "csg" if args.csg else "monotone"
     cache = DiskCache(args.cache)
     params = f"{kind}-i{args.i}-j{args.j}"
@@ -289,6 +327,8 @@ def cmd_lattice_search(args) -> int:
         _emit(args, payload, f"certificate loaded from cache")
         return EXIT_OK
     if args.csg:
+        from . import csg
+
         outcome = csg.search_csg_relation(args.i, args.j, budget=args.budget)
     else:
         outcome = lattice.search_relation(args.i, args.j, budget=args.budget)
@@ -312,11 +352,17 @@ def cmd_lattice_search(args) -> int:
 
 
 def cmd_lattice_witness(args) -> int:
+    from . import bounds, minauto
+
     if args.csg:
+        from . import csg
+
         w, _cert = csg.build_csg_witness(args.n, budget=args.budget)
         bound = bounds.csg_bound(args.n)
         kind = "csg"
     else:
+        from . import lattice
+
         w = lattice.build_witness_language(args.n)
         bound = bounds.monotone_bound(args.n)
         kind = "monotone"
@@ -335,6 +381,8 @@ def cmd_lattice_witness(args) -> int:
 
 
 def cmd_lattice_lemma(args) -> int:
+    from . import lattice
+
     ok = lattice.lemma_les_check()
     _emit(args, {"ok": ok}, "pair-order lemma holds" if ok else "COUNTEREXAMPLE FOUND")
     return EXIT_OK if ok else EXIT_MISMATCH
@@ -404,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lattice_enumerate)
 
     p = lsub.add_parser("verify-embedding", help="re-check a built-in embedding")
-    p.add_argument("--name", required=True, choices=lattice.EMBEDDING_NAMES)
+    p.add_argument("--name", required=True, choices=EMBEDDING_NAMES)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lattice_verify)
 

@@ -19,6 +19,9 @@ WordLike = Union[str, Sequence[int]]
 # Tables are bytes, one cell per word; big instances must stay desk-sized.
 MAX_TABLE_CELLS = 1 << 22
 MAX_COLORS = 256
+# The built-in embedding catalog of `lattice.named_embedding`, listed here so
+# that the CLI can offer the names without importing `lattice`.
+EMBEDDING_NAMES = ("post_alh", "fig39", "both_restricted", "alh", "small", "friday")
 # Binary tables <-> digit strings, character r being cell r.
 _FROM_DIGITS, _TO_DIGITS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"\0\1", b"01")
 

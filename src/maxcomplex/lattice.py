@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     CapacityError,
+    EMBEDDING_NAMES,
     InputError,
     MonotoneFunction,
     var_mask,
@@ -304,12 +305,14 @@ class LatticeKind:
     target_name: str  # formatted with j in error messages
 
 
-KINDS: dict[str, LatticeKind] = {}
+KINDS: dict[str, LatticeKind] = {}  # "csg" is added when `csg` is imported
 
 
 def lattice_kind(kind: str) -> LatticeKind:
+    if kind == "csg":
+        from . import csg  # noqa: F401  (registers the game kind)
     if kind not in KINDS:
-        raise InputError(f"unknown lattice kind {kind!r}; choose from {tuple(KINDS)}")
+        raise InputError(f"unknown lattice kind {kind!r}; choose from ('monotone', 'csg')")
     return KINDS[kind]
 
 
@@ -426,9 +429,6 @@ def _embedding_tables() -> dict[str, tuple[int, int, tuple]]:
         "small": small,
         "friday": friday,
     }
-
-
-EMBEDDING_NAMES = ("post_alh", "fig39", "both_restricted", "alh", "small", "friday")
 
 
 def _catalog_entry(name: str) -> tuple[int, int, tuple]:

@@ -12,10 +12,12 @@ from maxcomplex.cli import (
     EXIT_USAGE,
     MAX_CROSSCHECK_CELLS,
     ParseError,
+    _decimal,
     format_language_file,
     main,
     parse_language_file,
 )
+from maxcomplex.bounds import general_bound
 from maxcomplex.core import CapacityError, ColoredFunction, MaxcomplexError
 from maxcomplex.counting import count_max
 from maxcomplex import minauto
@@ -139,6 +141,25 @@ def test_cmd_bound_json(capsys):
     assert main(["bound", "--kind", "complete", "--b", "2", "--n", "3", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["r"] == 2 and payload["bound"] == "8"
+
+
+def _from_digits(digits: str) -> int:
+    """int(digits), 600 digits at a time: under any setting of the int/str limit."""
+    value = 0
+    for start in range(0, len(digits), 600):
+        chunk = digits[start:start + 600]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_cmd_bound_prints_values_past_the_int_str_digit_limit(capsys):
+    assert main(["bound", "--n", "15000", "--json"]) == EXIT_OK
+    digits = json.loads(capsys.readouterr().out)["bound"]
+    assert len(digits) == 4512 and _from_digits(digits) == general_bound(2, 2, 15000)
+    for value in (0, 7, 10**602 - 1, 10**602, 2**2000, 2**2001, 10**4511, 10**4512 - 1,
+                  3**20000):
+        text = _decimal(value)
+        assert _from_digits(text) == value and (text == "0" or text[0] != "0")
 
 
 def test_cmd_construct_round_trip(tmp_path, capsys):

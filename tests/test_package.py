@@ -1,0 +1,82 @@
+"""The package's lazy exports and the modules each CLI command imports."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import maxcomplex
+
+SRC = str(Path(maxcomplex.__file__).resolve().parents[1])
+# Prints, as its last line, the maxcomplex modules loaded after cli.main(argv).
+RUN_MAIN = """
+import json, sys
+from maxcomplex import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("maxcomplex"))]))
+"""
+
+
+def fresh_python(code, *argv):
+    """Run `code` in a new interpreter that imports maxcomplex from this source tree."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def loaded_by(*argv):
+    code, modules = json.loads(fresh_python(RUN_MAIN, *argv).splitlines()[-1])
+    assert code == 0
+    return {m.removeprefix("maxcomplex").lstrip(".") or "maxcomplex" for m in modules}
+
+
+def test_public_names_are_their_modules_objects():
+    for name in maxcomplex.__all__:
+        module = importlib.import_module(f"maxcomplex.{maxcomplex._EXPORTS[name]}")
+        assert getattr(maxcomplex, name) is getattr(module, name), name
+    namespace = {}
+    exec("from maxcomplex import *", namespace)
+    assert set(maxcomplex.__all__) <= set(namespace)
+    assert set(maxcomplex.__all__) | {"lattice", "csg", "__version__"} <= set(dir(maxcomplex))
+    assert isinstance(maxcomplex.__version__, str)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        maxcomplex.no_such_name
+
+
+def test_import_loads_no_submodule_until_a_name_is_used():
+    out = fresh_python(
+        "import sys, maxcomplex\n"
+        "before = sorted(m for m in sys.modules if m.startswith('maxcomplex'))\n"
+        "lattice = maxcomplex.lattice\n"
+        "search = maxcomplex.search_csg_relation\n"
+        "print(before, lattice is sys.modules['maxcomplex.lattice'],\n"
+        "      search is sys.modules['maxcomplex.csg'].search_csg_relation)\n")
+    assert out.split() == ["['maxcomplex']", "True", "True"]
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    lang = tmp_path / "small.lang"
+    lang.write_text("b=2 c=2 n=3\n101\n011\n")
+    assert loaded_by("bound", "--n", "3", "--json") == {"maxcomplex", "cli", "core", "bounds"}
+    assert loaded_by("complexity", str(lang)) == {"maxcomplex", "cli", "core", "minauto"}
+    assert loaded_by("lattice", "verify-embedding", "--name", "post_alh") == {
+        "maxcomplex", "cli", "core", "lattice"}
+
+
+def test_game_certificate_verifies_with_only_lattice_imported():
+    from maxcomplex.csg import check_csg_relation, search_csg_relation
+    from maxcomplex.lattice import format_certificate
+
+    text = format_certificate(check_csg_relation(2, 3, search_csg_relation(2, 3).map))
+    out = fresh_python(
+        "import sys\n"
+        "from maxcomplex.lattice import parse_certificate, verify_certificate\n"
+        "print('maxcomplex.csg' in sys.modules)\n"
+        "print(verify_certificate(parse_certificate(sys.argv[1])).kind)\n", text)
+    assert out.split() == ["False", "csg"]
