@@ -56,6 +56,8 @@ def power_capped(base: int, exp: int, cap: int) -> int:
         return cap
     if base <= 1:
         return min(1 if exp == 0 else base, cap)
+    if exp >= cap.bit_length():  # base**exp >= 2**exp > cap
+        return cap
     result = 1
     for bit in bin(exp)[2:]:
         result *= result
@@ -66,9 +68,16 @@ def power_capped(base: int, exp: int, cap: int) -> int:
     return result
 
 
-def _min_term(prefixes: int, c: int, words_left: int) -> int:
-    """min(prefixes, c**words_left - 1) computed lazily."""
-    capped = power_capped(c, words_left, prefixes + 2)
+def tower_capped(c: int, b: int, e: int, cap: int) -> int:
+    """min(c**(b**e), cap) for c >= 1, never building b**e in full: for c >= 2,
+    c**w >= 2**w > cap from w = cap.bit_length() on, so the exponent is capped
+    first and every larger w gives the same result."""
+    return power_capped(c, power_capped(b, e, cap.bit_length() + 1), cap)
+
+
+def _min_term(prefixes: int, c: int, b: int, depth_left: int) -> int:
+    """min(prefixes, c**(b**depth_left) - 1) computed lazily."""
+    capped = tower_capped(c, b, depth_left, prefixes + 2)
     if capped >= prefixes + 1:
         return prefixes
     return capped - 1
@@ -86,7 +95,7 @@ def general_bound_terms(b: int, c: int, n: int) -> list[int]:
     terms = []
     prefixes = 1
     for i in range(n + 1):
-        terms.append(_min_term(prefixes, c, b ** (n - i)))
+        terms.append(_min_term(prefixes, c, b, n - i))
         prefixes *= b
     return terms
 
@@ -103,13 +112,14 @@ def complete_dfa_bound(k: int, n: int) -> tuple[int, int]:
     if n < 0:
         raise InputError("n must be >= 0")
     r = None
+    lhs = 1  # k^m
     for m in range(n + 1):
-        lhs = k**m
-        if power_capped(2, k ** (n - m), lhs + 2) <= lhs + 1:
+        if tower_capped(2, k, n - m, lhs + 2) <= lhs + 1:
             r = m
             break
+        lhs *= k
     assert r is not None  # m = n always satisfies k^n >= 2^1 - 1
-    bound = (k**r - 1) // (k - 1) + sum(2 ** (k**j) - 1 for j in range(n - r + 1)) + 1
+    bound = (lhs - 1) // (k - 1) + sum(2 ** (k**j) - 1 for j in range(n - r + 1)) + 1
     return r, bound
 
 

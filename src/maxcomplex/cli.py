@@ -237,23 +237,19 @@ def cmd_count_max(args) -> int:
         space = args.c ** (args.b**args.n)
         if space > 1 << 20:
             raise CapacityError(f"brute force over {space} functions refused")
-        from . import bounds, minauto, witness
-
-        # each level is at most its term, so f is maximal iff no level falls short
-        terms = bounds.general_bound_terms(args.b, args.c, args.n)
-        maximal = []
-        for code in range(1, space):
-            table = witness._nonzero_table(code, args.b, args.c, args.n)
-            levels = minauto.residual_levels([table], args.b, args.n)
-            if all(len(level) == term for (level, _), term in zip(levels, terms)):
-                maximal.append(ColoredFunction(args.b, args.n, args.c, table))
-        brute = len(maximal)
+        codes = counting.brute_max_codes(args.b, args.c, args.n)
+        brute = len(codes)
         payload["brute_count"] = str(brute)
+        payload["brute_checked"] = space - 1
         if brute != count:
             raise MismatchError(f"brute force counts {brute}, formula says {count}")
         human += f" (brute force agrees: {brute})"
         if args.list:
-            for f in maximal:
+            from . import witness
+
+            for code in codes:
+                table = witness._nonzero_table(code, args.b, args.c, args.n)
+                f = ColoredFunction(args.b, args.n, args.c, table)
                 words = ",".join("".join(map(str, w)) for w in f.support())
                 print(f"  {{{words}}}")
     _emit(args, payload, human)

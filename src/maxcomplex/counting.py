@@ -4,14 +4,17 @@ The count is determined entirely at the crossover depth i: a function is
 maximal iff its depth-i residual assignment covers every nonzero function of
 the remaining arity while the induced depth-(i-1) residuals stay distinct
 and alive.  Inclusion-exclusion over the missed values gives a closed form.
+`brute_max_codes` re-derives the count by checking every function.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb, factorial, log10
 
+from .bounds import general_bound_terms
 from .core import CapacityError, InputError
-from .witness import NoWitnessError, crossover
+from .witness import NoWitnessError, _nonzero_table, crossover
 
 # Keeps the inclusion-exclusion loop responsive: at most this many big-int
 # multiplications (terms x falling-factorial length).
@@ -116,3 +119,47 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
         term = comb(s, j) * falling_factorial((codomain - j) ** b - 1, blocks)
         total += -term if j & 1 else term
     return i, total
+
+
+def brute_max_codes(b: int, c: int, n: int) -> list[int]:
+    """Codes of the maximal functions [b]^n -> [c], each function checked in turn.
+
+    A code is the table read as a base-c number, first cell most significant
+    (`witness._nonzero_table` decodes it); the list ascends.  f is maximal iff
+    it is nonzero and each depth d >= 1 has its term of distinct nonzero
+    residuals: the union of the depth-(d-1) residuals of f's children
+    g_0..g_{b-1} (g_s is f after first symbol s).  One `residual_levels` pass
+    per child stores those as bitsets over each depth's distinct tables, and f
+    costs at most n ORs of b bitsets (notes/decisions.md).  Work: c^(b^(n-1))
+    passes and c^(b^n) sweep steps; the caller bounds the space.
+    """
+    from . import minauto  # here: a count without the brute-force check needs no minauto
+
+    if c == 1:
+        return []  # only the zero function
+    if n == 0:
+        return list(range(1, c))  # constants: a nonzero one has its single state
+    terms = general_bound_terms(b, c, n)[1:]
+    # one id table per depth keeps each depth's bitsets as narrow as its level
+    ids: list[dict[bytes, int]] = [{} for _ in terms]
+    rows = []  # rows[g][d]: bitset of the depth-d residuals of child g
+    for code in range(c ** (b ** (n - 1))):
+        row = []
+        levels = minauto.residual_levels([_nonzero_table(code, b, c, n - 1)], b, n - 1)
+        for index, (level, _) in zip(ids, levels):
+            bits = 0
+            for table in level:
+                bits |= 1 << index.setdefault(table, len(index))
+            row.append(bits)
+        rows.append(row)
+    codes = []  # the zero function, code 0, has no depth-1 residual and fails at once
+    for code, children in enumerate(product(rows, repeat=b)):
+        for d, term in enumerate(terms):
+            bits = 0
+            for row in children:
+                bits |= row[d]
+            if bits.bit_count() != term:
+                break
+        else:
+            codes.append(code)
+    return codes

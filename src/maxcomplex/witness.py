@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .core import CapacityError, ColoredFunction, InputError, MAX_TABLE_CELLS
-from .bounds import power_capped
+from .bounds import power_capped, tower_capped
 
 
 class NoWitnessError(InputError):
@@ -37,7 +37,7 @@ def crossover(b: int, c: int, n: int) -> CrossoverPoint:
         raise InputError(f"bad parameters b={b}, n={n}")
     prefixes = 1
     for i in range(n + 1):
-        if power_capped(c, b ** (n - i), prefixes + 2) <= prefixes + 1:
+        if tower_capped(c, b, n - i, prefixes + 2) <= prefixes + 1:
             return CrossoverPoint(i, n - i)
         prefixes *= b
     raise NoWitnessError(

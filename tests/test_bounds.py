@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from maxcomplex.cli import _decimal, main
 from maxcomplex.core import ColoredFunction, InputError
 from maxcomplex.bounds import (
     CSG_COUNTS,
@@ -11,9 +14,12 @@ from maxcomplex.bounds import (
     csg_bound,
     family_bound,
     general_bound,
+    general_bound_terms,
     monotone_bound,
     power_capped,
+    tower_capped,
 )
+from maxcomplex.witness import NoWitnessError, crossover
 
 MONOTONE_STATES = (1, 2, 4, 6, 10, 15, 23, 39, 58, 90, 154)
 
@@ -23,6 +29,73 @@ def test_power_capped():
     assert power_capped(2, 100, 5000) == 5000
     assert power_capped(1, 10**9, 7) == 1
     assert power_capped(3, 0, 7) == 1
+
+
+def _former_power_capped(base, exp, cap):
+    """power_capped before the bit-length test: walks every bit of exp."""
+    if cap <= 0:
+        return cap
+    if base <= 1:
+        return min(1 if exp == 0 else base, cap)
+    result = 1
+    for bit in bin(exp)[2:]:
+        result *= result
+        if bit == "1":
+            result *= base
+        if result >= cap:
+            return cap
+    return result
+
+
+def _former_terms(b, c, n):
+    """general_bound_terms as it was: b^(n-i) built in full at every depth."""
+    terms, prefixes = [], 1
+    for i in range(n + 1):
+        capped = _former_power_capped(c, b ** (n - i), prefixes + 2)
+        terms.append(prefixes if capped >= prefixes + 1 else capped - 1)
+        prefixes *= b
+    return terms
+
+
+def _former_crossover(b, c, n):
+    prefixes = 1
+    for i in range(n + 1):
+        if _former_power_capped(c, b ** (n - i), prefixes + 2) <= prefixes + 1:
+            return i
+        prefixes *= b
+    return None
+
+
+def _former_complete(k, n):
+    for m in range(n + 1):
+        lhs = k**m
+        if _former_power_capped(2, k ** (n - m), lhs + 2) <= lhs + 1:
+            return m, (k**m - 1) // (k - 1) + sum(2 ** (k**j) - 1 for j in range(n - m + 1)) + 1
+
+
+def test_capped_exponents_equal_the_former_evaluation(capsys):
+    for b in range(1, 5):
+        for c in range(1, 5):
+            for n in range(61):
+                assert general_bound_terms(b, c, n) == _former_terms(b, c, n), (b, c, n)
+                if c == 1:
+                    continue
+                try:
+                    i = crossover(b, c, n).i
+                except NoWitnessError:
+                    i = None
+                assert i == _former_crossover(b, c, n), (b, c, n)
+        for n in range(61):
+            if b >= 2:
+                assert complete_dfa_bound(b, n) == _former_complete(b, n), (b, n)
+    for base in range(5):
+        for exp in range(40):
+            for cap in (*range(-1, 70), 2**exp - 1, 2**exp, 2**exp + 1, 3**exp, 3**exp + 1):
+                assert power_capped(base, exp, cap) == _former_power_capped(base, exp, cap)
+    assert tower_capped(2, 2, 10**6, 2**100) == 2**100  # b^e is never built
+    assert main(["bound", "--n", "15000", "--json"]) == 0
+    digits = json.loads(capsys.readouterr().out)["bound"]
+    assert len(digits) == 4512 and digits == _decimal(sum(_former_terms(2, 2, 15000)))
 
 
 def test_general_bound_examples():

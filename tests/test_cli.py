@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -20,7 +21,7 @@ from maxcomplex.cli import (
 from maxcomplex.bounds import general_bound
 from maxcomplex.core import CapacityError, ColoredFunction, MaxcomplexError
 from maxcomplex.counting import count_max
-from maxcomplex import minauto
+from maxcomplex import counting, minauto
 
 ASIAN_TEXT = """\
 # exercise outcomes
@@ -177,8 +178,9 @@ def test_cmd_count_max(tmp_path, capsys):
     assert main(["count-max", "--b", "2", "--c", "2", "--n", "3",
                  "--verify-brute", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["b", "c", "n", "i", "count", "brute_count"]
+    assert list(payload) == ["b", "c", "n", "i", "count", "brute_count", "brute_checked"]
     assert payload["count"] == payload["brute_count"] == "60"
+    assert payload["brute_checked"] == 2**8 - 1
 
 
 def test_cmd_count_max_brute_n4(capsys):
@@ -195,6 +197,29 @@ def test_cmd_count_max_list(capsys):
 
 def test_cmd_count_max_brute_capacity(capsys):
     assert main(["count-max", "--n", "5", "--verify-brute"]) == EXIT_CAPACITY
+
+
+# sha256 of the --list output the per-function loop printed before the sweep
+@pytest.mark.parametrize("argv,digest", [
+    (["--n", "2"], "c7518fe6b1d92ea39477a0ea2343a5a652ecfd76686378f6abbb1fa07181c53c"),
+    (["--n", "3"], "107bca38626718e431e8987b43799df9a5188128ec07c8430602534ec469f977"),
+    (["--b", "3", "--c", "2", "--n", "2"],
+     "b6c7286be851916cb2fddb18352135ff6264b7f2196268c21d8147d27f7b7c6c"),
+], ids=["n2", "n3", "b3-n2"])
+def test_cmd_count_max_list_bytes(argv, digest, capsys):
+    assert main(["count-max", *argv, "--verify-brute", "--list"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cmd_count_max_brute_edges(monkeypatch, capsys):
+    assert main(["count-max", "--b", "1", "--c", "2", "--n", "3000",
+                 "--verify-brute", "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["brute_count"] == "1" and payload["brute_checked"] == 1
+    monkeypatch.setattr(counting, "count_max", lambda b, c, n: (2, count_max(b, c, n)[1] + 1))
+    assert main(["count-max", "--n", "3", "--verify-brute"]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out == "" and "brute force counts 60, formula says 61" in captured.err
 
 
 def test_cmd_lattice_enumerate(tmp_path, capsys):

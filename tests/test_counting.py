@@ -3,11 +3,13 @@ from math import comb
 
 import pytest
 
+from maxcomplex import minauto, witness
 from maxcomplex.core import CapacityError, ColoredFunction
-from maxcomplex.bounds import general_bound
+from maxcomplex.bounds import general_bound, general_bound_terms
 from maxcomplex.minauto import state_complexity
 from maxcomplex.counting import (
     NoMaxError,
+    brute_max_codes,
     count_max,
     falling_factorial,
     o_i,
@@ -126,3 +128,47 @@ def test_count_max_degenerate():
 def test_count_max_work_guard():
     with pytest.raises(CapacityError):
         count_max(2, 2, 30)
+
+
+def _former_brute(b, c, n):
+    """The per-function check `count-max --verify-brute` ran before the sweep: a
+    residual pass over each nonzero table, every level compared with its term."""
+    terms = general_bound_terms(b, c, n)
+    codes = []
+    for code in range(1, c ** (b**n)):
+        table = witness._nonzero_table(code, b, c, n)
+        levels = minauto.residual_levels([table], b, n)
+        if all(len(level) == term for (level, _), term in zip(levels, terms)):
+            codes.append(code)
+    return codes
+
+
+_SMALL_SPACES = [(b, c, n) for b in range(1, 5) for c in range(1, 5) for n in range(7)
+                 if c ** (b**n) <= 1 << 16]
+
+
+@pytest.mark.parametrize("b,c,n", _SMALL_SPACES)
+def test_brute_max_codes_equal_the_former_loop(b, c, n):
+    codes = brute_max_codes(b, c, n)
+    assert codes == _former_brute(b, c, n)
+    if c >= 2 and b**n >= c - 1:
+        assert len(codes) == count_max(b, c, n)[1]
+
+
+def test_brute_max_codes_pass_once_per_child(monkeypatch):
+    calls = []
+
+    def counted(tables, b, n):
+        calls.append(n)
+        return residual_levels(tables, b, n)
+
+    residual_levels = minauto.residual_levels
+    monkeypatch.setattr(minauto, "residual_levels", counted)
+    assert len(brute_max_codes(2, 2, 4)) == 27720
+    assert calls == [3] * 256  # one pass per function of arity 3
+    calls.clear()
+    assert len(brute_max_codes(3, 3, 2)) == 15180
+    assert calls == [1] * 3**3
+    calls.clear()
+    assert brute_max_codes(1, 2, 3000) == [1]
+    assert calls == [2999] * 2
