@@ -8,8 +8,9 @@ term never materializes an astronomically large intermediate.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import CapacityError, ColoredFunction, InputError
 
@@ -75,52 +76,53 @@ def tower_capped(c: int, b: int, e: int, cap: int) -> int:
     return power_capped(c, power_capped(b, e, cap.bit_length() + 1), cap)
 
 
-def _min_term(prefixes: int, c: int, b: int, depth_left: int) -> int:
-    """min(prefixes, c**(b**depth_left) - 1) computed lazily."""
-    capped = tower_capped(c, b, depth_left, prefixes + 2)
-    if capped >= prefixes + 1:
-        return prefixes
-    return capped - 1
+def _profile(b: int, n: int, count: Callable[[int, int], int]) -> tuple[int, list[int], int]:
+    """(r, tail, total) for the sum over depths i = 0..n of min(b^i, N(n-i) - 1).
+    r is the least i with b^i >= N(n-i) - 1, or n + 1 if there is none, so each
+    term below r is b^i; tail lists the terms from r on.  count(k, cap) returns
+    min(N(k), cap) and is only asked with cap = b^i + 2, so no larger N is built."""
+    r, tail, prefixes = n + 1, [], 1
+    for i in range(n + 1):
+        cap = prefixes + 2
+        capped = count(n - i, cap)
+        if r > n and capped < cap:
+            r = i
+        if r <= n:
+            tail.append(min(capped - 1, prefixes))
+        prefixes *= b
+    return r, tail, (r if b == 1 else (b**r - 1) // (b - 1)) + sum(tail)
+
+
+def _general_profile(b: int, c: int, n: int) -> tuple[int, list[int], int]:
+    if b < 1 or c < 1 or n < 0:
+        raise InputError(f"bad parameters b={b}, c={c}, n={n}")
+    return _profile(b, n, partial(tower_capped, c, b))
 
 
 def general_bound(b: int, c: int, n: int) -> int:
     """Sum over depths i of min(b^i, c^(b^(n-i)) - 1)."""
-    return sum(general_bound_terms(b, c, n))
+    return _general_profile(b, c, n)[2]
 
 
 def general_bound_terms(b: int, c: int, n: int) -> list[int]:
     """The terms min(b^i, c^(b^(n-i)) - 1) of general_bound, by depth i = 0..n."""
-    if b < 1 or c < 1 or n < 0:
-        raise InputError(f"bad parameters b={b}, c={c}, n={n}")
-    terms = []
-    prefixes = 1
-    for i in range(n + 1):
-        terms.append(_min_term(prefixes, c, b, n - i))
-        prefixes *= b
-    return terms
+    r, tail, _ = _general_profile(b, c, n)
+    return [b**i for i in range(r)] + tail
 
 
 def complete_dfa_bound(k: int, n: int) -> tuple[int, int]:
     """Crossover index r and the tight bound for complete (total) automata.
 
     r is the least m with k^m >= 2^(k^(n-m)) - 1; the bound is
-    (k^r - 1)/(k - 1) + sum_{j=0}^{n-r} (2^(k^j) - 1) + 1.
+    (k^r - 1)/(k - 1) + sum_{j=0}^{n-r} (2^(k^j) - 1) + 1 = general_bound(k, 2, n) + 1.
     Requiring totality costs exactly one extra state over the partial bound.
     """
     if k < 2:
         raise InputError("complete-automaton bound needs alphabet size >= 2")
     if n < 0:
         raise InputError("n must be >= 0")
-    r = None
-    lhs = 1  # k^m
-    for m in range(n + 1):
-        if tower_capped(2, k, n - m, lhs + 2) <= lhs + 1:
-            r = m
-            break
-        lhs *= k
-    assert r is not None  # m = n always satisfies k^n >= 2^1 - 1
-    bound = (lhs - 1) // (k - 1) + sum(2 ** (k**j) - 1 for j in range(n - r + 1)) + 1
-    return r, bound
+    r, _, total = _general_profile(k, 2, n)  # r <= n: k^n >= 2^1 - 1
+    return r, total + 1
 
 
 def family_bound(b: int, sizes: Sequence[int]) -> int:
@@ -151,40 +153,42 @@ def cp_family(seed: Iterable[ColoredFunction]) -> list[int]:
     return [len(level) for level, _ in residual_levels((f.table for f in funcs), b, n)]
 
 
-def _table_term(i: int, k: int, table: Sequence[int], extra: Mapping[int, int] | None,
-                error: type[ValueError], what: str) -> int:
-    """min(2^i, count(k) - 1) with count from a table plus safe fallbacks."""
-    if k < len(table):
-        return min(2**i, table[k] - 1)
-    if extra and k in extra:
-        return min(2**i, extra[k] - 1)
-    if table is DEDEKIND:
-        # antichains of the middle binomial layer give 2^comb(k, k//2)
-        # monotone functions, enough to certify the minimum when i is small
-        if comb(k, k // 2) > i:
-            return 2**i
-    else:
-        # counts grow with arity: an (k-1)-ary game lifts by ignoring a variable
-        if 2**i <= table[-1] - 1:
-            return 2**i
-    raise error(f"need {what}({k}) to evaluate this bound; supply it explicitly")
+def _dedekind_reaches(k: int, cap: int) -> bool:
+    """Whether M(k) >= cap follows from M(k) >= 2^C(k, k//2), the antichains of
+    the middle layer.  C(k, k//2) >= 2^(k//2) settles large k without comb."""
+    e = (cap - 1).bit_length()  # 2^C >= cap iff C >= e
+    return k // 2 >= e.bit_length() or comb(k, k // 2) >= e
+
+
+def _table_profile(n: int, extra: Mapping[int, int] | None, kind: tuple) -> tuple:
+    """_profile for b = 2, N(k) taken from the kind's table, then from the caller's
+    extra counts, then from a lower bound when the kind's reaches(k, cap) holds."""
+    table, reaches, error, what = kind
+    if n < 0:
+        raise InputError("n must be >= 0")
+
+    def count(k: int, cap: int) -> int:
+        if k < len(table):
+            return min(table[k], cap)
+        if extra and k in extra:
+            return min(extra[k], cap)
+        if reaches(k, cap):
+            return cap
+        raise error(f"need {what}({k}) to evaluate this bound; supply it explicitly")
+
+    return _profile(2, n, count)
+
+
+_MONOTONE = (DEDEKIND, _dedekind_reaches, NeedDedekindError, "dedekind")
+# game counts grow with arity (a (k-1)-ary game lifts by ignoring a variable)
+_GAMES = (CSG_COUNTS, lambda k, cap: CSG_COUNTS[-1] >= cap, NeedCsgCountError, "csg_count")
 
 
 def monotone_bound(n: int, dedekind: Mapping[int, int] | None = None) -> int:
     """Sum over depths i of min(2^i, M(n-i) - 1) for monotone languages."""
-    if n < 0:
-        raise InputError("n must be >= 0")
-    return sum(
-        _table_term(i, n - i, DEDEKIND, dedekind, NeedDedekindError, "dedekind")
-        for i in range(n + 1)
-    )
+    return _table_profile(n, dedekind, _MONOTONE)[2]
 
 
 def csg_bound(n: int, csg_counts: Mapping[int, int] | None = None) -> int:
     """Sum over depths i of min(2^i, |C_(n-i)| - 1) for complete simple games."""
-    if n < 0:
-        raise InputError("n must be >= 0")
-    return sum(
-        _table_term(i, n - i, CSG_COUNTS, csg_counts, NeedCsgCountError, "csg_count")
-        for i in range(n + 1)
-    )
+    return _table_profile(n, csg_counts, _GAMES)[2]

@@ -31,17 +31,14 @@ def _digest(text: str) -> str:
 
 
 class DiskCache:
-    def __init__(self, root: "Path | str | None" = None, enabled: bool = True):
+    def __init__(self, root: "Path | str | None" = None):
         self.root = cache_dir(str(root) if root is not None else None)
-        self.enabled = enabled
 
     def _path(self, kind: str, params: str) -> Path:
         digest = content_hash(kind, params)
         return self.root / f"{kind}-{params}-{digest}.txt"
 
     def load(self, kind: str, params: str) -> str | None:
-        if not self.enabled:
-            return None
         path = self._path(kind, params)
         try:
             text = path.read_text()
@@ -54,7 +51,6 @@ class DiskCache:
 
     def store(self, kind: str, params: str, body: str) -> Path:
         path = self._path(kind, params)
-        if self.enabled:
-            self.root.mkdir(parents=True, exist_ok=True)
-            path.write_text(f"{_HEADER} {content_hash(kind, params)} {_digest(body)}\n{body}")
+        self.root.mkdir(parents=True, exist_ok=True)
+        path.write_text(f"{_HEADER} {content_hash(kind, params)} {_digest(body)}\n{body}")
         return path

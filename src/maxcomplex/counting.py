@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb, factorial, log10
 
-from .bounds import general_bound_terms
+from .bounds import general_bound_terms, tower_capped
 from .core import CapacityError, InputError
 from .witness import NoWitnessError, _nonzero_table, crossover
 
@@ -62,7 +62,7 @@ def onto_first_count(a: int, b: int) -> int:
     return sum(comb(a, m) * onto_count(a - m, b - 1) for m in range(a - (b - 1) + 1))
 
 
-def o_i(b: int, c: int, n: int, i: int, digit_limit: int = DIGIT_LIMIT) -> int:
+def o_i(b: int, c: int, n: int, i: int) -> int:
     """Functions from [b^i] to [c^(b^(n-i))] onto all but the last element."""
     if not 0 <= i <= n:
         raise InputError(f"need 0 <= i <= n, got i={i}, n={n}")
@@ -71,7 +71,7 @@ def o_i(b: int, c: int, n: int, i: int, digit_limit: int = DIGIT_LIMIT) -> int:
     exponent = b ** (n - i)
     if c > 1:
         # c^exponent has exponent * log10(c) decimal digits, give or take one
-        if exponent > 4 * digit_limit or exponent * log10(c) > digit_limit:
+        if exponent > 4 * DIGIT_LIMIT or exponent * log10(c) > DIGIT_LIMIT:
             raise CapacityError("codomain description exceeds the digit limit")
     return onto_first_count(b**i, c**exponent)
 
@@ -131,10 +131,14 @@ def brute_max_codes(b: int, c: int, n: int) -> list[int]:
     g_0..g_{b-1} (g_s is f after first symbol s).  One `residual_levels` pass
     per child stores those as bitsets over each depth's distinct tables, and f
     costs at most n ORs of b bitsets (notes/decisions.md).  Work: c^(b^(n-1))
-    passes and c^(b^n) sweep steps; the caller bounds the space.
+    passes and c^(b^n) sweep steps, so more than 2^20 functions are refused.
     """
     from . import minauto  # here: a count without the brute-force check needs no minauto
 
+    space = tower_capped(c, b, n, 1 << 64)  # c^(b^n), capped at 2^64
+    if space > 1 << 20:
+        size = space if space < 1 << 64 else "at least 2^64"
+        raise CapacityError(f"brute force over {size} functions refused")
     if c == 1:
         return []  # only the zero function
     if n == 0:

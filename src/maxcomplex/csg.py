@@ -35,7 +35,7 @@ from .lattice import (
     certify,
     search_embedding,
 )
-from .bounds import CSG_COUNTS
+from .bounds import _GAMES, _table_profile
 
 MAX_EARLY_ARITY = 5
 MAX_CSG_ARITY = 7
@@ -194,13 +194,10 @@ def csg_witness_chain(n: int) -> tuple[int, int]:
     if not 1 <= n <= 8:
         raise InputError("game witness construction supports 1 <= n <= 8")
 
-    def count_at_least(k: int) -> int:
-        # game counts are nondecreasing in arity (ignore a variable to lift)
-        return CSG_COUNTS[k] if k < len(CSG_COUNTS) else CSG_COUNTS[-1]
-
-    i = 0
-    while i + 1 <= n and 2 ** (i + 1) <= count_at_least(n - i - 1) - 1:
-        i += 1
+    # the last depth whose game term is 2^i: the crossover r if its term is still
+    # 2^r, else r - 1 (a crossover always exists, as the term at depth n is 1)
+    r, tail, _ = _table_profile(n, None, _GAMES)
+    i = r if tail[0] == 1 << r else r - 1
     return i, n - i
 
 

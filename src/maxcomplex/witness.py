@@ -8,10 +8,11 @@ the remaining arity, and deeper levels inherit fullness automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 
 from .core import CapacityError, ColoredFunction, InputError, MAX_TABLE_CELLS
-from .bounds import power_capped, tower_capped
+from .bounds import _profile, power_capped, tower_capped
 
 
 class NoWitnessError(InputError):
@@ -35,11 +36,9 @@ def crossover(b: int, c: int, n: int) -> CrossoverPoint:
         raise NoWitnessError("c=1 admits only the zero function")
     if b < 1 or n < 0:
         raise InputError(f"bad parameters b={b}, n={n}")
-    prefixes = 1
-    for i in range(n + 1):
-        if tower_capped(c, b, n - i, prefixes + 2) <= prefixes + 1:
-            return CrossoverPoint(i, n - i)
-        prefixes *= b
+    i = _profile(b, n, partial(tower_capped, c, b))[0]
+    if i <= n:
+        return CrossoverPoint(i, n - i)
     raise NoWitnessError(
         f"no crossover: b^n = {b**n} < c-1 = {c - 1} (colors outnumber words)"
     )

@@ -1,8 +1,11 @@
 import json
+from math import comb
 
 import pytest
 
+from maxcomplex import bounds
 from maxcomplex.cli import _decimal, main
+from maxcomplex.csg import csg_witness_chain
 from maxcomplex.core import ColoredFunction, InputError
 from maxcomplex.bounds import (
     CSG_COUNTS,
@@ -96,6 +99,67 @@ def test_capped_exponents_equal_the_former_evaluation(capsys):
     assert main(["bound", "--n", "15000", "--json"]) == 0
     digits = json.loads(capsys.readouterr().out)["bound"]
     assert len(digits) == 4512 and digits == _decimal(sum(_former_terms(2, 2, 15000)))
+
+
+def _former_table_term(i, k, table, extra, error, what):
+    """One term of monotone_bound or csg_bound as it was evaluated on its own."""
+    if k < len(table):
+        return min(2**i, table[k] - 1)
+    if extra and k in extra:
+        return min(2**i, extra[k] - 1)
+    if table is DEDEKIND:
+        if comb(k, k // 2) > i:
+            return 2**i
+    else:
+        if 2**i <= table[-1] - 1:
+            return 2**i
+    raise error(f"need {what}({k}) to evaluate this bound; supply it explicitly")
+
+
+def _former_table_bound(n, extra, table, error, what):
+    if n < 0:
+        raise InputError("n must be >= 0")
+    return sum(_former_table_term(i, n - i, table, extra, error, what) for i in range(n + 1))
+
+
+def _former_csg_witness_chain(n):
+    if not 1 <= n <= 8:
+        raise InputError("game witness construction supports 1 <= n <= 8")
+
+    def count_at_least(k):
+        return CSG_COUNTS[k] if k < len(CSG_COUNTS) else CSG_COUNTS[-1]
+
+    i = 0
+    while i + 1 <= n and 2 ** (i + 1) <= count_at_least(n - i - 1) - 1:
+        i += 1
+    return i, n - i
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_table_bounds_equal_the_former_evaluation():
+    extras = (None, {7: 2414682040998}, {k: 10**9 for k in range(8, 25)})
+    for n in range(400):
+        for extra in extras:
+            assert _outcome(monotone_bound, n, extra) == _outcome(
+                _former_table_bound, n, extra, DEDEKIND, NeedDedekindError, "dedekind"), (n, extra)
+            assert _outcome(csg_bound, n, extra) == _outcome(
+                _former_table_bound, n, extra, CSG_COUNTS, NeedCsgCountError, "csg_count"), (n, extra)
+    for n in range(10):
+        assert _outcome(csg_witness_chain, n) == _outcome(_former_csg_witness_chain, n), n
+
+
+def test_monotone_bound_reaches_a_missing_count_without_binomials(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bounds, "comb", lambda n, k: calls.append(n) or comb(n, k))
+    with pytest.raises(NeedDedekindError, match=r"need dedekind\(15\) "):
+        monotone_bound(10_000)
+    assert len(calls) <= 32
 
 
 def test_general_bound_examples():

@@ -172,3 +172,14 @@ def test_brute_max_codes_pass_once_per_child(monkeypatch):
     calls.clear()
     assert brute_max_codes(1, 2, 3000) == [1]
     assert calls == [2999] * 2
+
+
+def test_brute_max_codes_refuse_more_than_2_20_functions(monkeypatch):
+    calls = []
+    monkeypatch.setattr(minauto, "residual_levels", lambda *args: calls.append(args))
+    with pytest.raises(CapacityError, match=r"^brute force over 4294967296 functions refused$"):
+        brute_max_codes(2, 2, 5)
+    # 2^(2^1000000) is never built: the space is capped before it is compared
+    with pytest.raises(CapacityError, match=r"^brute force over at least 2\^64 functions refused$"):
+        brute_max_codes(2, 2, 10**6)
+    assert calls == []

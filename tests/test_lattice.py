@@ -16,7 +16,7 @@ from maxcomplex.core import (
     _mask_is_monotone,
     var_mask,
 )
-from maxcomplex.bounds import monotone_bound
+from maxcomplex.bounds import _MONOTONE, _table_profile, monotone_bound
 from maxcomplex.minauto import state_complexity
 from maxcomplex.lattice import (
     EMBEDDING_NAMES,
@@ -326,6 +326,16 @@ def test_witness_chain_shapes():
     assert witness_chain(10)[:2] == (6, 4)
     with pytest.raises(InputError):
         witness_chain(11)
+
+
+def test_witness_chain_depth_is_the_last_full_monotone_term():
+    # the catalog's chain sits at the last depth whose bound term is 2^i
+    for n in range(11):
+        r, tail, total = _table_profile(n, None, _MONOTONE)
+        terms = [2**i for i in range(r)] + tail
+        assert sum(terms) == total == monotone_bound(n)
+        last = max(i for i, term in enumerate(terms) if term == 2**i)
+        assert witness_chain(n)[:2] == (last, n - last), n
 
 
 def test_monotone_substitution_closure():
