@@ -23,6 +23,7 @@ from .core import (
     MismatchError,
     rank,
     table_cells,
+    unrank,
 )
 
 # Each command imports the library modules it runs, so that a process pays
@@ -230,6 +231,8 @@ def cmd_construct(args) -> int:
 def cmd_count_max(args) -> int:
     from . import counting
 
+    if args.list and not args.verify_brute:
+        raise InputError("--list needs --verify-brute")
     i, count = counting.count_max(args.b, args.c, args.n)
     payload: dict = {"b": args.b, "c": args.c, "n": args.n, "i": i, "count": str(count)}
     human = f"crossover {i}, {count} maximal functions"
@@ -242,10 +245,8 @@ def cmd_count_max(args) -> int:
             raise MismatchError(f"brute force counts {brute}, formula says {count}")
         human += f" (brute force agrees: {brute})"
         if args.list:
-            from . import witness
-
             for code in codes:
-                table = witness._nonzero_table(code, args.b, args.c, args.n)
+                table = bytes(unrank(code, args.b**args.n, args.c))
                 f = ColoredFunction(args.b, args.n, args.c, table)
                 words = ",".join("".join(map(str, w)) for w in f.support())
                 print(f"  {{{words}}}")
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-brute", action="store_true",
                    help="cross-check by scanning every function (small spaces only)")
     p.add_argument("--list", action="store_true",
-                   help="with --verify-brute, print each maximal language")
+                   help="print each maximal language (needs --verify-brute)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_count_max)
 

@@ -81,11 +81,10 @@ def unrank(index: int, length: int, b: int) -> Word:
     """Inverse of rank for words of the given length."""
     if not 0 <= index < b**length:
         raise InputError(f"index {index} out of range for length {length}, b={b}")
-    digits = []
-    for _ in range(length):
-        index, d = divmod(index, b)
-        digits.append(d)
-    return tuple(reversed(digits))
+    digits = [0] * length
+    for pos in range(length - 1, -1, -1):
+        index, digits[pos] = divmod(index, b)
+    return tuple(digits)
 
 
 @lru_cache(maxsize=None)

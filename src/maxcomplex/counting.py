@@ -10,14 +10,14 @@ and alive.  Inclusion-exclusion over the missed values gives a closed form.
 from __future__ import annotations
 
 from itertools import product
-from math import comb, factorial, log10
+from math import comb, factorial, log10, perm
 
 from .bounds import general_bound_terms, tower_capped
-from .core import CapacityError, InputError
-from .witness import NoWitnessError, _nonzero_table, crossover
+from .core import CapacityError, InputError, unrank
+from .witness import NoWitnessError, crossover
 
 # Keeps the inclusion-exclusion loop responsive: at most this many big-int
-# multiplications (terms x falling-factorial length).
+# multiplications (terms x blocks).
 MAX_COUNT_WORK = 10**7
 
 # Refuse to materialize codomain cardinalities above this many decimal digits.
@@ -28,38 +28,37 @@ class NoMaxError(InputError):
     """The bound's term-by-term profile is not realizable for these parameters."""
 
 
+def _covering(s: int, pool: int, ways) -> int:
+    """Objects using each of s required values of a pool, where ways(p) counts
+    those built from any p values: sum_j (-1)^j C(s, j) * ways(pool - j)."""
+    total = 0
+    for j in range(s + 1):
+        term = comb(s, j) * ways(pool - j)
+        total += -term if j & 1 else term
+    return total
+
+
 def stirling2(m: int, n: int) -> int:
     """Stirling number of the second kind S(m, n)."""
-    if m < 0 or n < 0:
-        raise InputError("arguments must be >= 0")
-    if n > m:
-        return 0
-    if n == 0:
-        return 1 if m == 0 else 0
-    row = [1] + [0] * n  # S(0, .)
-    for _ in range(m):
-        new = [0] * (n + 1)
-        for j in range(1, n + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
-    return row[n]
+    return onto_count(m, n) // factorial(n)
 
 
 def onto_count(m: int, n: int) -> int:
     """Number of surjections from [m] onto [n]: n! * S(m, n)."""
-    s = stirling2(m, n)
-    return 0 if s == 0 else factorial(n) * s
+    if m < 0 or n < 0:
+        raise InputError("arguments must be >= 0")
+    if n > m:
+        return 0
+    return _covering(n, n, lambda p: p**m)
 
 
 def onto_first_count(a: int, b: int) -> int:
-    """Functions [a] -> [b] covering the first b-1 elements of [b].
-
-    Summed over how many arguments m land on the exempt last element:
-    sum_m C(a, m) * onto(a - m, b - 1).
-    """
+    """Functions [a] -> [b] covering the first b-1 elements of [b]."""
     if a < 0 or b < 1:
         raise InputError("need a >= 0 and b >= 1")
-    return sum(comb(a, m) * onto_count(a - m, b - 1) for m in range(a - (b - 1) + 1))
+    if b - 1 > a:
+        return 0
+    return _covering(b - 1, b, lambda p: p**a)
 
 
 def o_i(b: int, c: int, n: int, i: int) -> int:
@@ -76,15 +75,6 @@ def o_i(b: int, c: int, n: int, i: int) -> int:
     return onto_first_count(b**i, c**exponent)
 
 
-def falling_factorial(x: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= x - t
-        if out == 0:
-            return 0
-    return out
-
-
 def count_max(b: int, c: int, n: int) -> tuple[int, int]:
     """Crossover depth and the exact number of maximum-complexity functions.
 
@@ -95,9 +85,11 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
     must be pairwise distinct and not identically zero.  By inclusion-
     exclusion over missed nonzero functions:
 
-        sum_j (-1)^j C(s, j) * ff((N - j)^b - 1, b^(i-1))
+        sum_j (-1)^j C(s, j) * perm((N - j)^b - 1, b^(i-1))
 
-    where ff is the falling factorial counting injective block choices.
+    where perm counts the injective block choices.  This is o_i(b, c, n, i)
+    with each assignment also required to have injective nonzero blocks; the
+    two agree exactly when N - 1 > b^i - b (notes/decisions.md).
     """
     if c < 2:
         raise NoMaxError("c=1 admits no nonzero functions")
@@ -110,22 +102,17 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
         # c=2 with a single word: the unique maximal function accepts it
         return 0, 1
     codomain = c ** (b**cross.k)
-    s = codomain - 1
     blocks = b ** (i - 1)
-    if s * blocks > MAX_COUNT_WORK:
+    if (codomain - 1) * blocks > MAX_COUNT_WORK:
         raise CapacityError("count exceeds the configured work limit")
-    total = 0
-    for j in range(s + 1):
-        term = comb(s, j) * falling_factorial((codomain - j) ** b - 1, blocks)
-        total += -term if j & 1 else term
-    return i, total
+    return i, _covering(codomain - 1, codomain, lambda p: perm(p**b - 1, blocks))
 
 
 def brute_max_codes(b: int, c: int, n: int) -> list[int]:
     """Codes of the maximal functions [b]^n -> [c], each function checked in turn.
 
     A code is the table read as a base-c number, first cell most significant
-    (`witness._nonzero_table` decodes it); the list ascends.  f is maximal iff
+    (`core.unrank` decodes it); the list ascends.  f is maximal iff
     it is nonzero and each depth d >= 1 has its term of distinct nonzero
     residuals: the union of the depth-(d-1) residuals of f's children
     g_0..g_{b-1} (g_s is f after first symbol s).  One `residual_levels` pass
@@ -147,9 +134,10 @@ def brute_max_codes(b: int, c: int, n: int) -> list[int]:
     # one id table per depth keeps each depth's bitsets as narrow as its level
     ids: list[dict[bytes, int]] = [{} for _ in terms]
     rows = []  # rows[g][d]: bitset of the depth-d residuals of child g
-    for code in range(c ** (b ** (n - 1))):
+    cells = b ** (n - 1)  # of each child's table
+    for code in range(c**cells):
         row = []
-        levels = minauto.residual_levels([_nonzero_table(code, b, c, n - 1)], b, n - 1)
+        levels = minauto.residual_levels([bytes(unrank(code, cells, c))], b, n - 1)
         for index, (level, _) in zip(ids, levels):
             bits = 0
             for table in level:

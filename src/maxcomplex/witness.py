@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import count
 
-from .core import CapacityError, ColoredFunction, InputError, MAX_TABLE_CELLS
+from .core import CapacityError, ColoredFunction, InputError, MAX_TABLE_CELLS, unrank
 from .bounds import _profile, power_capped, tower_capped
 
 
@@ -44,16 +44,6 @@ def crossover(b: int, c: int, n: int) -> CrossoverPoint:
     )
 
 
-def _nonzero_table(index: int, b: int, c: int, arity: int) -> bytes:
-    """Table of the index-th nonzero function, tables read as base-c numbers."""
-    cells = b**arity
-    digits = bytearray(cells)
-    for pos in range(cells - 1, -1, -1):
-        index, d = divmod(index, c)
-        digits[pos] = d
-    return bytes(digits)
-
-
 def nonzero_functions(b: int, c: int, arity: int) -> list[ColoredFunction]:
     """All nonzero functions [b]^arity -> [c] in canonical ascending order."""
     if arity < 0:
@@ -61,10 +51,8 @@ def nonzero_functions(b: int, c: int, arity: int) -> list[ColoredFunction]:
     total = power_capped(c, b**arity, MAX_TABLE_CELLS + 2)
     if total > MAX_TABLE_CELLS:
         raise CapacityError(f"{total - 1} functions exceed capacity")
-    return [
-        ColoredFunction(b, arity, c, _nonzero_table(idx, b, c, arity))
-        for idx in range(1, total)
-    ]
+    cells = b**arity
+    return [ColoredFunction(b, arity, c, bytes(unrank(idx, cells, c))) for idx in range(1, total)]
 
 
 def construct_maximal(b: int, c: int, n: int) -> ColoredFunction:
@@ -88,7 +76,7 @@ def construct_maximal(b: int, c: int, n: int) -> ColoredFunction:
     blocks = b ** (cross.i - 1)
     if s > MAX_TABLE_CELLS or blocks > MAX_TABLE_CELLS or b**n > MAX_TABLE_CELLS:
         raise CapacityError("construction exceeds capacity limits")
-    parts = [_nonzero_table(idx, b, c, k) for idx in range(1, s + 1)]
+    parts = [bytes(unrank(idx, b**k, c)) for idx in range(1, s + 1)]
     q, r = divmod(s, b)
     glued = [b"".join(parts[j * b : (j + 1) * b]) for j in range(q)]
     if r:
@@ -100,7 +88,7 @@ def construct_maximal(b: int, c: int, n: int) -> ColoredFunction:
     for idx in count(1):
         if len(glued) == blocks:
             break
-        candidate = _nonzero_table(idx, b, c, k + 1)
+        candidate = bytes(unrank(idx, b ** (k + 1), c))
         if candidate not in used:
             glued.append(candidate)
             used.add(candidate)

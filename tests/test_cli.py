@@ -195,6 +195,14 @@ def test_cmd_count_max_list(capsys):
     assert out.count("{") == 6
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["human", "json"])
+def test_cmd_count_max_list_needs_verify_brute(capsys, extra):
+    assert main(["count-max", "--n", "3", "--list", *extra]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --list needs --verify-brute\n"
+
+
 def test_cmd_count_max_brute_capacity(capsys):
     assert main(["count-max", "--n", "5", "--verify-brute"]) == EXIT_CAPACITY
 

@@ -1,17 +1,17 @@
 from itertools import product
-from math import comb
+from math import comb, factorial, log10
 
 import pytest
 
-from maxcomplex import minauto, witness
-from maxcomplex.core import CapacityError, ColoredFunction
+from maxcomplex import minauto
+from maxcomplex.core import CapacityError, ColoredFunction, InputError, unrank
 from maxcomplex.bounds import general_bound, general_bound_terms
 from maxcomplex.minauto import state_complexity
+from maxcomplex.witness import NoWitnessError, crossover
 from maxcomplex.counting import (
     NoMaxError,
     brute_max_codes,
     count_max,
-    falling_factorial,
     o_i,
     onto_count,
     onto_first_count,
@@ -82,27 +82,27 @@ def test_o_i_digit_guard():
         o_i(2, 2, 60, 0)
 
 
-def test_falling_factorial():
-    assert falling_factorial(15, 2) == 210
-    assert falling_factorial(3, 4) == 0
-    assert falling_factorial(9, 0) == 1
-
-
 def test_count_max_example():
     assert count_max(2, 2, 3) == (2, 60)
 
 
+def _former_nonzero_table(index, b, c, arity):
+    """The decoder `witness` had before `core.unrank` took its place: the table
+    whose cells, read as base-c digits, first cell most significant, are index."""
+    cells = b**arity
+    digits = bytearray(cells)
+    for pos in range(cells - 1, -1, -1):
+        index, d = divmod(index, c)
+        digits[pos] = d
+    return bytes(digits)
+
+
 def _brute_count(b, c, n):
     bound = general_bound(b, c, n)
-    cells = b**n
     total = 0
-    for code in range(1, c**cells):
-        table = bytearray(cells)
-        v = code
-        for pos in range(cells - 1, -1, -1):
-            v, d = divmod(v, c)
-            table[pos] = d
-        if state_complexity(ColoredFunction(b, n, c, bytes(table))) == bound:
+    for code in range(1, c ** (b**n)):
+        table = _former_nonzero_table(code, b, c, n)
+        if state_complexity(ColoredFunction(b, n, c, table)) == bound:
             total += 1
     return total
 
@@ -115,6 +115,24 @@ def test_count_max_matches_brute_force(b, c, n):
     assert o_i(b, c, n, i) > 0
     for smaller in range(i):
         assert o_i(b, c, n, smaller) == 0
+
+
+def test_count_max_equals_o_i_exactly_when_no_block_can_repeat():
+    # An assignment covering the N - 1 nonzero functions leaves b^i - (N - 1)
+    # prefixes free; a repeated or zero b-block needs b of them (notes/decisions.md).
+    checked = 0
+    for b, c, n in product(range(2, 5), range(2, 5), range(7)):
+        try:
+            i, count = count_max(b, c, n)
+        except (CapacityError, NoMaxError):
+            continue
+        checked += 1
+        codomain = c ** (b ** (n - i))
+        assert (count == o_i(b, c, n, i)) == (codomain - 1 > b**i - b), (b, c, n)
+    assert checked == 56  # 53 with i >= 1, and (b, 2, 0) for b = 2, 3, 4 with i = 0
+    assert (count_max(2, 2, 3)[1], o_i(2, 2, 3, 2)) == (60, 60)
+    assert (count_max(2, 2, 2)[1], o_i(2, 2, 2, 2)) == (6, 15)
+    assert (count_max(2, 2, 4)[1], o_i(2, 2, 4, 3)) == (27720, 46620)
 
 
 def test_count_max_degenerate():
@@ -136,8 +154,7 @@ def _former_brute(b, c, n):
     terms = general_bound_terms(b, c, n)
     codes = []
     for code in range(1, c ** (b**n)):
-        table = witness._nonzero_table(code, b, c, n)
-        levels = minauto.residual_levels([table], b, n)
+        levels = minauto.residual_levels([_former_nonzero_table(code, b, c, n)], b, n)
         if all(len(level) == term for (level, _), term in zip(levels, terms)):
             codes.append(code)
     return codes
@@ -183,3 +200,112 @@ def test_brute_max_codes_refuse_more_than_2_20_functions(monkeypatch):
     with pytest.raises(CapacityError, match=r"^brute force over at least 2\^64 functions refused$"):
         brute_max_codes(2, 2, 10**6)
     assert calls == []
+
+
+# The counts as they were computed before one inclusion-exclusion served them
+# all: a Stirling recurrence, a sum over the exempt element's preimage, and an
+# alternating loop over a falling factorial.
+
+def _former_stirling2(m, n):
+    if m < 0 or n < 0:
+        raise InputError("arguments must be >= 0")
+    if n > m:
+        return 0
+    if n == 0:
+        return 1 if m == 0 else 0
+    row = [1] + [0] * n  # S(0, .)
+    for _ in range(m):
+        new = [0] * (n + 1)
+        for j in range(1, n + 1):
+            new[j] = j * row[j] + row[j - 1]
+        row = new
+    return row[n]
+
+
+def _former_onto_count(m, n):
+    s = _former_stirling2(m, n)
+    return 0 if s == 0 else factorial(n) * s
+
+
+def _former_onto_first_count(a, b):
+    if a < 0 or b < 1:
+        raise InputError("need a >= 0 and b >= 1")
+    return sum(comb(a, m) * _former_onto_count(a - m, b - 1) for m in range(a - (b - 1) + 1))
+
+
+def _former_o_i(b, c, n, i):
+    if not 0 <= i <= n:
+        raise InputError(f"need 0 <= i <= n, got i={i}, n={n}")
+    if b < 1 or c < 1:
+        raise InputError(f"bad parameters b={b}, c={c}")
+    exponent = b ** (n - i)
+    if c > 1:
+        if exponent > 4 * 10**6 or exponent * log10(c) > 10**6:
+            raise CapacityError("codomain description exceeds the digit limit")
+    return _former_onto_first_count(b**i, c**exponent)
+
+
+def _former_falling_factorial(x, k):
+    out = 1
+    for t in range(k):
+        out *= x - t
+        if out == 0:
+            return 0
+    return out
+
+
+def _former_count_max(b, c, n):
+    if c < 2:
+        raise NoMaxError("c=1 admits no nonzero functions")
+    try:
+        cross = crossover(b, c, n)
+    except NoWitnessError as exc:
+        raise NoMaxError(str(exc)) from None
+    i = cross.i
+    if i == 0:
+        return 0, 1
+    codomain = c ** (b**cross.k)
+    s = codomain - 1
+    blocks = b ** (i - 1)
+    if s * blocks > 10**7:
+        raise CapacityError("count exceeds the configured work limit")
+    total = 0
+    for j in range(s + 1):
+        term = comb(s, j) * _former_falling_factorial((codomain - j) ** b - 1, blocks)
+        total += -term if j & 1 else term
+    return i, total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_surjection_counts_equal_the_former_evaluation():
+    for m, n in product(range(-1, 12), repeat=2):
+        assert _outcome(stirling2, m, n) == _outcome(_former_stirling2, m, n), (m, n)
+        assert _outcome(onto_count, m, n) == _outcome(_former_onto_count, m, n), (m, n)
+    for a, b in product(range(-1, 14), range(0, 14)):
+        assert _outcome(onto_first_count, a, b) == _outcome(_former_onto_first_count, a, b), (a, b)
+
+
+def test_o_i_and_count_max_equal_the_former_evaluation():
+    for b, c, n in product(range(0, 5), range(0, 5), range(-1, 9)):
+        # b = 4, n = 8 is left out: the former loop takes seconds there at c = 3 and 4
+        if n < 8 or b < 4:
+            assert _outcome(count_max, b, c, n) == _outcome(_former_count_max, b, c, n), (b, c, n)
+        # the former sum costs about b^(3i) steps once its codomain fits: i is kept small
+        for i in range(-1, n + 2):
+            if i < 1 or b**i <= 64:
+                assert _outcome(o_i, b, c, n, i) == _outcome(_former_o_i, b, c, n, i), (b, c, n, i)
+
+
+def test_unrank_decodes_like_the_former_table_decoder():
+    for b, c, arity in product(range(1, 5), range(1, 5), range(3)):
+        cells, space = b**arity, c ** (b**arity)
+        # every index of spaces up to 2^16; the 512 extreme ones of the larger
+        indexes = range(space) if space <= 1 << 16 else [*range(256), *range(space - 256, space)]
+        for index in indexes:
+            assert bytes(unrank(index, cells, c)) == _former_nonzero_table(index, b, c, arity)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from maxcomplex.bounds import general_bound
@@ -88,6 +90,20 @@ def test_construct_rejects_c1():
 
 def test_construct_deterministic():
     assert construct_maximal(2, 2, 5) == construct_maximal(2, 2, 5)
+
+
+# sha256 of the tables built when `witness` decoded codes with its own loop,
+# before `core.unrank` took that job
+@pytest.mark.parametrize("signature,digest", [
+    ((2, 2, 5), "8b564dcdeb22306c584c0bf654ae6b56aaecdcafd9e8c54c5a807cfa48312062"),
+    ((2, 2, 8), "9651bbe87579477ee98190661b684479048bb373d0f62e5c73bd2ae1f01e3e32"),
+    ((2, 3, 4), "00f8982dc8b4f350d3013b5017470a70a1377bdc59174a282a8d1e35015971ef"),
+    ((3, 3, 3), "097065f52c0f96e6c7648800ed2833b1519816fb1c963ab31f6888b454b2d90d"),
+    ((3, 2, 4), "fc5a39104d46476dc6babe9ec781354f0f5fffe98703c0b3bd5e766b8c06874a"),
+    ((4, 2, 4), "fd0e1d1fee5addc32c728f09dad3a9a9ee29158c774ab922d6b159f286f87d7e"),
+])
+def test_construct_tables_are_unchanged(signature, digest):
+    assert hashlib.sha256(construct_maximal(*signature).table).hexdigest() == digest
 
 
 def test_constructed_witness_is_table1_member():
