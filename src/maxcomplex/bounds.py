@@ -76,13 +76,19 @@ def tower_capped(c: int, b: int, e: int, cap: int) -> int:
     return power_capped(c, power_capped(b, e, cap.bit_length() + 1), cap)
 
 
-def _profile(b: int, n: int, count: Callable[[int, int], int]) -> tuple[int, list[int], int]:
+def _profile(b: int, n: int, count: Callable[[int, int], int],
+             above: Callable[[int, int], bool]) -> tuple[int, list[int], int]:
     """(r, tail, total) for the sum over depths i = 0..n of min(b^i, N(n-i) - 1).
     r is the least i with b^i >= N(n-i) - 1, or n + 1 if there is none, so each
     term below r is b^i; tail lists the terms from r on.  count(k, cap) returns
-    min(N(k), cap) and is only asked with cap = b^i + 2, so no larger N is built."""
-    r, tail, prefixes = n + 1, [], 1
-    for i in range(n + 1):
+    min(N(k), cap) and is only asked with cap = b^i + 2, so no larger N is built.
+    above(k, e) is True only if N(k) >= 2^e and count(k, 2^e) returns 2^e: while
+    it holds for 2^e > b^i + 2, depth i is below r and b^i is not built."""
+    i, step = 0, b.bit_length()  # b^i < 2^(i * step)
+    while b > 1 and i <= n and above(n - i, i * step + 2):
+        i += 1
+    r, tail, prefixes = n + 1, [], b**i
+    for i in range(i, n + 1):
         cap = prefixes + 2
         capped = count(n - i, cap)
         if r > n and capped < cap:
@@ -93,10 +99,16 @@ def _profile(b: int, n: int, count: Callable[[int, int], int]) -> tuple[int, lis
     return r, tail, (r if b == 1 else (b**r - 1) // (b - 1)) + sum(tail)
 
 
+def _tower_profile(b: int, c: int, n: int) -> tuple[int, list[int], int]:
+    """_profile for N(k) = c^(b^k), which is at least 2^(b^k * (c.bit_length() - 1))."""
+    return _profile(b, n, partial(tower_capped, c, b),
+                    lambda k, e: power_capped(b, k, e) * (c.bit_length() - 1) >= e)
+
+
 def _general_profile(b: int, c: int, n: int) -> tuple[int, list[int], int]:
     if b < 1 or c < 1 or n < 0:
         raise InputError(f"bad parameters b={b}, c={c}, n={n}")
-    return _profile(b, n, partial(tower_capped, c, b))
+    return _tower_profile(b, c, n)
 
 
 def general_bound(b: int, c: int, n: int) -> int:
@@ -153,35 +165,46 @@ def cp_family(seed: Iterable[ColoredFunction]) -> list[int]:
     return [len(level) for level, _ in residual_levels((f.table for f in funcs), b, n)]
 
 
-def _dedekind_reaches(k: int, cap: int) -> bool:
-    """Whether M(k) >= cap follows from M(k) >= 2^C(k, k//2), the antichains of
+def _dedekind_reaches(k: int, e: int) -> bool:
+    """Whether M(k) >= 2^e follows from M(k) >= 2^C(k, k//2), the antichains of
     the middle layer.  C(k, k//2) >= 2^(k//2) settles large k without comb."""
-    e = (cap - 1).bit_length()  # 2^C >= cap iff C >= e
     return k // 2 >= e.bit_length() or comb(k, k // 2) >= e
 
 
 def _table_profile(n: int, extra: Mapping[int, int] | None, kind: tuple) -> tuple:
     """_profile for b = 2, N(k) taken from the kind's table, then from the caller's
-    extra counts, then from a lower bound when the kind's reaches(k, cap) holds."""
-    table, reaches, error, what = kind
+    extra counts, then from a lower bound when the kind's reaches(k, cap) holds;
+    reaches_bits(k, e) tells, from the same lower bound, whether N(k) >= 2^e."""
+    table, reaches, reaches_bits, error, what = kind
     if n < 0:
         raise InputError("n must be >= 0")
 
-    def count(k: int, cap: int) -> int:
+    def known(k: int) -> int | None:
         if k < len(table):
-            return min(table[k], cap)
-        if extra and k in extra:
-            return min(extra[k], cap)
+            return table[k]
+        return extra.get(k) if extra else None
+
+    def count(k: int, cap: int) -> int:
+        value = known(k)
+        if value is not None:
+            return min(value, cap)
         if reaches(k, cap):
             return cap
         raise error(f"need {what}({k}) to evaluate this bound; supply it explicitly")
 
-    return _profile(2, n, count)
+    def above(k: int, e: int) -> bool:
+        value = known(k)
+        return value.bit_length() > e if value is not None else reaches_bits(k, e)
+
+    return _profile(2, n, count, above)
 
 
-_MONOTONE = (DEDEKIND, _dedekind_reaches, NeedDedekindError, "dedekind")
+# 2^C >= cap iff C >= (cap - 1).bit_length()
+_MONOTONE = (DEDEKIND, lambda k, cap: _dedekind_reaches(k, (cap - 1).bit_length()),
+             _dedekind_reaches, NeedDedekindError, "dedekind")
 # game counts grow with arity (a (k-1)-ary game lifts by ignoring a variable)
-_GAMES = (CSG_COUNTS, lambda k, cap: CSG_COUNTS[-1] >= cap, NeedCsgCountError, "csg_count")
+_GAMES = (CSG_COUNTS, lambda k, cap: CSG_COUNTS[-1] >= cap,
+          lambda k, e: CSG_COUNTS[-1].bit_length() > e, NeedCsgCountError, "csg_count")
 
 
 def monotone_bound(n: int, dedekind: Mapping[int, int] | None = None) -> int:

@@ -245,11 +245,16 @@ def cmd_count_max(args) -> int:
             raise MismatchError(f"brute force counts {brute}, formula says {count}")
         human += f" (brute force agrees: {brute})"
         if args.list:
+            languages = []
             for code in codes:
                 table = bytes(unrank(code, args.b**args.n, args.c))
                 f = ColoredFunction(args.b, args.n, args.c, table)
-                words = ",".join("".join(map(str, w)) for w in f.support())
-                print(f"  {{{words}}}")
+                languages.append("{" + ",".join("".join(map(str, w)) for w in f.support()) + "}")
+            if args.json:
+                payload["languages"] = languages
+            else:
+                for language in languages:
+                    print(f"  {language}")
     _emit(args, payload, human)
     return EXIT_OK
 

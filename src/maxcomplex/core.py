@@ -9,7 +9,6 @@ so fixing a prefix is a contiguous slice of the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
@@ -24,6 +23,45 @@ MAX_COLORS = 256
 EMBEDDING_NAMES = ("post_alh", "fig39", "both_restricted", "alh", "small", "friday")
 # Binary tables <-> digit strings, character r being cell r.
 _FROM_DIGITS, _TO_DIGITS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"\0\1", b"01")
+
+
+class Value:
+    """Base of the immutable value classes.  A subclass lists its fields in
+    `__slots__`, checks its arguments in its own `__init__`, then sets the
+    fields and `_key`, the tuple of the fields in slot order, through `_set`.
+    Equality is same type and same `_key`, the hash is that of `_key`, and
+    fields can be neither assigned nor deleted.  Why the classes are written
+    out: notes/decisions.md, "Value classes are written out"."""
+
+    __slots__ = ("_key",)
+
+    def _set(self, *values):
+        """Set the fields, given in slot order, and `_key`.  The two hot
+        constructors below write this out with the same calls."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class MaxcomplexError(Exception):
@@ -109,21 +147,22 @@ def table_cells(b: int, n: int, c: int) -> int:
     return b**n
 
 
-@dataclass(frozen=True)
-class ColoredFunction:
+class ColoredFunction(Value):
     """Total map [b]^n -> [c], stored as a dense rank-indexed table."""
 
-    b: int
-    n: int
-    c: int
-    table: bytes
+    __slots__ = ("b", "n", "c", "table")
 
-    def __post_init__(self):
-        cells = table_cells(self.b, self.n, self.c)
-        if len(self.table) != cells:
-            raise InputError(f"table length {len(self.table)} != b^n = {cells}")
-        if max(self.table) >= self.c:
-            raise InputError(f"table entry out of color range [{self.c}]")
+    def __init__(self, b: int, n: int, c: int, table: bytes):
+        cells = table_cells(b, n, c)
+        if len(table) != cells:
+            raise InputError(f"table length {len(table)} != b^n = {cells}")
+        if max(table) >= c:
+            raise InputError(f"table entry out of color range [{c}]")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_key", (b, n, c, table))
 
     @classmethod
     def from_values(cls, b: int, n: int, c: int, values: Iterable[int]) -> "ColoredFunction":
@@ -242,16 +281,17 @@ def upward_closure_mask(n: int, mask: int) -> int:
     return closed
 
 
-@dataclass(frozen=True)
-class MonotoneFunction:
+class MonotoneFunction(Value):
     """Upward-closed subset of the Boolean cube {0,1}^n as a 2^n-bit mask."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
-    def __post_init__(self):
-        if not _mask_is_monotone(self.n, self.mask):
+    def __init__(self, n: int, mask: int):
+        if not _mask_is_monotone(n, mask):
             raise InputError("mask is not upward closed")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_key", (n, mask))
 
     def as_colored(self) -> ColoredFunction:
         return ColoredFunction.from_mask(self.n, self.mask)

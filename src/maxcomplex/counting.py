@@ -10,15 +10,18 @@ and alive.  Inclusion-exclusion over the missed values gives a closed form.
 from __future__ import annotations
 
 from itertools import product
-from math import comb, factorial, log10, perm
+from math import comb, factorial, log2, log10, perm
 
-from .bounds import general_bound_terms, tower_capped
+from .bounds import general_bound_terms, power_capped, tower_capped
 from .core import CapacityError, InputError, unrank
 from .witness import NoWitnessError, crossover
 
-# Keeps the inclusion-exclusion loop responsive: at most this many big-int
-# multiplications (terms x blocks).
+# Keep the inclusion-exclusion loop responsive: at most this many big-int
+# multiplications (terms x blocks), and at most this much work by operand size,
+# terms x bits^1.5 with the bits of one term's product, about how the cost of
+# big-int products grows with their size (2*10^10 is 2-3 s on a 2-core Xeon VM).
 MAX_COUNT_WORK = 10**7
+MAX_COUNT_BIT_WORK = 2 * 10**10
 
 # Refuse to materialize codomain cardinalities above this many decimal digits.
 DIGIT_LIMIT = 10**6
@@ -67,11 +70,24 @@ def o_i(b: int, c: int, n: int, i: int) -> int:
         raise InputError(f"need 0 <= i <= n, got i={i}, n={n}")
     if b < 1 or c < 1:
         raise InputError(f"bad parameters b={b}, c={c}")
-    exponent = b ** (n - i)
-    if c > 1:
-        # c^exponent has exponent * log10(c) decimal digits, give or take one
-        if exponent > 4 * DIGIT_LIMIT or exponent * log10(c) > DIGIT_LIMIT:
-            raise CapacityError("codomain description exceeds the digit limit")
+    if c == 1:
+        return 1  # the one map [b^i] -> [1], with no value to cover
+    exponent = power_capped(b, n - i, 4 * DIGIT_LIMIT + 1)  # b^(n-i), exact below the guard
+    # c^exponent has exponent * log10(c) decimal digits, give or take one
+    digits = exponent * log10(c)
+    if exponent > 4 * DIGIT_LIMIT or digits > DIGIT_LIMIT:
+        raise CapacityError("codomain description exceeds the digit limit")
+    # The result is 0 unless the b^i arguments reach all N - 1 values, and then
+    # it has about b^i * log10(N) digits.  From 4 * DIGIT_LIMIT on, b^i is
+    # compared with N in bits, and b^i >= N / 2 counts as reaching.
+    arguments = power_capped(b, i, 4 * DIGIT_LIMIT)
+    if arguments * digits > DIGIT_LIMIT:
+        if arguments < 4 * DIGIT_LIMIT:
+            reaches = power_capped(c, exponent, arguments + 2) <= arguments + 1
+        else:
+            reaches = i * log2(b) >= exponent * log2(c) - 1
+        if reaches:
+            raise CapacityError("result exceeds the digit limit")
     return onto_first_count(b**i, c**exponent)
 
 
@@ -103,7 +119,9 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
         return 0, 1
     codomain = c ** (b**cross.k)
     blocks = b ** (i - 1)
-    if (codomain - 1) * blocks > MAX_COUNT_WORK:
+    # each term's product has about b * blocks * log2(codomain) = b^n * log2(c) bits
+    bits = min(b**n, MAX_COUNT_BIT_WORK) * log2(c)  # capped before it becomes a float
+    if (codomain - 1) * blocks > MAX_COUNT_WORK or codomain * bits**1.5 > MAX_COUNT_BIT_WORK:
         raise CapacityError("count exceeds the configured work limit")
     return i, _covering(codomain - 1, codomain, lambda p: perm(p**b - 1, blocks))
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -26,6 +25,7 @@ from .core import (
     EMBEDDING_NAMES,
     InputError,
     MonotoneFunction,
+    Value,
     var_mask,
 )
 
@@ -220,19 +220,17 @@ class AdequacyError(InputError):
     """The map fails one of the embedding requirements."""
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(Value):
     """Total map between two explicit posets, by target index per source index."""
 
-    source: Poset
-    target: Poset
-    image: tuple
+    __slots__ = ("source", "target", "image")
 
-    def __post_init__(self):
-        if len(self.image) != len(self.source):
+    def __init__(self, source: Poset, target: Poset, image: tuple):
+        if len(image) != len(source):
             raise InputError("image must be total on the source")
-        if any(not 0 <= t < len(self.target) for t in self.image):
+        if any(not 0 <= t < len(target) for t in image):
             raise InputError("image index out of range")
+        self._set(source, target, image)
 
     @classmethod
     def from_labels(cls, source: Poset, target: Poset, masks: Iterable) -> "LatticeMap":
@@ -278,31 +276,35 @@ def is_adequate(funcs: Iterable[MonotoneFunction], strong: bool = False) -> bool
     return needed <= (lows | highs)
 
 
-@dataclass(frozen=True)
-class AdequacyCertificate:
+class AdequacyCertificate(Value):
     """Verified embedding data: the map, its substitutions, and the cover."""
 
-    kind: str  # "monotone" or "csg"
-    i: int
-    j: int
-    map: LatticeMap
-    substitutions: tuple  # per image element, the (eps=0, eps=1) masks
-    covered: frozenset  # nonzero (j-1)-ary masks hit by substitutions
-    uses_zero: bool  # some substitution is the zero function
+    __slots__ = ("kind", "i", "j", "map", "substitutions", "covered", "uses_zero")
+
+    def __init__(self, kind: str, i: int, j: int, map: LatticeMap, substitutions: tuple,
+                 covered: frozenset, uses_zero: bool):
+        # kind is "monotone" or "csg"; substitutions holds, per image element,
+        # the (eps=0, eps=1) masks; covered, the nonzero (j-1)-ary masks they
+        # hit; uses_zero, whether one of them is the zero function
+        self._set(kind, i, j, map, substitutions, covered, uses_zero)
 
 
-@dataclass(frozen=True)
-class LatticeKind:
+class LatticeKind(Value):
     """One lattice family; its callables look up the module functions when called."""
 
-    order: str  # the source order's name in certificates
-    source: Callable[[int], Poset]  # i -> the source cube, labeled by rank
-    nonzero: Callable[[int], tuple]  # j -> the nonzero j-ary masks, ascending
-    target: Callable[[int], Poset]  # j -> those masks under inclusion
-    check: Callable[[int, int, LatticeMap], AdequacyCertificate]  # the public certifier
-    max_j: int  # largest j whose target poset is built
-    source_name: str  # formatted with i in error messages
-    target_name: str  # formatted with j in error messages
+    __slots__ = ("order", "source", "nonzero", "target", "check", "max_j", "source_name",
+                 "target_name")
+
+    def __init__(self,
+                 order: str,  # the source order's name in certificates
+                 source: Callable[[int], Poset],  # i -> the source cube, labeled by rank
+                 nonzero: Callable[[int], tuple],  # j -> the nonzero j-ary masks, ascending
+                 target: Callable[[int], Poset],  # j -> those masks under inclusion
+                 check: Callable[[int, int, LatticeMap], AdequacyCertificate],  # the certifier
+                 max_j: int,  # largest j whose target poset is built
+                 source_name: str,  # formatted with i in error messages
+                 target_name: str):  # formatted with j in error messages
+        self._set(order, source, nonzero, target, check, max_j, source_name, target_name)
 
 
 KINDS: dict[str, LatticeKind] = {}  # "csg" is added when `csg` is imported
@@ -471,11 +473,12 @@ def lemma_les_check() -> bool:
 # Backtracking search for embeddings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    status: str  # "found", "exhausted", or "none"
-    map: "LatticeMap | None"
-    nodes: int
+class SearchOutcome(Value):
+    __slots__ = ("status", "map", "nodes")
+
+    def __init__(self, status: str, map: LatticeMap | None, nodes: int):
+        # status is "found", "exhausted", or "none"
+        self._set(status, map, nodes)
 
 
 def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,

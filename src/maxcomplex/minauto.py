@@ -8,12 +8,12 @@ automaton is leveled: transitions go from depth d to depth d+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import (
     ColoredFunction,
     InputError,
+    Value,
     WordLike,
     as_word,
     is_zero,
@@ -72,22 +72,21 @@ def state_complexity(f: ColoredFunction) -> int:
     return sum(states_by_depth(f))
 
 
-@dataclass(frozen=True)
-class Pdfa:
+class Pdfa(Value):
     """Leveled partial deterministic automaton accepting a colored function.
 
     Special states q_1..q_{c-1} are the depth-n states; a run ends in q_i
     exactly on the words of color i, and dies (or never existed) on color 0.
+    `special` holds at index i-1 the id of q_i, or None if color i is unused;
+    `depth` holds the depth of each state.  The dict of transitions makes a
+    Pdfa unhashable.
     """
 
-    b: int
-    n: int
-    c: int
-    state_count: int
-    start: int
-    transitions: dict[tuple[int, int], int]
-    special: tuple  # index i-1 holds the id of q_i, or None if color i unused
-    depth: tuple    # depth of each state
+    __slots__ = ("b", "n", "c", "state_count", "start", "transitions", "special", "depth")
+
+    def __init__(self, b: int, n: int, c: int, state_count: int, start: int,
+                 transitions: dict[tuple[int, int], int], special: tuple, depth: tuple):
+        self._set(b, n, c, state_count, start, transitions, special, depth)
 
 
 def minimal_pdfa(f: ColoredFunction) -> Pdfa:
@@ -192,18 +191,19 @@ def _live_prefixes(f: ColoredFunction, depth: int) -> list[int]:
             if f.table[r * span : (r + 1) * span] != dead]
 
 
-@dataclass(frozen=True)
-class EquivClasses:
+class EquivClasses(Value):
     """Live prefixes grouped into classes of equivalent behavior, per depth.
 
     Two prefixes share a class exactly when no bounded extension separates
     them; live prefixes of different lengths never do (their extensions
-    cannot both reach length n), so the grouping is per depth.
+    cannot both reach length n), so the grouping is per depth.  `by_depth`
+    holds, per depth, a tuple of classes, each a tuple of Words.
     """
 
-    b: int
-    n: int
-    by_depth: tuple  # per depth, a tuple of classes, each a tuple of Words
+    __slots__ = ("b", "n", "by_depth")
+
+    def __init__(self, b: int, n: int, by_depth: tuple):
+        self._set(b, n, by_depth)
 
     @property
     def class_count(self) -> int:

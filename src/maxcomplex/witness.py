@@ -7,24 +7,23 @@ the remaining arity, and deeper levels inherit fullness automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
 from itertools import count
 
-from .core import CapacityError, ColoredFunction, InputError, MAX_TABLE_CELLS, unrank
-from .bounds import _profile, power_capped, tower_capped
+from .core import CapacityError, ColoredFunction, InputError, MAX_TABLE_CELLS, Value, unrank
+from .bounds import _tower_profile, power_capped
 
 
 class NoWitnessError(InputError):
     """No maximal witness exists for these parameters."""
 
 
-@dataclass(frozen=True)
-class CrossoverPoint:
+class CrossoverPoint(Value):
     """Least depth i where prefixes outnumber the nonzero deeper functions."""
 
-    i: int
-    k: int  # n - i
+    __slots__ = ("i", "k")
+
+    def __init__(self, i: int, k: int):  # k = n - i
+        self._set(i, k)
 
 
 def crossover(b: int, c: int, n: int) -> CrossoverPoint:
@@ -36,7 +35,7 @@ def crossover(b: int, c: int, n: int) -> CrossoverPoint:
         raise NoWitnessError("c=1 admits only the zero function")
     if b < 1 or n < 0:
         raise InputError(f"bad parameters b={b}, n={n}")
-    i = _profile(b, n, partial(tower_capped, c, b))[0]
+    i = _tower_profile(b, c, n)[0]
     if i <= n:
         return CrossoverPoint(i, n - i)
     raise NoWitnessError(

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 from math import comb
 
 import pytest
@@ -152,6 +153,53 @@ def test_table_bounds_equal_the_former_evaluation():
                 _former_table_bound, n, extra, CSG_COUNTS, NeedCsgCountError, "csg_count"), (n, extra)
     for n in range(10):
         assert _outcome(csg_witness_chain, n) == _outcome(_former_csg_witness_chain, n), n
+
+
+def _former_profile(b, n, count):
+    """bounds._profile before it skipped the depths far below the crossover:
+    b^i built at every depth, so quadratic in n."""
+    r, tail, prefixes = n + 1, [], 1
+    for i in range(n + 1):
+        cap = prefixes + 2
+        capped = count(n - i, cap)
+        if r > n and capped < cap:
+            r = i
+        if r <= n:
+            tail.append(min(capped - 1, prefixes))
+        prefixes *= b
+    return r, tail, (r if b == 1 else (b**r - 1) // (b - 1)) + sum(tail)
+
+
+def _former_table_profile(n, extra, kind):
+    table, reaches, _, error, what = kind
+
+    def count(k, cap):
+        if k < len(table):
+            return min(table[k], cap)
+        if extra and k in extra:
+            return min(extra[k], cap)
+        if reaches(k, cap):
+            return cap
+        raise error(f"need {what}({k}) to evaluate this bound; supply it explicitly")
+
+    return _former_profile(2, n, count)
+
+
+def test_profile_equals_the_former_loop():
+    for b in range(1, 5):
+        for c in range(1, 5):
+            for n in range(61):
+                former = _former_profile(b, n, partial(tower_capped, c, b))
+                assert bounds._tower_profile(b, c, n) == former, (b, c, n)
+    for b, c, n in [(2, 2, 10**4), (2, 2, 10**5), (3, 2, 10**4), (2, 5, 10**4)]:
+        former = _former_profile(b, n, partial(tower_capped, c, b))
+        assert bounds._tower_profile(b, c, n) == former, (b, c, n)
+    extras = (None, {7: 2414682040998}, {k: 10**9 for k in range(8, 25)})
+    cases = [(n, extra) for n in range(400) for extra in extras] + [(10**4, None), (10**5, None)]
+    for n, extra in cases:
+        for kind in (bounds._MONOTONE, bounds._GAMES):
+            assert _outcome(bounds._table_profile, n, extra, kind) == _outcome(
+                _former_table_profile, n, extra, kind), (n, extra, kind[-1])
 
 
 def test_monotone_bound_reaches_a_missing_count_without_binomials(monkeypatch):

@@ -195,6 +195,15 @@ def test_cmd_count_max_list(capsys):
     assert out.count("{") == 6
 
 
+def test_cmd_count_max_list_json_is_one_document(capsys):
+    assert main(["count-max", "--n", "2", "--verify-brute", "--list"]) == EXIT_OK
+    listed = [line.strip() for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert main(["count-max", "--n", "2", "--verify-brute", "--list", "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["languages"] == listed and len(listed) == 6
+    assert payload["languages"][0] == "{01,10}"
+
+
 @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["human", "json"])
 def test_cmd_count_max_list_needs_verify_brute(capsys, extra):
     assert main(["count-max", "--n", "3", "--list", *extra]) == EXIT_USAGE
@@ -360,6 +369,7 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
     (["complexity", "{empty}", "--dot", "{dot}"], EXIT_USAGE),  # NoAutomatonError
     (["construct", "--c", "1", "--n", "2", "--out", "{out}"], EXIT_USAGE),  # NoWitnessError
     (["count-max", "--c", "1", "--n", "2"], EXIT_USAGE),  # NoMaxError
+    (["count-max", "--b", "4", "--c", "4", "--n", "9"], EXIT_CAPACITY),  # 2^21-bit products
     (["lattice", "search", "--i", "2", "--j", "2", "--resume", "{tampered}"],
      EXIT_USAGE),  # AdequacyError
     (["bound", "--kind", "csg", "--n", "24"], EXIT_CAPACITY),  # NeedCsgCountError
@@ -383,7 +393,8 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
     (["complexity", "{n64}"], EXIT_CAPACITY),  # b**n is never allocated, nor computed
     (["complexity", "{long_header}"], EXIT_USAGE),  # past the interpreter's int/str limit
     (["complexity", "{long_color}"], EXIT_USAGE),
-], ids=["complexity-empty-dot", "construct-c1", "count-max-c1", "resume-tampered",
+], ids=["complexity-empty-dot", "construct-c1", "count-max-c1", "count-max-4-4-9",
+        "resume-tampered",
         "bound-csg-24", "bound-monotone-42", "search-negative-i", "search-csg-negative-i",
         "search-negative-budget", "witness-csg-negative-budget",
         "search-monotone-j6", "search-csg-j7", "complexity-directory", "complexity-binary",

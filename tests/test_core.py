@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -199,3 +200,59 @@ def test_n0_language_is_legal():
     f = ColoredFunction.from_words(2, 0, 2, {(): 1})
     assert f.value(()) == 1
     assert residual(f, ()) == f
+
+
+def _value_instances():
+    """One instance of each value class, built by the library."""
+    from maxcomplex import lattice, minauto
+    from maxcomplex.witness import crossover
+
+    f = ColoredFunction(2, 2, 2, bytes([0, 1, 1, 0]))
+    cert = lattice.check_relation(2, 3, lattice.named_embedding("post_alh"))
+    return [f, MonotoneFunction(2, 0b1000), minauto.minimal_pdfa(f), minauto.mn_classes(f),
+            cert.map, cert, lattice.lattice_kind("monotone"), lattice.search_relation(2, 3),
+            crossover(2, 2, 3)]
+
+
+def test_value_classes_behave_like_frozen_records():
+    values = _value_instances()
+    assert len({type(v) for v in values}) == 9
+    for value in values:
+        cls, fields = type(value), type(value).__slots__
+        record = tuple(getattr(value, name) for name in fields)
+        assert value._key == record
+        by_keyword, by_position = cls(**dict(zip(fields, record))), cls(*record)
+        assert value == by_keyword == by_position and value is not by_keyword
+        assert copy.copy(value) == value
+        assert value != record and record != value  # not a tuple
+        assert repr(value).startswith(f"{cls.__name__}({fields[0]}={record[0]!r}, ")
+        if cls.__name__ == "Pdfa":
+            with pytest.raises(TypeError):  # its transitions are a dict
+                hash(value)
+        else:
+            assert hash(value) == hash(by_keyword) == hash(record)
+        for name in (*fields, "_key", "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert tuple(getattr(value, name) for name in fields) == record
+
+
+def test_value_classes_keep_their_checks():
+    from maxcomplex.lattice import LatticeMap, boolean_cube
+
+    for args, message in [((2, 2, 2, bytes(3)), r"table length 3 != b\^n = 4"),
+                          ((2, 1, 2, bytes([0, 2])), r"table entry out of color range \[2\]"),
+                          ((0, 1, 2, bytes(1)), "bad signature b=0, n=1, c=2")]:
+        with pytest.raises(InputError, match=message):
+            ColoredFunction(*args)
+    with pytest.raises(CapacityError):
+        ColoredFunction(2, 23, 2, b"")
+    with pytest.raises(InputError, match="mask is not upward closed"):
+        MonotoneFunction(n=2, mask=0b0001)
+    cube = boolean_cube(1)
+    with pytest.raises(InputError, match="image must be total on the source"):
+        LatticeMap(cube, cube, (0,))
+    with pytest.raises(InputError, match="image index out of range"):
+        LatticeMap(source=cube, target=cube, image=(0, 2))

@@ -3,7 +3,7 @@ from math import comb, factorial, log10
 
 import pytest
 
-from maxcomplex import minauto
+from maxcomplex import counting, minauto
 from maxcomplex.core import CapacityError, ColoredFunction, InputError, unrank
 from maxcomplex.bounds import general_bound, general_bound_terms
 from maxcomplex.minauto import state_complexity
@@ -80,6 +80,37 @@ def test_o_i_examples():
 def test_o_i_digit_guard():
     with pytest.raises(CapacityError):
         o_i(2, 2, 60, 0)
+
+
+def _covering_must_not_run(*args):
+    raise AssertionError("the inclusion-exclusion sum was started")
+
+
+def test_o_i_refuses_an_oversized_result_before_any_power(monkeypatch):
+    monkeypatch.setattr(counting, "_covering", _covering_must_not_run)
+    # o_i(2, 2, 40, 39) would build 4^(2^39); the others 4^(2^24) and 4^(3^13)
+    for args in [(2, 2, 40, 39), (2, 2, 25, 24), (3, 2, 14, 13), (2, 2, 10**6, 10**6 - 1)]:
+        with pytest.raises(CapacityError, match="result exceeds the digit limit"):
+            o_i(*args)
+    with pytest.raises(CapacityError, match="codomain description exceeds the digit limit"):
+        o_i(2, 2, 10**9, 0)  # 2^(10^9), the codomain's exponent, is not built either
+    assert o_i(2, 1, 10**9, 10**9) == 1  # nor 2^(10^9) arguments into one color
+    # fewer arguments than values to cover: the result is 0, one digit
+    assert o_i(2, 2, 30, 20) == 0
+    assert o_i(2, 2, 10**6, 10**6 - 20) == 0
+
+
+def test_count_max_work_guard_counts_operand_size(monkeypatch):
+    monkeypatch.setattr(counting, "_covering", _covering_must_not_run)
+    # few multiplications, but each on numbers of up to 2^21 bits (about 12 s at (4, 4, 9))
+    for signature in [(4, 4, 9), (4, 3, 9), (5, 2, 9), (2, 6, 15), (10**400, 2, 1)]:
+        with pytest.raises(CapacityError, match="count exceeds the configured work limit"):
+            count_max(*signature)
+    # still admitted: the tests' signatures, the benchmark's up to (2, 2, 14), and (4, 4, 8)
+    monkeypatch.setattr(counting, "_covering", lambda s, pool, ways: "admitted")
+    for signature in [(2, 2, 14), (2, 2, 15), (4, 4, 7), (4, 4, 8), (3, 2, 10), (3, 3, 5),
+                      (2, 3, 9), (3, 5, 6), (5, 5, 5), (4, 5, 5), (3, 4, 6)]:
+        assert count_max(*signature)[1] == "admitted", signature
 
 
 def test_count_max_example():

@@ -12,12 +12,17 @@ import pytest
 import maxcomplex
 
 SRC = str(Path(maxcomplex.__file__).resolve().parents[1])
-# Prints, as its last line, the maxcomplex modules loaded after cli.main(argv).
-RUN_MAIN = """
+# Standard modules that no command needs: `dataclasses` and the `inspect` it
+# imports took about 12-16 ms of every command's start-up.
+STARTUP_FREE = ("dataclasses", "inspect")
+# Prints, as its last line, the maxcomplex modules and the STARTUP_FREE modules
+# loaded after cli.main(argv).
+RUN_MAIN = f"""
 import json, sys
 from maxcomplex import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("maxcomplex"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("maxcomplex")),
+                  [m for m in {STARTUP_FREE!r} if m in sys.modules]]))
 """
 
 
@@ -31,8 +36,9 @@ def fresh_python(code, *argv):
 
 
 def loaded_by(*argv):
-    code, modules = json.loads(fresh_python(RUN_MAIN, *argv).splitlines()[-1])
+    code, modules, startup_free = json.loads(fresh_python(RUN_MAIN, *argv).splitlines()[-1])
     assert code == 0
+    assert startup_free == [], argv
     return {m.removeprefix("maxcomplex").lstrip(".") or "maxcomplex" for m in modules}
 
 
@@ -67,6 +73,18 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert loaded_by("complexity", str(lang)) == {"maxcomplex", "cli", "core", "minauto"}
     assert loaded_by("lattice", "verify-embedding", "--name", "post_alh") == {
         "maxcomplex", "cli", "core", "lattice"}
+    cache, out = str(tmp_path / "cache"), str(tmp_path / "out")
+    for argv in (["complexity", str(lang), "--dot", out, "--mn-crosscheck"],
+                 ["bound", "--kind", "csg", "--n", "5"],
+                 ["construct", "--n", "3", "--out", out],
+                 ["count-max", "--n", "2", "--verify-brute", "--list"],
+                 ["lattice", "enumerate", "--n", "3", "--csg", "--cache", cache],
+                 ["lattice", "search", "--i", "2", "--j", "3", "--out", out],
+                 ["lattice", "search", "--i", "2", "--j", "3", "--resume", out],
+                 ["lattice", "witness", "--n", "5", "--csg", "--out", out],
+                 ["lattice", "witness", "--n", "5", "--out", out],
+                 ["lattice", "lemma-les"]):
+        loaded_by(*argv)  # asserts exit 0 and that no STARTUP_FREE module was loaded
 
 
 def test_game_certificate_verifies_with_only_lattice_imported():
