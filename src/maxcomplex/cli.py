@@ -312,17 +312,19 @@ def cmd_lattice_search(args) -> int:
     kind = "csg" if args.csg else "monotone"
     cache = DiskCache(args.cache)
     params = f"{kind}-i{args.i}-j{args.j}"
+    no_search = {"prunes": {"cover": 0, "room": 0}, "deepest": None}
     if args.resume:
         cert = lattice.verify_certificate(lattice.parse_certificate(Path(args.resume).read_text()))
         payload = {"i": cert.i, "j": cert.j, "kind": cert.kind, "status": "verified",
-                   "nodes": 0, "certificate": args.resume}
+                   "nodes": 0, "certificate": args.resume, **no_search}
         _emit(args, payload, f"certificate verified: {args.resume}")
         return EXIT_OK
     cached = cache.load("certificate", params)
     if cached is not None:
         cert = lattice.verify_certificate(lattice.parse_certificate(cached))
         payload = {"i": args.i, "j": args.j, "kind": kind, "status": "cached",
-                   "nodes": 0, "certificate": str(cache._path("certificate", params))}
+                   "nodes": 0, "certificate": str(cache._path("certificate", params)),
+                   **no_search}
         _emit(args, payload, f"certificate loaded from cache")
         return EXIT_OK
     if args.csg:
@@ -332,7 +334,8 @@ def cmd_lattice_search(args) -> int:
     else:
         outcome = lattice.search_relation(args.i, args.j, budget=args.budget)
     payload = {"i": args.i, "j": args.j, "kind": kind, "status": outcome.status,
-               "nodes": outcome.nodes, "certificate": None}
+               "nodes": outcome.nodes, "certificate": None, "prunes": dict(outcome.prunes),
+               "deepest": outcome.deepest}
     if outcome.status == "found":
         cert = lattice.lattice_kind(kind).check(args.i, args.j, outcome.map)
         text = lattice.format_certificate(cert)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache, reduce
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -474,11 +474,13 @@ def lemma_les_check() -> bool:
 # ---------------------------------------------------------------------------
 
 class SearchOutcome(Value):
-    __slots__ = ("status", "map", "nodes")
+    __slots__ = ("status", "map", "nodes", "prunes", "deepest")
 
-    def __init__(self, status: str, map: LatticeMap | None, nodes: int):
-        # status is "found", "exhausted", or "none"
-        self._set(status, map, nodes)
+    def __init__(self, status: str, map: LatticeMap | None, nodes: int, prunes: tuple,
+                 deepest: int | None):
+        # status is "found", "exhausted", or "none"; prunes is (("cover", k), ("room", k)),
+        # the subtrees each rule cut; deepest, the largest source index given a target
+        self._set(status, map, nodes, prunes, deepest)
 
 
 def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
@@ -491,10 +493,15 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
     target poset is built.  Otherwise sources are assigned in ascending rank
     order (a linear extension of both cube orders).  A source's candidates,
     a bitset of target indices, are the unused targets in the up-set rows of
-    its lower covers' images, tried lowest index (so lowest label) first;
-    branches that can no longer complete the cover are pruned.  With
-    `shadow`, an image must also contain shadow(image) of every source one
-    bit below it.  The first map found in this canonical order is returned.
+    its lower covers' images.  Those whose low or high substitution is a
+    still-uncovered (j-1)-ary function are tried first, then the rest, each
+    group lowest index (so lowest label) first.  Every candidate tried is a
+    node.  A candidate with fewer free targets at or above it than sources
+    at or above the source is skipped (the room rule), and branches that can
+    no longer complete the cover are pruned.  With `shadow`, an image must
+    also contain shadow(image) of every source one bit below it.  The first
+    map found in this order is returned.  notes/decisions.md, "Room pruning
+    and a useful-first order", gives why both rules lose no map.
     """
     if i < 0:
         raise InputError(f"i must be >= 0, got {i}")
@@ -507,10 +514,16 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
         raise CapacityError(f"{family.target_name.format(j)} is too large to search")
     needed = {v: k for k, v in enumerate(family.nonzero(j - 1))}
     if i >= len(family.nonzero(j)).bit_length() or len(needed) > 2 << i:
-        return SearchOutcome("none", None, 0)
+        return SearchOutcome("none", None, 0, (("cover", 0), ("room", 0)), None)
     source, target, size = family.source(i), family.target(j), 1 << i
     labels, rows = target.labels, target.rows
     contrib = [tuple({needed[v] for v in sub_masks(j, t) if v in needed}) for t in labels]
+    low_hits, high_hits = [0] * len(needed), [0] * len(needed)  # targets by needed value
+    for t, label in enumerate(labels):
+        for hits, v in zip((low_hits, high_hits), sub_masks(j, label)):
+            if v in needed:
+                hits[needed[v]] |= 1 << t
+    above = [row.bit_count() for row in source.rows]  # s and the sources above it
     lower_covers: list[list[int]] = [[] for _ in range(size)]
     for a, b in source.covers():
         lower_covers[b].append(a)
@@ -519,16 +532,21 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
     cols = _columns(labels) if shadow is not None else []
     assignment, counts = [0] * size, [0] * len(needed)
     free, nodes, missing, exhausted = every, 0, len(needed), 0
+    # the targets whose low (high) substitution is a needed value still uncovered
+    lo_open, hi_open = reduce(or_, low_hits, 0), reduce(or_, high_hits, 0)
+    cover_prunes, room_prunes, deepest = 0, 0, -1
 
     @lru_cache(maxsize=None)
     def above_shadow(t: int) -> int:  # the targets containing shadow(labels[t])
         return reduce(and_, [cols[r] for r in _bits(shadow(labels[t]))], every)
 
     def extend(s: int) -> bool:
-        nonlocal free, nodes, missing, exhausted
+        nonlocal free, nodes, missing, exhausted, lo_open, hi_open
+        nonlocal cover_prunes, room_prunes, deepest
         if s == size:
             return missing == 0
         if missing > 2 * (size - s):
+            cover_prunes += 1
             return False
         candidates = free
         for c in lower_covers[s]:
@@ -536,33 +554,49 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
         if shadow is not None:
             for p in bit_preds[s]:
                 candidates &= above_shadow(assignment[p])
-        while candidates:
-            bit = candidates & -candidates
-            candidates ^= bit
-            nodes += 1
-            if nodes > budget:
-                exhausted = 1
-                return False
-            t = assignment[s] = bit.bit_length() - 1
-            free ^= bit
-            for v in contrib[t]:
-                if counts[v] == 0:
-                    missing -= 1
-                counts[v] += 1
-            if extend(s + 1):
-                return True
-            for v in contrib[t]:
-                counts[v] -= 1
-                if counts[v] == 0:
-                    missing += 1
-            free |= bit
-            if exhausted:
-                return False
+        useful, room = candidates & (lo_open | hi_open), above[s]
+        for group in (useful, candidates ^ useful):
+            while group:
+                bit = group & -group
+                group ^= bit
+                nodes += 1
+                if nodes > budget:
+                    exhausted = 1
+                    return False
+                t = bit.bit_length() - 1
+                if (rows[t] & free).bit_count() < room:
+                    room_prunes += 1
+                    continue
+                assignment[s] = t
+                if s > deepest:
+                    deepest = s
+                free ^= bit
+                for v in contrib[t]:
+                    if counts[v] == 0:
+                        missing -= 1
+                        lo_open ^= low_hits[v]
+                        hi_open ^= high_hits[v]
+                    counts[v] += 1
+                if extend(s + 1):
+                    return True
+                for v in contrib[t]:
+                    counts[v] -= 1
+                    if counts[v] == 0:
+                        missing += 1
+                        lo_open ^= low_hits[v]
+                        hi_open ^= high_hits[v]
+                free |= bit
+                if exhausted:
+                    return False
         return False
 
-    if extend(0):
-        return SearchOutcome("found", LatticeMap(source, target, tuple(assignment)), nodes)
-    return SearchOutcome("exhausted" if exhausted else "none", None, nodes)
+    found = extend(0)
+    prunes = (("cover", cover_prunes), ("room", room_prunes))
+    reached = deepest if deepest >= 0 else None
+    if found:
+        image = LatticeMap(source, target, tuple(assignment))
+        return SearchOutcome("found", image, nodes, prunes, reached)
+    return SearchOutcome("exhausted" if exhausted else "none", None, nodes, prunes, reached)
 
 
 def search_relation(i: int, j: int, budget: int = 10**8) -> SearchOutcome:

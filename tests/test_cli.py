@@ -263,7 +263,8 @@ def test_cmd_lattice_search_and_resume(tmp_path, capsys):
     assert main(["lattice", "search", "--i", "2", "--j", "2",
                  "--out", cert, "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["i", "j", "kind", "status", "nodes", "certificate"]
+    assert list(payload) == ["i", "j", "kind", "status", "nodes", "certificate", "prunes",
+                             "deepest"]
     assert payload["status"] == "found"
     assert main(["lattice", "search", "--i", "2", "--j", "2", "--resume", cert]) == EXIT_OK
     assert "verified" in capsys.readouterr().out

@@ -29,17 +29,17 @@ from maxcomplex.lattice import (
     verify_certificate,
 )
 
-# First maps in canonical order, with the nodes the search visits to reach them.
+# First maps in the engine's order, with the nodes the search visits to reach them.
 PINNED = [
-    ("monotone", 3, 3, 56, (0x80, 0x88, 0xa0, 0xa8, 0xc0, 0xc8, 0xe0, 0xf8)),
-    ("monotone", 4, 3, 12484, (0x80, 0x88, 0xa0, 0xa8, 0xc0, 0xc8, 0xe0, 0xee,
-                               0xe8, 0xea, 0xec, 0xfe, 0xf8, 0xfa, 0xfc, 0xff)),
-    ("monotone", 4, 4, 160641, (0x8000, 0x8080, 0x8800, 0x8880, 0x8888, 0xa888, 0xa8a8,
-                                0xaaa8, 0xa000, 0xe8c0, 0xeae0, 0xfaf0, 0xecc8, 0xeecc,
-                                0xfef8, 0xfffc)),
-    ("csg", 3, 4, 216, (0x8000, 0xc000, 0xe000, 0xe800, 0xf000, 0xf800, 0xfc00, 0xfffe)),
-    ("csg", 4, 4, 57, (0x8000, 0xc000, 0xe000, 0xe800, 0xe880, 0xf880, 0xfc80, 0xfcc0,
-                       0xfe80, 0xfec0, 0xfee0, 0xfee8, 0xfff0, 0xfff8, 0xfffc, 0xfffe)),
+    ("monotone", 3, 3, 8, (0x80, 0xa0, 0xc0, 0xe0, 0xf0, 0xf8, 0xfa, 0xfe)),
+    ("monotone", 4, 3, 22, (0x80, 0xa0, 0xc0, 0xe0, 0x88, 0xf8, 0xc8, 0xfa,
+                            0xa8, 0xaa, 0xe8, 0xea, 0xec, 0xfe, 0xee, 0xff)),
+    ("monotone", 4, 4, 23549, (0x8000, 0x8800, 0xa000, 0xa800, 0xaa00, 0xea00, 0xeac0,
+                               0xeac8, 0xcc00, 0xec00, 0xece0, 0xfce8, 0xee00, 0xfef0,
+                               0xfef8, 0xfffa)),
+    ("csg", 3, 4, 21, (0x8000, 0xc000, 0xe000, 0xe800, 0xf000, 0xf800, 0xfc00, 0xfffe)),
+    ("csg", 4, 4, 16, (0x8000, 0xc000, 0xe000, 0xe800, 0xf000, 0xf800, 0xfc00, 0xfe00,
+                       0xff00, 0xff80, 0xffc0, 0xffe0, 0xffe8, 0xfff8, 0xfffc, 0xfffe)),
 ]
 
 
@@ -58,7 +58,7 @@ def test_search_pins_nodes_and_map(kind, i, j, nodes, image):
     assert cert.kind == kind and cert.covered == frozenset(KINDS[kind].nonzero(j - 1))
 
 
-@pytest.mark.parametrize("search,i,j", [(search_relation, 5, 4), (search_csg_relation, 4, 5)])
+@pytest.mark.parametrize("search,i,j", [(search_relation, 6, 4), (search_csg_relation, 4, 5)])
 def test_search_pins_exhaustion(search, i, j):
     out = search(i, j, budget=10**4)
     assert (out.status, out.map, out.nodes) == ("exhausted", None, 10**4 + 1)
@@ -74,13 +74,26 @@ def test_game_witness_searches_with_the_shadow_pin_nodes():
         i, j = csg.csg_witness_chain(n)
         out = search_embedding("csg", i, j, shadow=_early_shadow(j))
         got.append((out.status, out.nodes, out.map and out.map.image_labels()))
-    assert got == [("none", 9, None), ("found", 6, (0x80, 0xe8, 0xfc, 0xff)), ("none", 51, None),
-                   ("none", 2001, None), ("none", 2019, None)]
+    assert got == [("none", 6, None), ("found", 6, (0x80, 0xe8, 0xfc, 0xff)), ("none", 17, None),
+                   ("none", 412, None), ("none", 147, None)]
+
+
+def test_search_reports_prunes_and_deepest():
+    out = search_relation(4, 4)
+    assert (out.prunes, out.deepest) == ((("cover", 16559), ("room", 1343)), 15)
+    i, j = csg.csg_witness_chain(7)
+    out = search_embedding("csg", i, j, shadow=_early_shadow(j))
+    assert (out.status, out.prunes, out.deepest) == ("none", (("cover", 1), ("room", 299)), 7)
+    out = search_relation(6, 4, budget=10**4)
+    assert out.status == "exhausted" and sum(n for _, n in out.prunes) <= out.nodes
+    out = search_relation(5, 3)
+    assert (out.nodes, out.prunes, out.deepest) == (0, (("cover", 0), ("room", 0)), None)
 
 
 def _former_search(kind, i, j, budget, shadow=None):
-    """The engine before bitset candidates, kept as an oracle: it rescans the
-    target labels at every node.  Returns (status, nodes, image indices)."""
+    """The engine before bitset candidates, room pruning and the useful-first
+    order, kept as an oracle: it rescans the target labels at every node and
+    tries them in label order.  Returns (status, nodes, image indices)."""
     family = KINDS[kind]
     needed = set(family.nonzero(j - 1))
     if i >= len(family.nonzero(j)).bit_length() or len(needed) > 2 << i:
@@ -144,11 +157,35 @@ SHAPES = [("monotone", 3, 3), ("monotone", 4, 3), ("monotone", 4, 4), ("monotone
 @example(("csg", 4, 4), True, 5000)
 @example(("csg", 4, 5), True, 5000)
 def test_bitset_engine_matches_the_former_engine(shape, with_shadow, budget):
+    # the orders differ, so the first maps may too; an unsound prune shows as
+    # a map the certifier rejects, a "none" where the oracle finds a map, or
+    # a refutation that visits more of the tree than the oracle's
     kind, i, j = shape
     shadow = _early_shadow(j) if with_shadow else None
     out = search_embedding(kind, i, j, budget, shadow)
-    image = out.map.image if out.map else None
-    assert (out.status, out.nodes, image) == _former_search(kind, i, j, budget, shadow)
+    status, nodes, _ = _former_search(kind, i, j, budget, shadow)
+    if out.status == "found":
+        certify(kind, i, j, out.map)
+        labels = out.map.image_labels()
+        if shadow is not None:
+            assert all(shadow(labels[s & ~(1 << b)]) & ~labels[s] == 0
+                       for s in range(1 << i) for b in range(i) if s >> b & 1)
+        assert status != "none"
+    if status == "found":
+        assert out.status != "none"
+    if out.status == "none" and status != "exhausted":
+        assert status == "none" and out.nodes <= nodes
+
+
+def test_search_finds_every_catalog_shape():
+    nodes = {}
+    for name, (i, j, masks) in lattice._embedding_tables().items():
+        out = search_relation(i, j)
+        cert = check_relation(i, j, out.map)
+        assert (cert.i, cert.j, len(cert.map.image)) == (i, j, len(masks))
+        nodes[name] = out.nodes
+    assert nodes == {"post_alh": 13, "fig39": 22, "both_restricted": 8, "alh": 23549,
+                     "small": 39, "friday": 47165}
 
 
 @pytest.mark.parametrize("kind", ["monotone", "csg"])
