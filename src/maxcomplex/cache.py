@@ -2,7 +2,7 @@
 
 Every entry is keyed by a content hash of (package version, kind,
 parameters).  The file's header holds that hash and a hash of the body, so
-that stale or corrupted entries are detected and silently regenerated.
+that stale or corrupted entries are detected, reported and regenerated.
 """
 
 from __future__ import annotations
@@ -31,23 +31,37 @@ def _digest(text: str) -> str:
 
 
 class DiskCache:
+    """Entries under one directory.  `event` is the outcome of the last `load`:
+    hit, miss, stale (the header names another content hash) or corrupt (the
+    body's hash is wrong, or the file is unreadable or not UTF-8)."""
+
     def __init__(self, root: "Path | str | None" = None):
         self.root = cache_dir(str(root) if root is not None else None)
+        self.event: str | None = None
 
     def _path(self, kind: str, params: str) -> Path:
         digest = content_hash(kind, params)
         return self.root / f"{kind}-{params}-{digest}.txt"
 
     def load(self, kind: str, params: str) -> str | None:
-        path = self._path(kind, params)
+        """The stored body, or None to force regeneration."""
+        key = content_hash(kind, params)
         try:
-            text = path.read_text()
+            text = self._path(kind, params).read_text()
+        except FileNotFoundError:
+            self.event = "miss"
+            return None
         except (OSError, UnicodeDecodeError):
+            self.event = "corrupt"
             return None
         header, _, body = text.partition("\n")
-        if header.split() != [_HEADER, content_hash(kind, params), _digest(body)]:
-            return None  # stale, foreign or corrupted entry: force regeneration
-        return body
+        fields = header.split()
+        if fields == [_HEADER, key, _digest(body)]:
+            self.event = "hit"
+            return body
+        stale = fields[:1] == [_HEADER] and len(fields) > 1 and fields[1] != key
+        self.event = "stale" if stale else "corrupt"
+        return None
 
     def store(self, kind: str, params: str, body: str) -> Path:
         path = self._path(kind, params)

@@ -283,6 +283,7 @@ def cmd_lattice_enumerate(args) -> int:
         "kind": kind, "n": args.n,
         "count": count,
         "nonzero_count": count - 1,
+        "cache": cache.event,
     }
     _emit(args, payload, f"{kind} n={args.n}: {count} functions "
                          f"({count - 1} nonzero)")

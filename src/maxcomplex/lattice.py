@@ -17,7 +17,8 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache, reduce
-from operator import and_, or_
+from itertools import repeat
+from operator import and_, getitem, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -51,20 +52,23 @@ def _down_sets(k: int) -> Iterator[tuple[int, array]]:
     """Each monotone k-ary mask h, ascending, with the records of all g <= h, ascending.
 
     g = (g0, g1) <= h = (h0, h1) iff g1 <= h1 and g0 <= g1 & h0, so the pairs
-    below h are, for each g1 <= h1 in turn, those with g0 <= g1 & h0; they
-    depend on the key (g1, g1 & h0) alone and are built once.
+    below h are, for each g1 <= h1 in turn, the segment of records with
+    g0 <= g1 & h0.  A segment depends on (g1, g1 & h0) alone: the table
+    segments[g1][m] holds it, as bytes, for every m <= g1, and each down set
+    is one join of table lookups.
     """
     if k == 0:
         yield from {0: array("B", [0]), 1: array("B", [0, 1])}.items()
         return
     prev = dict(_down_sets(k - 1))
-    pairs = lru_cache(maxsize=None)(lambda g1, m: _pair(k, g1, prev[m]))
+    segments = {g1: {m: _pair(k, g1, prev[m]).tobytes() for m in below}
+                for g1, below in prev.items()}
+    shift, record = 1 << (k - 1), _RECORD[k]
     for h1, below_h1 in prev.items():
+        segs = [segments[g1] for g1 in below_h1]
         for h0 in below_h1:
-            below = array(_RECORD[k])
-            for g1 in below_h1:
-                below += pairs(g1, g1 & h0)
-            yield (h1 << (1 << (k - 1))) | h0, below
+            joined = b"".join(map(getitem, segs, map(and_, below_h1, repeat(h0))))
+            yield (h1 << shift) | h0, array(record, joined)
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +77,8 @@ def enumerate_monotone(n: int) -> array:
 
     A function f is the pair g = f|x0=0 <= h = f|x0=1 of (n-1)-ary monotone
     functions, so F_n lists, for each h in F_{n-1} ascending, the pairs with
-    g <= h ascending.
+    g <= h ascending.  From n = 4 on, each h's records are interleaved in one
+    reused buffer of half-width lanes and appended from there.
     """
     if n < 0:
         raise InputError("n must be >= 0")
@@ -82,8 +87,18 @@ def enumerate_monotone(n: int) -> array:
     if n == 0:
         return array("Q", [0, 1])
     out = array(_RECORD[n])
+    if n <= 3:  # halves narrower than a byte
+        for h, below in _down_sets(n - 1):
+            out += _pair(n, h, below)
+        return array("Q", out)
+    half = _RECORD[n - 1]
+    lanes = array(half)
     for h, below in _down_sets(n - 1):
-        out += _pair(n, h, below)
+        size = 2 * len(below)
+        if size > len(lanes):
+            lanes = below * 2  # every lane is overwritten
+        lanes[_LOW:size:2], lanes[1 - _LOW:size:2] = below, array(half, [h]) * len(below)
+        out.frombytes(memoryview(lanes)[:size].cast("B"))
     return out if out.typecode == "Q" else array("Q", out)
 
 

@@ -244,11 +244,11 @@ def test_cmd_lattice_enumerate(tmp_path, capsys):
             "--cache", str(tmp_path / "cache"), "--json"]
     assert main(argv) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["kind", "n", "count", "nonzero_count"]
-    assert payload["count"] == 27
+    assert list(payload) == ["kind", "n", "count", "nonzero_count", "cache"]
+    assert payload["count"] == 27 and payload["cache"] == "miss"
     # second run is served from the cache and reports identically
     assert main(argv) == EXIT_OK
-    assert json.loads(capsys.readouterr().out) == payload
+    assert json.loads(capsys.readouterr().out) == {**payload, "cache": "hit"}
 
 
 def test_cmd_lattice_verify_embedding(capsys):
@@ -349,10 +349,11 @@ def test_empty_language_warns(tmp_path, capsys):
 def test_disk_cache_stale_entry(tmp_path, capsys):
     cache = DiskCache(tmp_path / "cache")
     cache.store("certificate", "demo", "payload")
-    assert cache.load("certificate", "demo") == "payload"
+    assert cache.load("certificate", "demo") == "payload" and cache.event == "hit"
     path = cache._path("certificate", "demo")
     path.write_text("maxcomplex-cache deadbeef\npayload")
     assert cache.load("certificate", "demo") is None  # stale hash forces regeneration
+    assert cache.event == "stale"
     # a body that does not match the header's hash is regenerated as well
     argv = ["lattice", "enumerate", "--n", "4", "--cache", str(tmp_path / "cache")]
     assert main(argv) == EXIT_OK
@@ -361,6 +362,7 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
     for body in (b"42", b"99x", b"\xff"):
         entry.write_bytes(header.encode() + b"\n" + body)
         assert cache.load("enumeration", "monotone-n4") is None
+        assert cache.event == "corrupt"
         capsys.readouterr()
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.strip() == "monotone n=4: 168 functions (167 nonzero)"

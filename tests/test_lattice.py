@@ -3,9 +3,15 @@ import os
 import subprocess
 import sys
 from array import array
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import maxcomplex
 from maxcomplex.core import (
@@ -19,10 +25,14 @@ from maxcomplex.core import (
 from maxcomplex.bounds import _MONOTONE, _table_profile, monotone_bound
 from maxcomplex.minauto import state_complexity
 from maxcomplex.lattice import (
+    _LOW,
+    _RECORD,
     EMBEDDING_NAMES,
+    MAX_MONOTONE_ARITY,
     AdequacyError,
     LatticeMap,
     Poset,
+    _down_sets,
     boolean_cube,
     build_witness_language,
     check_relation,
@@ -98,12 +108,82 @@ def _numpy_f6():
     return out
 
 
+def _former_pair(k, high, lows):
+    if _RECORD[k] == lows.typecode:
+        return array(lows.typecode, [(high << (1 << (k - 1))) | low for low in lows])
+    lanes = lows * 2
+    lanes[_LOW::2], lanes[1 - _LOW::2] = lows, array(lows.typecode, [high]) * len(lows)
+    return array(_RECORD[k], lanes.tobytes())
+
+
+def _former_down_sets(k):
+    if k == 0:
+        yield from {0: array("B", [0]), 1: array("B", [0, 1])}.items()
+        return
+    prev = dict(_former_down_sets(k - 1))
+    pairs = lru_cache(maxsize=None)(lambda g1, m: _former_pair(k, g1, prev[m]))
+    for h1, below_h1 in prev.items():
+        for h0 in below_h1:
+            below = array(_RECORD[k])
+            for g1 in below_h1:
+                below += pairs(g1, g1 & h0)
+            yield (h1 << (1 << (k - 1))) | h0, below
+
+
+def _former_enumerate(n):
+    """The pair rule that listed F_n, 6 included, by one copy per down set."""
+    if n == 0:
+        return array("Q", [0, 1])
+    out = array(_RECORD[n])
+    for h, below in _former_down_sets(n - 1):
+        out += _former_pair(n, h, below)
+    return out if out.typecode == "Q" else array("Q", out)
+
+
 def test_enumeration_equals_the_former_implementations():
     for n in range(6):
         assert enumerate_monotone(n) == _pair_loop(n)
     masks = enumerate_monotone(6)
     assert masks.typecode == "Q" and masks.tobytes() == _numpy_f6().tobytes()
     assert enumerate_monotone(6) is masks  # cached: one object per arity
+
+
+def test_enumeration_equals_the_former_pair_rule_without_numpy():
+    for n in range(MAX_MONOTONE_ARITY + 1):
+        masks = enumerate_monotone(n)
+        assert masks.typecode == "Q" and masks.tobytes() == _former_enumerate(n).tobytes()
+
+
+def test_down_sets_list_each_mask_below_h():
+    for k in range(5):
+        pool = list(enumerate_monotone(k))
+        down = list(_down_sets(k))
+        assert [h for h, _ in down] == pool
+        for h, below in down:
+            assert below.typecode == _RECORD[k]
+            assert list(below) == [g for g in pool if g & ~h == 0]
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_enumeration_keeps_one_copy_of_f6_in_memory():
+    src = str(Path(maxcomplex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import resource; from maxcomplex.lattice import enumerate_monotone; "
+            "masks = enumerate_monotone(6); "
+            "print(len(masks), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    # Linux carries a process's peak RSS across fork and exec, so the
+    # measured process is started from a bare interpreter, not from pytest.
+    launch = ("import subprocess, sys; "
+              "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
+    done = subprocess.run([sys.executable, "-c", launch, code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    count, maxrss = map(int, done.stdout.split())
+    assert count == 7828354
+    # ru_maxrss is in KiB on Linux and in bytes on macOS. F_6 itself takes
+    # 62.6 MB; a second full-size copy would pass 100 MB.
+    megabytes = maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert megabytes < 100, f"peak RSS {megabytes:.1f} MB"
 
 
 def test_cli_enumerates_arity_6_without_numpy(tmp_path):
