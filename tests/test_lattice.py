@@ -164,10 +164,14 @@ def test_down_sets_list_each_mask_below_h():
             assert list(below) == [g for g in pool if g & ~h == 0]
 
 
-@pytest.mark.skipif(resource is None, reason="needs the resource module")
-def test_enumeration_keeps_one_copy_of_f6_in_memory():
+def _env_with_package():
     src = str(Path(maxcomplex.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_enumeration_keeps_one_copy_of_f6_in_memory():
     code = ("import resource; from maxcomplex.lattice import enumerate_monotone; "
             "masks = enumerate_monotone(6); "
             "print(len(masks), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
@@ -176,7 +180,7 @@ def test_enumeration_keeps_one_copy_of_f6_in_memory():
     launch = ("import subprocess, sys; "
               "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
     done = subprocess.run([sys.executable, "-c", launch, code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+                          env=_env_with_package(), timeout=300)
     assert done.returncode == 0, done.stderr
     count, maxrss = map(int, done.stdout.split())
     assert count == 7828354
@@ -187,14 +191,12 @@ def test_enumeration_keeps_one_copy_of_f6_in_memory():
 
 
 def test_cli_enumerates_arity_6_without_numpy(tmp_path):
-    src = str(Path(maxcomplex.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     code = ("import sys; sys.modules['numpy'] = None; from maxcomplex.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
     done = subprocess.run([sys.executable, "-c", code, "lattice", "enumerate", "--n", "6",
                            "--json", "--cache", str(tmp_path / "cache")],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_env_with_package(),
+                          timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["count"] == 7828354
 
