@@ -173,8 +173,9 @@ def _dedekind_reaches(k: int, e: int) -> bool:
 
 def _table_profile(n: int, extra: Mapping[int, int] | None, kind: tuple) -> tuple:
     """_profile for b = 2, N(k) taken from the kind's table, then from the caller's
-    extra counts, then from a lower bound when the kind's reaches(k, cap) holds;
-    reaches_bits(k, e) tells, from the same lower bound, whether N(k) >= 2^e."""
+    extra counts, then from a lower bound when the kind's reaches(k, cap, low)
+    holds; reaches_bits(k, e, low) tells, from the same lower bound, whether
+    N(k) >= 2^e.  low is the largest count known at an arity below k."""
     table, reaches, reaches_bits, error, what = kind
     if n < 0:
         raise InputError("n must be >= 0")
@@ -184,27 +185,30 @@ def _table_profile(n: int, extra: Mapping[int, int] | None, kind: tuple) -> tupl
             return table[k]
         return extra.get(k) if extra else None
 
+    def low(k: int) -> int:  # only asked for k >= len(table)
+        return max([table[-1], *(v for j, v in (extra or {}).items() if j < k)])
+
     def count(k: int, cap: int) -> int:
         value = known(k)
         if value is not None:
             return min(value, cap)
-        if reaches(k, cap):
+        if reaches(k, cap, low(k)):
             return cap
         raise error(f"need {what}({k}) to evaluate this bound; supply it explicitly")
 
     def above(k: int, e: int) -> bool:
         value = known(k)
-        return value.bit_length() > e if value is not None else reaches_bits(k, e)
+        return value.bit_length() > e if value is not None else reaches_bits(k, e, low(k))
 
     return _profile(2, n, count, above)
 
 
 # 2^C >= cap iff C >= (cap - 1).bit_length()
-_MONOTONE = (DEDEKIND, lambda k, cap: _dedekind_reaches(k, (cap - 1).bit_length()),
-             _dedekind_reaches, NeedDedekindError, "dedekind")
+_MONOTONE = (DEDEKIND, lambda k, cap, low: _dedekind_reaches(k, (cap - 1).bit_length()),
+             lambda k, e, low: _dedekind_reaches(k, e), NeedDedekindError, "dedekind")
 # game counts grow with arity (a (k-1)-ary game lifts by ignoring a variable)
-_GAMES = (CSG_COUNTS, lambda k, cap: CSG_COUNTS[-1] >= cap,
-          lambda k, e: CSG_COUNTS[-1].bit_length() > e, NeedCsgCountError, "csg_count")
+_GAMES = (CSG_COUNTS, lambda k, cap, low: low >= cap,
+          lambda k, e, low: low.bit_length() > e, NeedCsgCountError, "csg_count")
 
 
 def monotone_bound(n: int, dedekind: Mapping[int, int] | None = None) -> int:

@@ -1,8 +1,9 @@
 """On-disk cache for expensive enumerations and search certificates.
 
-Every entry is keyed by a content hash of (package version, kind,
-parameters).  The file's header holds that hash and a hash of the body, so
-that stale or corrupted entries are detected, reported and regenerated.
+Every entry is one file named by its kind and parameters.  The file's
+header holds a content hash of (package version, kind, parameters) and a
+hash of the body, so that stale or corrupted entries are detected, reported
+and regenerated in place.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ class DiskCache:
         self.event: str | None = None
 
     def _path(self, kind: str, params: str) -> Path:
-        digest = content_hash(kind, params)
-        return self.root / f"{kind}-{params}-{digest}.txt"
+        """One file per (kind, params): an entry of another version is found,
+        reported stale and overwritten in place by the next store."""
+        return self.root / f"{kind}-{params}.txt"
 
     def load(self, kind: str, params: str) -> str | None:
         """The stored body, or None to force regeneration."""

@@ -94,8 +94,12 @@ class ExhaustedError(MaxcomplexError, RuntimeError):
 
 
 def as_word(word: WordLike) -> Word:
-    """Coerce a digit string like "101" or an int sequence to a Word tuple."""
+    """Coerce a digit string like "101" or an int sequence to a Word tuple.
+    A string may hold only the ASCII digits 0-9."""
     if isinstance(word, str):
+        if word and not (word.isascii() and word.isdigit()):
+            bad = next(ch for ch in word if ch not in "0123456789")
+            raise InputError(f"character {bad!r} in word {word!r} is not a digit 0-9")
         return tuple(int(ch) for ch in word)
     return tuple(int(d) for d in word)
 

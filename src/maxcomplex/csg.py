@@ -10,7 +10,6 @@ weight only, so early functions factor over weight classes.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 from .core import (
     CapacityError,
@@ -155,11 +154,6 @@ def csg_nonzero_poset(j: int) -> Poset:
     if j > MAX_CSG_POSET_ARITY:
         raise CapacityError(f"game lattices beyond j={MAX_CSG_POSET_ARITY} are not desk-feasible")
     return Poset.by_inclusion(csg_nonzero(j))
-
-
-def csg_map(i: int, j: int, image_masks: Sequence[int]) -> LatticeMap:
-    """Map from the majorization cube E_i into the nonzero games of arity j."""
-    return LatticeMap.from_labels(majorization_poset(i), csg_nonzero_poset(j), image_masks)
 
 
 def check_csg_relation(i: int, j: int, m: LatticeMap) -> AdequacyCertificate:

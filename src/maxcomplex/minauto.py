@@ -210,28 +210,45 @@ class EquivClasses(Value):
         return sum(len(classes) for classes in self.by_depth)
 
 
-def mn_classes(f: ColoredFunction, up_closure: bool = False) -> EquivClasses:
-    """Group all live prefixes by the pairwise bounded-equivalence test."""
+def _classes(f: ColoredFunction, up_closure: bool) -> list[list[list[int]]]:
+    """Per depth, the live prefix ranks grouped by the pairwise test.
+
+    Two prefixes of the same depth d both reach length n only at extension
+    length n - d, so the test is one comparison of their b^(n-d)-cell slices.
+    Each prefix joins the first class whose first member's slice equals its
+    own, scanning the classes in order: a quadratic grouping, nothing hashed.
+    """
     table = _oracle_table(f, up_closure)
     by_depth = []
     for depth in range(f.n + 1):
+        width = f.b ** (f.n - depth)
         groups: list[list[int]] = []
+        firsts: list[bytes] = []
         for r in _live_prefixes(f, depth):
-            for group in groups:
-                if _equivalent(table, f.b, f.n, r, depth, group[0], depth):
+            piece = table[r * width : (r + 1) * width]
+            for group, first in zip(groups, firsts):
+                if piece == first:
                     group.append(r)
                     break
             else:
                 groups.append([r])
-        by_depth.append(tuple(tuple(unrank(r, depth, f.b) for r in g) for g in groups))
-    return EquivClasses(f.b, f.n, tuple(by_depth))
+                firsts.append(piece)
+        by_depth.append(groups)
+    return by_depth
+
+
+def mn_classes(f: ColoredFunction, up_closure: bool = False) -> EquivClasses:
+    """Group all live prefixes by the pairwise bounded-equivalence test."""
+    by_depth = tuple(tuple(tuple(unrank(r, depth, f.b) for r in g) for g in groups)
+                     for depth, groups in enumerate(_classes(f, up_closure)))
+    return EquivClasses(f.b, f.n, by_depth)
 
 
 def mn_class_count(f: ColoredFunction, up_closure: bool = False) -> int:
     """Number of pairwise-equivalence classes over all live prefixes."""
     if is_zero(f):
         return 0
-    return mn_classes(f, up_closure).class_count
+    return sum(len(groups) for groups in _classes(f, up_closure))
 
 
 def export_dot(a: Pdfa) -> str:

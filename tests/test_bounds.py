@@ -103,7 +103,9 @@ def test_capped_exponents_equal_the_former_evaluation(capsys):
 
 
 def _former_table_term(i, k, table, extra, error, what):
-    """One term of monotone_bound or csg_bound as it was evaluated on its own."""
+    """One term of monotone_bound or csg_bound as it was evaluated on its own.
+    A missing game count is bounded below by the largest count known at a
+    smaller arity, the table's or a supplied one."""
     if k < len(table):
         return min(2**i, table[k] - 1)
     if extra and k in extra:
@@ -112,7 +114,8 @@ def _former_table_term(i, k, table, extra, error, what):
         if comb(k, k // 2) > i:
             return 2**i
     else:
-        if 2**i <= table[-1] - 1:
+        known_below = [table[-1]] + [v for j, v in (extra or {}).items() if j < k]
+        if 2**i <= max(known_below) - 1:
             return 2**i
     raise error(f"need {what}({k}) to evaluate this bound; supply it explicitly")
 
@@ -178,7 +181,8 @@ def _former_table_profile(n, extra, kind):
             return min(table[k], cap)
         if extra and k in extra:
             return min(extra[k], cap)
-        if reaches(k, cap):
+        low = max([table[-1], *(v for j, v in (extra or {}).items() if j < k)])
+        if reaches(k, cap, low):
             return cap
         raise error(f"need {what}({k}) to evaluate this bound; supply it explicitly")
 
@@ -314,6 +318,23 @@ def test_csg_bound_needs_counts_eventually():
     with pytest.raises(NeedCsgCountError):
         csg_bound(24)
     assert csg_bound(24, csg_counts={k: 10**9 for k in range(8, 25)}) > 0
+
+
+C8 = 16175190  # games of arity 8, constants included
+
+
+def test_csg_bound_takes_its_lower_bound_from_a_supplied_count():
+    # |C_9| >= |C_8|, so every term at arity >= 9 with 2^i <= |C_8| - 1 is 2^i
+    counts = CSG_COUNTS + (C8,)
+    for n in range(24, 33):
+        direct = sum(2**i if n - i >= len(counts) else min(2**i, counts[n - i] - 1)
+                     for i in range(n + 1))
+        assert csg_bound(n, {8: C8}) == direct, n
+    assert csg_bound(32, {8: C8}) == sum(2**i for i in range(24)) + sum(c - 1 for c in counts)
+    with pytest.raises(NeedCsgCountError, match=r"need csg_count\(9\) "):
+        csg_bound(33, {8: C8})  # the term at arity 9 is min(2^24, |C_9| - 1), 2^24 > |C_8|
+    with pytest.raises(NeedCsgCountError, match=r"need csg_count\(8\) "):
+        csg_bound(25, {9: 10**9})  # a count above k says nothing about arity k
 
 
 def test_bounds_nondecreasing_in_n():

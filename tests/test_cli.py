@@ -368,6 +368,19 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
         assert capsys.readouterr().out.strip() == "monotone n=4: 168 functions (167 nonzero)"
 
 
+def test_disk_cache_version_bump_is_stale_and_overwritten(tmp_path, monkeypatch):
+    from maxcomplex import cache as cache_module
+
+    cache = DiskCache(tmp_path / "cache")
+    cache.store("enumeration", "monotone-n3", "old body")
+    monkeypatch.setattr(cache_module, "__version__", "0.0.0-other")
+    assert cache.load("enumeration", "monotone-n3") is None
+    assert cache.event == "stale"
+    cache.store("enumeration", "monotone-n3", "new body")
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["enumeration-monotone-n3.txt"]
+    assert cache.load("enumeration", "monotone-n3") == "new body" and cache.event == "hit"
+
+
 @pytest.mark.parametrize("argv,code", [
     (["complexity", "{empty}", "--dot", "{dot}"], EXIT_USAGE),  # NoAutomatonError
     (["construct", "--c", "1", "--n", "2", "--out", "{out}"], EXIT_USAGE),  # NoWitnessError

@@ -38,6 +38,19 @@ def test_rank_rejects_bad_digits():
         rank((0, 3), 3)
 
 
+@pytest.mark.parametrize("word,bad", [("1٣", "٣"), ("0a", "a"), ("²", "²")])
+def test_words_take_only_ascii_digits(word, bad):
+    from maxcomplex.minauto import mn_equivalent
+
+    assert as_word("") == () and as_word("0129") == (0, 1, 2, 9)
+    with pytest.raises(InputError, match=repr(bad)):
+        as_word(word)
+    with pytest.raises(InputError, match=repr(bad)):
+        mn_equivalent(word, "0", ASIAN)
+    with pytest.raises(InputError, match=repr(bad)):
+        ColoredFunction.from_language(len(word), [word])
+
+
 @pytest.mark.parametrize("b,length", [(2, 0), (2, 3), (3, 2), (4, 3)])
 def test_rank_unrank_round_trip(b, length):
     for index in range(b**length):

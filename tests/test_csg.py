@@ -13,7 +13,6 @@ from maxcomplex.lattice import AdequacyError, LatticeMap, Poset, enumerate_monot
 from maxcomplex.csg import (
     build_csg_witness,
     check_csg_relation,
-    csg_map,
     csg_nonzero,
     csg_nonzero_poset,
     csg_witness_chain,
@@ -274,4 +273,5 @@ def test_game_substitutions_are_games(j):
 
 def test_csg_map_rejects_foreign_masks():
     with pytest.raises(AdequacyError):
-        csg_map(1, 2, (0b0110, 0b1111))  # 0110 is not monotone
+        LatticeMap.from_labels(majorization_poset(1), csg_nonzero_poset(2),
+                               (0b0110, 0b1111))  # 0110 is not monotone

@@ -222,6 +222,78 @@ def test_mn_classes_match_word_level_definition():
     assert mn_classes(f, up_closure=True).by_depth == _word_level_classes(f, True)
 
 
+def _former_mn_classes(f, up_closure=False):
+    """mn_classes before the same-depth test became one slice comparison: each
+    live prefix is tested with minauto._equivalent against the first member of
+    each class in turn, over every extension length."""
+    table = minauto._oracle_table(f, up_closure)
+    by_depth = []
+    for depth in range(f.n + 1):
+        groups = []
+        for r in minauto._live_prefixes(f, depth):
+            for group in groups:
+                if minauto._equivalent(table, f.b, f.n, r, depth, group[0], depth):
+                    group.append(r)
+                    break
+            else:
+                groups.append([r])
+        by_depth.append(tuple(tuple(unrank(r, depth, f.b) for r in g) for g in groups))
+    return tuple(by_depth)
+
+
+def _oracle_cases():
+    rng = random.Random(16)
+    funcs = []
+    for b in range(2, 6):
+        for n in range(6):
+            if b**n > 1024:
+                break
+            for c in range(2, 6):
+                for density in (2**-6, 0.1, 0.5, 1.0):
+                    funcs.append(ColoredFunction(b, n, c, bytes(
+                        rng.randrange(1, c) if rng.random() < density else 0
+                        for _ in range(b**n))))
+    # few distinct residuals: many prefixes share a class
+    for b, n, c in ((2, 10, 2), (3, 6, 3), (4, 5, 2), (5, 4, 5)):
+        pieces = [bytes(rng.randrange(c) for _ in range(b**2)) for _ in range(3)]
+        funcs.append(ColoredFunction(b, n, c, b"".join(
+            rng.choice(pieces) for _ in range(b ** (n - 2)))))
+    funcs.append(build_witness_language(8).as_colored())
+    return funcs
+
+
+def test_mn_classes_equal_the_former_pairwise_loop():
+    funcs = _oracle_cases()
+    assert len(funcs) >= 200
+    assert any(f.n == 0 for f in funcs) and any(not any(f.table) for f in funcs)
+    for f in funcs:
+        former = _former_mn_classes(f)
+        assert mn_classes(f).by_depth == former, f
+        assert mn_class_count(f) == sum(map(len, former)) == state_complexity(f), f
+    rng = random.Random(61)
+    binary = [f for f in funcs if f.b == 2 and f.c == 2]
+    binary += [ColoredFunction(2, n, 2, bytes(int(rng.random() < p) for _ in range(2**n)))
+               for n in range(11) for p in (0.02, 0.2, 0.7)]
+    for f in binary:
+        former = _former_mn_classes(f, up_closure=True)
+        assert mn_classes(f, up_closure=True).by_depth == former, f
+        assert mn_class_count(f, up_closure=True) == (sum(map(len, former)) if any(f.table) else 0)
+
+
+def test_mn_class_count_decodes_no_words(monkeypatch):
+    funcs = _oracle_cases()
+    expected = [state_complexity(f) for f in funcs]
+
+    def must_not_decode(*args):
+        raise AssertionError("mn_class_count decoded a word")
+
+    monkeypatch.setattr(minauto, "unrank", must_not_decode)
+    with pytest.raises(AssertionError):
+        mn_classes(ASIAN)  # the patch is in effect
+    assert [mn_class_count(f) for f in funcs] == expected
+    assert mn_class_count(MAJORITY, up_closure=True) == state_complexity(MAJORITY)
+
+
 def test_mn_oracle_does_not_use_the_residual_engine(monkeypatch):
     f = build_witness_language(8).as_colored()
     expected = state_complexity(f)
