@@ -175,7 +175,8 @@ def _table_profile(n: int, extra: Mapping[int, int] | None, kind: tuple) -> tupl
     """_profile for b = 2, N(k) taken from the kind's table, then from the caller's
     extra counts, then from a lower bound when the kind's reaches(k, cap, low)
     holds; reaches_bits(k, e, low) tells, from the same lower bound, whether
-    N(k) >= 2^e.  low is the largest count known at an arity below k."""
+    N(k) >= 2^e.  low is the largest count known at an arity below k: the table's,
+    or a supplied one at an arity the table lacks."""
     table, reaches, reaches_bits, error, what = kind
     if n < 0:
         raise InputError("n must be >= 0")
@@ -185,8 +186,8 @@ def _table_profile(n: int, extra: Mapping[int, int] | None, kind: tuple) -> tupl
             return table[k]
         return extra.get(k) if extra else None
 
-    def low(k: int) -> int:  # only asked for k >= len(table)
-        return max([table[-1], *(v for j, v in (extra or {}).items() if j < k)])
+    def low(k: int) -> int:  # only asked for k >= len(table); the table wins below it
+        return max([table[-1], *(v for j, v in (extra or {}).items() if len(table) <= j < k)])
 
     def count(k: int, cap: int) -> int:
         value = known(k)

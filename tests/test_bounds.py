@@ -105,7 +105,7 @@ def test_capped_exponents_equal_the_former_evaluation(capsys):
 def _former_table_term(i, k, table, extra, error, what):
     """One term of monotone_bound or csg_bound as it was evaluated on its own.
     A missing game count is bounded below by the largest count known at a
-    smaller arity, the table's or a supplied one."""
+    smaller arity, the table's or one supplied at an arity the table lacks."""
     if k < len(table):
         return min(2**i, table[k] - 1)
     if extra and k in extra:
@@ -114,7 +114,7 @@ def _former_table_term(i, k, table, extra, error, what):
         if comb(k, k // 2) > i:
             return 2**i
     else:
-        known_below = [table[-1]] + [v for j, v in (extra or {}).items() if j < k]
+        known_below = [table[-1]] + [v for j, v in (extra or {}).items() if len(table) <= j < k]
         if 2**i <= max(known_below) - 1:
             return 2**i
     raise error(f"need {what}({k}) to evaluate this bound; supply it explicitly")
@@ -181,7 +181,7 @@ def _former_table_profile(n, extra, kind):
             return min(table[k], cap)
         if extra and k in extra:
             return min(extra[k], cap)
-        low = max([table[-1], *(v for j, v in (extra or {}).items() if j < k)])
+        low = max([table[-1], *(v for j, v in (extra or {}).items() if len(table) <= j < k)])
         if reaches(k, cap, low):
             return cap
         raise error(f"need {what}({k}) to evaluate this bound; supply it explicitly")
@@ -335,6 +335,12 @@ def test_csg_bound_takes_its_lower_bound_from_a_supplied_count():
         csg_bound(33, {8: C8})  # the term at arity 9 is min(2^24, |C_9| - 1), 2^24 > |C_8|
     with pytest.raises(NeedCsgCountError, match=r"need csg_count\(8\) "):
         csg_bound(25, {9: 10**9})  # a count above k says nothing about arity k
+    # a count at an arity the table covers is ignored, so it bounds no missing arity:
+    # the arity-9 term at depth 16 is min(2^16, |C_9| - 1), 2^16 > |C_7| of the table
+    with pytest.raises(NeedCsgCountError, match=r"need csg_count\(9\) "):
+        csg_bound(25, {7: 10**12})
+    for n in (24, 25, 33):
+        assert _outcome(csg_bound, n, {7: 2414682040998}) == _outcome(csg_bound, n), n
 
 
 def test_bounds_nondecreasing_in_n():
