@@ -357,10 +357,13 @@ def cmd_lattice_search(args) -> int:
 def cmd_lattice_witness(args) -> int:
     from . import bounds, minauto
 
+    if args.budget is not None and not args.csg:
+        raise InputError("--budget needs --csg")
     if args.csg:
         from . import csg
 
-        w, _cert = csg.build_csg_witness(args.n, budget=args.budget)
+        budget = 10**8 if args.budget is None else args.budget
+        w, _cert = csg.build_csg_witness(args.n, budget=budget)
         bound = bounds.csg_bound(args.n)
         kind = "csg"
     else:
@@ -474,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--csg", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int,
+                   help="game witness search budget (needs --csg; default 10^8)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lattice_witness)
 

@@ -9,6 +9,7 @@ so fixing a prefix is a contiguous slice of the table.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
@@ -95,13 +96,17 @@ class ExhaustedError(MaxcomplexError, RuntimeError):
 
 def as_word(word: WordLike) -> Word:
     """Coerce a digit string like "101" or an int sequence to a Word tuple.
-    A string may hold only the ASCII digits 0-9."""
+    A string may hold only the ASCII digits 0-9, a sequence only integers."""
     if isinstance(word, str):
         if word and not (word.isascii() and word.isdigit()):
             bad = next(ch for ch in word if ch not in "0123456789")
             raise InputError(f"character {bad!r} in word {word!r} is not a digit 0-9")
         return tuple(int(ch) for ch in word)
-    return tuple(int(d) for d in word)
+    try:
+        return tuple(map(operator.index, word))
+    except TypeError:
+        bad = next(d for d in word if not hasattr(type(d), "__index__"))
+        raise InputError(f"digit {bad!r} in word {word!r} is not an integer") from None
 
 
 def rank(word: WordLike, b: int) -> int:
@@ -253,13 +258,7 @@ def _mask_is_monotone(n: int, mask: int) -> bool:
     full = (1 << (1 << n)) - 1
     if not 0 <= mask <= full:
         raise InputError("mask out of range")
-    for pos in range(n):
-        ones = var_mask(n, pos)
-        place = 1 << (n - 1 - pos)
-        # words with the bit clear, shifted onto their bit-set partners
-        if ((mask & ~ones) << place) & ~mask & full:
-            return False
-    return True
+    return upward_closure_mask(n, mask) == mask
 
 
 def _mask_is_early(n: int, mask: int) -> bool:

@@ -49,32 +49,37 @@ def majorization_leq(x: WordLike, y: WordLike) -> bool:
         raise InputError("majorization compares words of equal length")
     if any(d not in (0, 1) for d in xw + yw):
         raise InputError("majorization is defined on binary words")
-    return _rank_leq(len(xw), rank(xw, 2), rank(yw, 2))
+    n = len(xw)
+    return _stairs(n, rank(xw, 2)) & ~_stairs(n, rank(yw, 2)) == 0
 
 
-def _rank_leq(n: int, rx: int, ry: int) -> bool:
-    sx = sy = 0
-    for pos in range(n - 1, -1, -1):
-        sx += (rx >> pos) & 1
-        sy += (ry >> pos) & 1
-        if sx > sy:
-            return False
-    return True
+def _stairs(n: int, r: int) -> int:
+    """The prefix-count staircase of the n-digit binary word of rank r.
+
+    Bit p(p-1)/2 + k - 1, for 1 <= k <= p <= n, is set iff the first p digits
+    hold at least k ones.  x majorizes below y iff stairs(x) lies inside
+    stairs(y), and distinct words have distinct staircases.
+    """
+    out = 0
+    for p in range(1, n + 1):
+        out |= ((1 << (r >> (n - p)).bit_count()) - 1) << (p * (p - 1) // 2)
+    return out
 
 
 @lru_cache(maxsize=None)
 def majorization_poset(n: int) -> Poset:
     """{0,1}^n under prefix-sum domination, elements labeled by rank."""
-    return Poset(range(1 << n), lambda a, b: _rank_leq(n, a, b))
+    return Poset([_stairs(n, r) for r in range(1 << n)], labels=range(1 << n))
 
 
 def _dominance_up_sets(n: int, weight: int) -> list[int]:
     """All up-closed subsets of one weight class, as language masks."""
     members = [r for r in range(1 << n) if bin(r).count("1") == weight]
     k = len(members)
+    stairs = [_stairs(n, r) for r in members]
     ups = []  # per member, the within-class indices of its upper bounds
     for a in range(k):
-        ups.append([b for b in range(k) if _rank_leq(n, members[a], members[b])])
+        ups.append([b for b in range(k) if stairs[a] & ~stairs[b] == 0])
     out = []
     for subset in range(1 << k):
         if all(
@@ -153,7 +158,7 @@ def csg_nonzero(n: int) -> tuple:
 def csg_nonzero_poset(j: int) -> Poset:
     if j > MAX_CSG_POSET_ARITY:
         raise CapacityError(f"game lattices beyond j={MAX_CSG_POSET_ARITY} are not desk-feasible")
-    return Poset.by_inclusion(csg_nonzero(j))
+    return Poset(csg_nonzero(j))
 
 
 def check_csg_relation(i: int, j: int, m: LatticeMap) -> AdequacyCertificate:

@@ -33,7 +33,6 @@ from .core import (
 MAX_MONOTONE_ARITY = 6
 # F_6^- has 7,828,353 elements: its order matrix alone would take about 7.7 TB.
 MAX_MONOTONE_POSET_ARITY = 5
-POSET_CHECK_LIMIT = 1 << 12
 
 _RECORD = "BBBBHIQ"  # array type of a k-ary mask (2^k bits), by k
 _LOW = int(sys.byteorder == "big")  # lane of a record's low half
@@ -131,68 +130,23 @@ def _columns(masks: Sequence[int]) -> list[int]:
 
 
 class Poset:
-    """Finite poset over explicit labels with a bit-matrix order relation."""
+    """Distinct integer masks ordered by inclusion, as a bit matrix of up-set rows.
 
-    def __init__(self, labels: Sequence, leq: Callable[[object, object], bool]):
-        self.labels = tuple(labels)
-        self.rows = [
-            sum(1 << b for b, y in enumerate(self.labels) if leq(x, y))
-            for x in self.labels
-        ]
-        self._finish()
+    Bit b of rows[a] is set iff masks[a] is contained in masks[b].  col[r]
+    holds the elements that contain bit r, and the row of an element is the
+    AND of col[r] over its bits (every element for the empty mask).  Labels
+    name the elements and default to the masks.
+    """
 
-    @classmethod
-    def by_inclusion(cls, masks: Iterable[int]) -> "Poset":
-        """Integer masks ordered by inclusion, with rows built from bit columns.
-
-        col[r] holds the labels that contain bit r, and the row of a label is
-        the AND of col[r] over its bits (every label for the empty mask).
-        """
-        poset = cls.__new__(cls)
-        poset.labels = tuple(masks)
-        cols = _columns(poset.labels)
-        every = (1 << len(poset.labels)) - 1
-        poset.rows = [reduce(and_, [cols[r] for r in _bits(label)], every)
-                      for label in poset.labels]
-        poset._finish()
-        return poset
-
-    def _finish(self):
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
+    def __init__(self, masks: Iterable[int], labels: Iterable | None = None):
+        masks = tuple(masks)
+        self.labels = masks if labels is None else tuple(labels)
+        if len(set(masks)) != len(masks) or len(set(self.labels)) != len(masks):
             raise InputError("duplicate poset elements")
+        cols = _columns(masks)
+        every = (1 << len(masks)) - 1
+        self.rows = [reduce(and_, [cols[r] for r in _bits(mask)], every) for mask in masks]
         self._index = {label: i for i, label in enumerate(self.labels)}
-        if n <= POSET_CHECK_LIMIT:
-            self._validate()
-
-    def _validate(self):
-        """Check that the rows are reflexive, antisymmetric and transitive.
-
-        Element a is verified once row(x) <= row(a) for every x in row(a).
-        Rows are taken smallest first, so in a poset each b strictly above a
-        is verified before a, and row(b) then vouches for all of its members:
-        only the members no such row covers yet are visited.  An unverified
-        b != a in row(a) has a row at least as large, which breaks
-        antisymmetry if it is equal and transitivity otherwise.
-        """
-        rows = self.rows
-        verified = 0
-        for a in sorted(range(len(rows)), key=lambda a: rows[a].bit_count()):
-            row = rows[a]
-            if not (row >> a) & 1:
-                raise InputError("relation is not reflexive")
-            closure = 1 << a
-            rest = row & ~closure
-            while rest:
-                b = (rest & -rest).bit_length() - 1
-                if not (verified >> b) & 1:
-                    raise InputError("relation is not antisymmetric" if rows[b] == row
-                                     else "relation is not transitive")
-                closure |= rows[b]
-                rest &= ~closure
-            if closure != row:
-                raise InputError("relation is not transitive")
-            verified |= 1 << a
 
     def __len__(self):
         return len(self.labels)
@@ -221,14 +175,14 @@ def boolean_cube(i: int) -> Poset:
     """{0,1}^i under the pointwise product order, elements labeled by rank."""
     if i < 0:
         raise InputError(f"i must be >= 0, got {i}")
-    return Poset.by_inclusion(range(1 << i))
+    return Poset(range(1 << i))
 
 
 @lru_cache(maxsize=None)
 def monotone_nonzero_poset(j: int) -> Poset:
     if j > MAX_MONOTONE_POSET_ARITY:
         raise CapacityError(f"monotone lattices beyond j={MAX_MONOTONE_POSET_ARITY} are too large")
-    return Poset.by_inclusion(monotone_nonzero(j))
+    return Poset(monotone_nonzero(j))
 
 
 class AdequacyError(InputError):

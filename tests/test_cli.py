@@ -312,6 +312,13 @@ def test_cmd_lattice_witness_budget_exhausted(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("exhausted:")
 
 
+def test_cmd_lattice_witness_budget_needs_csg(tmp_path, capsys):
+    out = tmp_path / "w9.lang"
+    assert main(["lattice", "witness", "--n", "9", "--budget", "5", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --budget needs --csg\n"
+    assert not out.exists()
+
+
 def test_cmd_lattice_witness(tmp_path, capsys):
     out = str(tmp_path / "w8.lang")
     assert main(["lattice", "witness", "--n", "8", "--out", out, "--json"]) == EXIT_OK
@@ -395,6 +402,7 @@ def test_disk_cache_version_bump_is_stale_and_overwritten(tmp_path, monkeypatch)
     (["lattice", "search", "--i", "3", "--j", "3", "--budget", "-1", "--cache", "{dir}"],
      EXIT_USAGE),
     (["lattice", "witness", "--csg", "--n", "8", "--budget", "-1", "--out", "{out}"], EXIT_USAGE),
+    (["lattice", "witness", "--n", "9", "--budget", "5", "--out", "{out}"], EXIT_USAGE),
     (["lattice", "search", "--i", "1", "--j", "6"], EXIT_CAPACITY),  # monotone poset guard
     (["lattice", "search", "--i", "1", "--j", "7", "--csg"], EXIT_CAPACITY),  # game poset guard
     (["complexity", "{dir}"], EXIT_USAGE),  # IsADirectoryError
@@ -412,7 +420,7 @@ def test_disk_cache_version_bump_is_stale_and_overwritten(tmp_path, monkeypatch)
 ], ids=["complexity-empty-dot", "construct-c1", "count-max-c1", "count-max-4-4-9",
         "resume-tampered",
         "bound-csg-24", "bound-monotone-42", "search-negative-i", "search-csg-negative-i",
-        "search-negative-budget", "witness-csg-negative-budget",
+        "search-negative-budget", "witness-csg-negative-budget", "witness-budget-without-csg",
         "search-monotone-j6", "search-csg-j7", "complexity-directory", "complexity-binary",
         "construct-out-directory", "resume-binary", "resume-truncated",
         "unicode-digit-word", "unicode-digit-color", "unicode-digit-header",

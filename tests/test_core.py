@@ -38,11 +38,13 @@ def test_rank_rejects_bad_digits():
         rank((0, 3), 3)
 
 
-@pytest.mark.parametrize("word,bad", [("1٣", "٣"), ("0a", "a"), ("²", "²")])
+@pytest.mark.parametrize("word,bad", [("1٣", "٣"), ("0a", "a"), ("²", "²"),
+                                      ([1.9, 0.2], 1.9), (["1", "٣"], "1"), ((1, None), None)])
 def test_words_take_only_ascii_digits(word, bad):
     from maxcomplex.minauto import mn_equivalent
 
     assert as_word("") == () and as_word("0129") == (0, 1, 2, 9)
+    assert as_word([True, 0, 2]) == (1, 0, 2) and as_word(()) == ()
     with pytest.raises(InputError, match=repr(bad)):
         as_word(word)
     with pytest.raises(InputError, match=repr(bad)):
@@ -150,6 +152,18 @@ def test_upward_closure():
     closed = upward_closure_mask(3, 1 << rank("001", 2))
     members = {r for r in range(8) if (closed >> r) & 1}
     assert members == {rank(w, 2) for w in ("001", "011", "101", "111")}
+
+
+def test_mask_is_monotone_matches_pointwise_definition():
+    for n in range(5):
+        # word v is pointwise above word u iff the digits of u lie among those of v
+        ups = [sum(1 << v for v in range(1 << n) if u & ~v == 0) for u in range(1 << n)]
+        for mask in range(1 << (1 << n)):
+            pointwise = all(ups[u] & ~mask == 0 for u in range(1 << n) if (mask >> u) & 1)
+            assert _mask_is_monotone(n, mask) == pointwise, (n, mask)
+        for out_of_range in (-1, 1 << (1 << n)):
+            with pytest.raises(InputError, match="out of range"):
+                _mask_is_monotone(n, out_of_range)
 
 
 def test_monotone_function_validates():

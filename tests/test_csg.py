@@ -9,7 +9,7 @@ from maxcomplex.core import (
 from maxcomplex.bounds import csg_bound
 from maxcomplex.minauto import state_complexity, states_by_depth
 from maxcomplex.witness import NoWitnessError
-from maxcomplex.lattice import AdequacyError, LatticeMap, Poset, enumerate_monotone, sub_masks
+from maxcomplex.lattice import AdequacyError, LatticeMap, enumerate_monotone, sub_masks
 from maxcomplex.csg import (
     build_csg_witness,
     check_csg_relation,
@@ -131,10 +131,38 @@ def test_csg_equals_monotone_intersect_early():
     assert len(sample) > len(kept) == 1173
 
 
+def _rows_by_relation(labels, leq):
+    """Up-set rows of a relation, pair by pair."""
+    return [sum(1 << b for b, y in enumerate(labels) if leq(x, y)) for x in labels]
+
+
 def test_game_rows_from_bit_columns_match_callback():
     for j in range(1, 7):
         labels = csg_nonzero(j)
-        assert csg_nonzero_poset(j).rows == Poset(labels, lambda a, b: a & ~b == 0).rows
+        assert csg_nonzero_poset(j).rows == _rows_by_relation(labels, lambda a, b: a & ~b == 0)
+
+
+def _rank_leq(n, rx, ry):
+    """Majorization of the n-digit words of ranks rx and ry, prefix by prefix."""
+    sx = sy = 0
+    for pos in range(n - 1, -1, -1):
+        sx += (rx >> pos) & 1
+        sy += (ry >> pos) & 1
+        if sx > sy:
+            return False
+    return True
+
+
+def test_majorization_staircases_match_prefix_sums():
+    for n in range(9):
+        poset = majorization_poset(n)
+        assert poset.labels == tuple(range(1 << n))
+        assert poset.rows == _rows_by_relation(range(1 << n), lambda a, b: _rank_leq(n, a, b))
+    for n in range(7):
+        words = ["".join(w) for w in product("01", repeat=n)]
+        for rx, x in enumerate(words):
+            for ry, y in enumerate(words):
+                assert majorization_leq(x, y) == _rank_leq(n, rx, ry), (x, y)
 
 
 def _covers_by_definition(poset):

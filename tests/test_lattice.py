@@ -201,22 +201,16 @@ def test_cli_enumerates_arity_6_without_numpy(tmp_path):
     assert json.loads(done.stdout)["count"] == 7828354
 
 
-def test_poset_axioms_enforced():
-    with pytest.raises(InputError):
-        Poset([0, 1, 2], lambda a, b: (a, b) in {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)})
+def _rows_by_relation(labels, leq):
+    """Up-set rows of a relation, pair by pair."""
+    return [sum(1 << b for b, y in enumerate(labels) if leq(x, y)) for x in labels]
 
 
-def test_poset_axioms_each_named():
-    cases = {
-        "reflexive": {(0, 0), (1, 1)},
-        "antisymmetric": {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)},
-        "transitive": {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)},
-    }
-    for axiom, pairs in cases.items():
-        with pytest.raises(InputError, match=f"not {axiom}"):
-            Poset([0, 1, 2], lambda a, b, pairs=pairs: (a, b) in pairs)
+def test_poset_rejects_duplicate_masks_and_labels():
     with pytest.raises(InputError, match="duplicate"):
-        Poset.by_inclusion([1, 3, 1])
+        Poset([1, 3, 1])
+    with pytest.raises(InputError, match="duplicate"):
+        Poset([1, 3, 7], labels=["a", "b", "a"])
 
 
 def _is_partial_order(rows):
@@ -229,45 +223,29 @@ def _is_partial_order(rows):
                     if leq[a][b] and leq[b][c]))
 
 
-def test_poset_validation_matches_axioms_on_random_relations():
+def test_poset_rows_are_inclusion_on_random_masks():
     import random
 
     rng = random.Random(7)
-    accepted = 0
     for _ in range(3000):
-        n = rng.randint(1, 6)
-        # transitive closures of random DAGs, then up to two flipped pairs
-        order = rng.sample(range(n), n)
-        rows = [1 << a for a in range(n)]
-        for x in range(n):
-            for y in range(x + 1, n):
-                if rng.random() < 0.4:
-                    rows[order[x]] |= 1 << order[y]
-        for _ in range(n):
-            rows = [row | sum(rows[b] for b in range(n) if row >> b & 1) for row in rows]
-            rows = [row | (1 << a) for a, row in enumerate(rows)]
-        for _ in range(rng.randint(0, 2)):
-            rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
-        expected = _is_partial_order(rows)
-        accepted += expected
-        try:
-            Poset(range(n), lambda a, b: bool(rows[a] >> b & 1))
-            assert expected, rows
-        except InputError:
-            assert not expected, rows
-    assert 500 < accepted < 2500
+        width = rng.randint(0, 6)
+        masks = rng.sample(range(1 << width), rng.randint(1, min(6, 1 << width)))
+        rows = Poset(masks).rows
+        assert rows == _rows_by_relation(masks, lambda a, b: a & ~b == 0), masks
+        assert _is_partial_order(rows), masks
 
 
 def test_cube_and_monotone_rows_from_bit_columns_match_callback():
     for i in range(7):
-        assert boolean_cube(i).rows == Poset(range(1 << i), lambda a, b: a & ~b == 0).rows
+        assert boolean_cube(i).rows == _rows_by_relation(range(1 << i), lambda a, b: a & ~b == 0)
     for j in range(1, 5):
         labels = monotone_nonzero(j)
-        assert monotone_nonzero_poset(j).rows == Poset(labels, lambda a, b: a & ~b == 0).rows
+        assert monotone_nonzero_poset(j).rows == _rows_by_relation(labels,
+                                                                   lambda a, b: a & ~b == 0)
 
 
 def test_poset_covers_chain():
-    chain = Poset([0, 1, 2, 3], lambda a, b: a <= b)
+    chain = Poset([0, 1, 3, 7])
     assert chain.covers() == [(0, 1), (1, 2), (2, 3)]
 
 
