@@ -21,8 +21,8 @@ _EXPORTS = {
         "witness": "CrossoverPoint NoWitnessError construct_maximal crossover nonzero_functions",
         "counting": "NoMaxError count_max o_i onto_count onto_first_count stirling2",
         "lattice": "AdequacyCertificate AdequacyError LatticeMap Poset SearchOutcome "
-                   "build_witness_language check_relation enumerate_monotone is_adequate "
-                   "is_isotone lemma_les_check named_embedding search_relation",
+                   "build_witness_language check_relation count_monotone enumerate_monotone "
+                   "is_adequate is_isotone lemma_les_check named_embedding search_relation",
         "csg": "build_csg_witness check_csg_relation enumerate_csg enumerate_early "
                "majorization_leq search_csg_relation",
     }.items()

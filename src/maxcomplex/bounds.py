@@ -32,8 +32,8 @@ class BoundKind(Enum):
     CSG_PDFA = "csg"
 
 # Number of monotone Boolean functions of k variables (constants included),
-# k = 0..6.  Larger arities must be supplied by the caller; regeneration up
-# to k=6 is available in the lattice module for cross-checking.
+# k = 0..6.  Larger arities must be supplied by the caller; for k <= 6,
+# `lattice.count_monotone` re-derives them without listing the functions.
 DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354)
 
 # Number of early-monotone functions (complete simple games) of k variables,

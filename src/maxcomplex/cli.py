@@ -123,7 +123,13 @@ def parse_language_file(text: str) -> ColoredFunction:
 def format_language_file(f: ColoredFunction, comment: str = "") -> str:
     """A header, then one line per nonzero cell in rank order.  A word is a head of
     n - n//2 digits and a tail of n//2: the tails are built once, the heads one by
-    one, and each head's block of cells is filtered to its nonzero cells in C."""
+    one, and each head's block of cells is filtered to its nonzero cells in C.  A word
+    that uses a symbol >= 10 has no one-digit-per-symbol spelling: InputError."""
+    if f.b > 10:
+        for r in compress(range(len(f.table)), f.table):
+            if max(word := unrank(r, f.n, f.b), default=0) >= 10:
+                raise InputError(f"word {word} has a symbol >= 10, which a language file "
+                                 f"cannot spell (one digit per symbol)")
     lines = [f"# {comment}"] if comment else []
     lines.append(f"b={f.b} c={f.c} n={f.n}")
     digits = [str(d) for d in range(f.b)]
@@ -272,12 +278,11 @@ def cmd_lattice_enumerate(args) -> int:
         if args.csg:
             from . import csg
 
-            masks = csg.enumerate_csg(args.n)
+            count = len(csg.enumerate_csg(args.n))
         else:
             from . import lattice
 
-            masks = lattice.enumerate_monotone(args.n)
-        count = len(masks)
+            count = lattice.count_monotone(args.n)
         cache.store("enumeration", params, str(count))
     payload = {
         "kind": kind, "n": args.n,
@@ -317,7 +322,7 @@ def cmd_lattice_search(args) -> int:
     if args.resume:
         cert = lattice.verify_certificate(lattice.parse_certificate(Path(args.resume).read_text()))
         payload = {"i": cert.i, "j": cert.j, "kind": cert.kind, "status": "verified",
-                   "nodes": 0, "certificate": args.resume, **no_search}
+                   "nodes": 0, "certificate": args.resume, **no_search, "cache": None}
         _emit(args, payload, f"certificate verified: {args.resume}")
         return EXIT_OK
     cached = cache.load("certificate", params)
@@ -325,7 +330,7 @@ def cmd_lattice_search(args) -> int:
         cert = lattice.verify_certificate(lattice.parse_certificate(cached))
         payload = {"i": args.i, "j": args.j, "kind": kind, "status": "cached",
                    "nodes": 0, "certificate": str(cache._path("certificate", params)),
-                   **no_search}
+                   **no_search, "cache": cache.event}
         _emit(args, payload, f"certificate loaded from cache")
         return EXIT_OK
     if args.csg:
@@ -336,7 +341,7 @@ def cmd_lattice_search(args) -> int:
         outcome = lattice.search_relation(args.i, args.j, budget=args.budget)
     payload = {"i": args.i, "j": args.j, "kind": kind, "status": outcome.status,
                "nodes": outcome.nodes, "certificate": None, "prunes": dict(outcome.prunes),
-               "deepest": outcome.deepest}
+               "deepest": outcome.deepest, "cache": cache.event}
     if outcome.status == "found":
         cert = lattice.lattice_kind(kind).check(args.i, args.j, outcome.map)
         text = lattice.format_certificate(cert)

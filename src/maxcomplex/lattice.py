@@ -101,6 +101,22 @@ def enumerate_monotone(n: int) -> array:
     return out if out.typecode == "Q" else array("Q", out)
 
 
+def count_monotone(n: int) -> int:
+    """|F_n|, the Dedekind number M(n), without listing F_n.
+
+    f = (g, h) with g <= h, and g = (g0, g1), h = (h0, h1) one arity further
+    down, so f is a 4-tuple of (n-2)-ary functions with g0 <= g1 <= h1 and
+    g0 <= h0 <= h1: for each a = g0 <= b = h1 the middle pair ranges over
+    [a, b]^2.  The interval is the up-set row of a AND the down-set column of
+    b, so M(n) = sum over a <= b in F_{n-2} of |[a, b]|^2.
+    """
+    if n < 2 or n > MAX_MONOTONE_ARITY:  # enumerate_monotone's guards raise first
+        return len(enumerate_monotone(n))
+    rows = Poset(enumerate_monotone(n - 2)).rows
+    downs = _columns(rows)
+    return sum((row & downs[b]).bit_count() ** 2 for row in rows for b in _bits(row))
+
+
 @lru_cache(maxsize=None)
 def monotone_nonzero(n: int) -> tuple:
     """Nonzero monotone masks of n variables, ascending."""
@@ -121,7 +137,8 @@ def _bits(x: int) -> list[int]:
 
 
 def _columns(masks: Sequence[int]) -> list[int]:
-    """cols[r] holds the indices of the masks that contain bit r."""
+    """cols[r] holds the indices of the masks that contain bit r.  On the up-set
+    rows of a poset this is the transpose: the down-set column of each element."""
     cols = [0] * max(masks, default=0).bit_length()
     for a, mask in enumerate(masks):
         for r in _bits(mask):
@@ -159,14 +176,11 @@ class Poset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Hasse edges (a, b) with a < b and nothing strictly between."""
-        strict_downs = [0] * len(self.rows)
-        for a, row in enumerate(self.rows):
-            for b in _bits(row & ~(1 << a)):
-                strict_downs[b] |= 1 << a
+        downs = _columns(self.rows)
         out = []
         for a, row in enumerate(self.rows):
-            ups = row & ~(1 << a)
-            out.extend((a, b) for b in _bits(ups) if not ups & strict_downs[b])
+            ups = row & ~(1 << a)  # ups & downs[b] holds the x with a < x <= b
+            out.extend((a, b) for b in _bits(ups) if ups & downs[b] == 1 << b)
         return out
 
 

@@ -1,10 +1,11 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from maxcomplex.cache import DiskCache
+from maxcomplex.cache import DEFAULT_DIR, DiskCache, cache_dir
 from maxcomplex.cli import (
     EXIT_CAPACITY,
     EXIT_EXHAUSTED,
@@ -19,9 +20,9 @@ from maxcomplex.cli import (
     parse_language_file,
 )
 from maxcomplex.bounds import general_bound
-from maxcomplex.core import CapacityError, ColoredFunction, MaxcomplexError
+from maxcomplex.core import CapacityError, ColoredFunction, InputError, MaxcomplexError
 from maxcomplex.counting import count_max
-from maxcomplex import counting, minauto
+from maxcomplex import counting, lattice, minauto
 
 ASIAN_TEXT = """\
 # exercise outcomes
@@ -174,6 +175,20 @@ def test_cmd_construct_round_trip(tmp_path, capsys):
     assert reread == f"complexity {payload['complexity']}"
 
 
+def test_cmd_construct_refuses_words_a_file_cannot_spell(tmp_path, capsys):
+    out = tmp_path / "x.lang"
+    argv = ["construct", "--b", "11", "--c", "2", "--n", "2", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: word (0, 10) has a symbol >= 10") and "Traceback" not in err
+    assert not out.exists()
+    with pytest.raises(InputError, match=r"word \(3, 10\)"):
+        format_language_file(ColoredFunction.from_words(12, 2, 2, {(3, 9): 1, (3, 10): 1}))
+    # past b = 10, words whose symbols are all below 10 are still written
+    f = ColoredFunction.from_words(40, 2, 3, {(3, 9): 2, (0, 0): 1})
+    assert parse_language_file(format_language_file(f)) == f
+
+
 def test_cmd_count_max(tmp_path, capsys):
     assert main(["count-max", "--b", "2", "--c", "2", "--n", "3",
                  "--verify-brute", "--json"]) == EXIT_OK
@@ -251,6 +266,25 @@ def test_cmd_lattice_enumerate(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {**payload, "cache": "hit"}
 
 
+def test_cmd_lattice_enumerate_counts_monotone_without_listing(tmp_path, capsys, monkeypatch):
+    listing = lattice.enumerate_monotone
+
+    def small_only(n):
+        assert n < 5, f"F_{n} listed"
+        return listing(n)
+
+    monkeypatch.setattr(lattice, "enumerate_monotone", small_only)
+    argv = ["lattice", "enumerate", "--n", "6", "--cache", str(tmp_path / "cache"), "--json"]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["count"], payload["nonzero_count"]) == (7828354, 7828353)
+    assert payload["cache"] == "miss"
+
+
+def test_suite_runs_without_the_working_directory_cache():
+    assert cache_dir() != Path(DEFAULT_DIR) and DiskCache().root == cache_dir()
+
+
 def test_cmd_lattice_verify_embedding(capsys):
     assert main(["lattice", "verify-embedding", "--name", "friday", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
@@ -264,8 +298,8 @@ def test_cmd_lattice_search_and_resume(tmp_path, capsys):
                  "--out", cert, "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == ["i", "j", "kind", "status", "nodes", "certificate", "prunes",
-                             "deepest"]
-    assert payload["status"] == "found"
+                             "deepest", "cache"]
+    assert payload["status"] == "found" and payload["cache"] == "miss"
     assert main(["lattice", "search", "--i", "2", "--j", "2", "--resume", cert]) == EXIT_OK
     assert "verified" in capsys.readouterr().out
 
@@ -278,7 +312,7 @@ def test_cmd_lattice_search_resume_reports_certificate(tmp_path, capsys):
                  "--resume", cert, "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert (payload["kind"], payload["i"], payload["j"]) == ("monotone", 2, 3)
-    assert payload["status"] == "verified"
+    assert payload["status"] == "verified" and payload["cache"] is None
 
 
 @pytest.mark.parametrize("flag", [[], ["--csg"]])
@@ -297,6 +331,8 @@ def test_cmd_lattice_search_cache(tmp_path, capsys):
     assert main(argv) == EXIT_OK
     second = json.loads(capsys.readouterr().out)
     assert second["status"] == "cached"
+    assert (first["cache"], second["cache"]) == ("miss", "hit")
+    assert list(second) == list(first)
 
 
 def test_cmd_lattice_search_exhausted(capsys):
@@ -417,6 +453,8 @@ def test_disk_cache_version_bump_is_stale_and_overwritten(tmp_path, monkeypatch)
     (["complexity", "{n64}"], EXIT_CAPACITY),  # b**n is never allocated, nor computed
     (["complexity", "{long_header}"], EXIT_USAGE),  # past the interpreter's int/str limit
     (["complexity", "{long_color}"], EXIT_USAGE),
+    (["lattice", "enumerate", "--n", "-1"], EXIT_USAGE),  # n must be >= 0
+    (["lattice", "enumerate", "--n", "7"], EXIT_CAPACITY),  # F_7 is not counted
 ], ids=["complexity-empty-dot", "construct-c1", "count-max-c1", "count-max-4-4-9",
         "resume-tampered",
         "bound-csg-24", "bound-monotone-42", "search-negative-i", "search-csg-negative-i",
@@ -424,7 +462,8 @@ def test_disk_cache_version_bump_is_stale_and_overwritten(tmp_path, monkeypatch)
         "search-monotone-j6", "search-csg-j7", "complexity-directory", "complexity-binary",
         "construct-out-directory", "resume-binary", "resume-truncated",
         "unicode-digit-word", "unicode-digit-color", "unicode-digit-header",
-        "header-n23", "header-n64", "long-header-value", "long-color"])
+        "header-n23", "header-n64", "long-header-value", "long-color",
+        "enumerate-negative-n", "enumerate-n7"])
 def test_library_errors_exit_with_documented_code(tmp_path, capsys, argv, code):
     # the image of source 00 is {01}, which is not upward closed
     tampered = ("maxcomplex-certificate v1\ni: 2\nj: 2\nmap:\n00 -> 0100\n01 -> 0101\n"

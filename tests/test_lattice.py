@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from array import array
@@ -22,7 +23,7 @@ from maxcomplex.core import (
     _mask_is_monotone,
     var_mask,
 )
-from maxcomplex.bounds import _MONOTONE, _table_profile, monotone_bound
+from maxcomplex.bounds import DEDEKIND, _MONOTONE, _table_profile, monotone_bound
 from maxcomplex.minauto import state_complexity
 from maxcomplex.lattice import (
     _LOW,
@@ -36,6 +37,7 @@ from maxcomplex.lattice import (
     boolean_cube,
     build_witness_language,
     check_relation,
+    count_monotone,
     embedding_shape,
     enumerate_monotone,
     format_certificate,
@@ -80,6 +82,18 @@ def test_enumeration_n2_explicit():
 def test_enumeration_capacity():
     with pytest.raises(CapacityError):
         enumerate_monotone(7)
+
+
+@pytest.mark.parametrize("n", range(MAX_MONOTONE_ARITY + 1))
+def test_count_monotone_equals_the_listing(n):
+    assert count_monotone(n) == len(enumerate_monotone(n)) == DEDEKIND[n]
+
+
+def test_count_monotone_keeps_the_listing_guards():
+    with pytest.raises(InputError, match="n must be >= 0"):
+        count_monotone(-1)
+    with pytest.raises(CapacityError, match="beyond n=6 is not desk-feasible"):
+        count_monotone(MAX_MONOTONE_ARITY + 1)
 
 
 def _pair_loop(n):
@@ -170,24 +184,48 @@ def _env_with_package():
     return {**os.environ, "PYTHONPATH": path}
 
 
+def _run_from_bare_interpreter(code, *argv):
+    """Run `python -c code *argv`.  Linux carries a process's peak RSS across
+    fork and exec, so a measured process is started from a bare interpreter,
+    not from pytest."""
+    launch = ("import subprocess, sys; "
+              "sys.exit(subprocess.run([sys.executable, '-c', *sys.argv[1:]]).returncode)")
+    return subprocess.run([sys.executable, "-c", launch, code, *argv], capture_output=True,
+                          text=True, env=_env_with_package(), timeout=300)
+
+
+def _megabytes(maxrss):
+    """ru_maxrss is in KiB on Linux and in bytes on macOS."""
+    return int(maxrss) / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
 def test_enumeration_keeps_one_copy_of_f6_in_memory():
     code = ("import resource; from maxcomplex.lattice import enumerate_monotone; "
             "masks = enumerate_monotone(6); "
             "print(len(masks), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-    # Linux carries a process's peak RSS across fork and exec, so the
-    # measured process is started from a bare interpreter, not from pytest.
-    launch = ("import subprocess, sys; "
-              "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
-    done = subprocess.run([sys.executable, "-c", launch, code], capture_output=True, text=True,
-                          env=_env_with_package(), timeout=300)
+    done = _run_from_bare_interpreter(code)
     assert done.returncode == 0, done.stderr
-    count, maxrss = map(int, done.stdout.split())
-    assert count == 7828354
-    # ru_maxrss is in KiB on Linux and in bytes on macOS. F_6 itself takes
-    # 62.6 MB; a second full-size copy would pass 100 MB.
-    megabytes = maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    count, maxrss = done.stdout.split()
+    assert int(count) == 7828354
+    # F_6 itself takes 62.6 MB; a second full-size copy would pass 100 MB.
+    megabytes = _megabytes(maxrss)
     assert megabytes < 100, f"peak RSS {megabytes:.1f} MB"
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_cli_counts_arity_6_without_listing_it(tmp_path):
+    code = ("import resource, sys; from maxcomplex.cli import main; "
+            "code = main(sys.argv[1:]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
+    done = _run_from_bare_interpreter(code, "lattice", "enumerate", "--n", "6", "--json",
+                                      "--cache", str(tmp_path / "cache"))
+    assert done.returncode == 0, done.stderr
+    payload, maxrss = done.stdout.splitlines()
+    assert json.loads(payload)["count"] == 7828354
+    # listing F_6 (62.6 MB of masks) took the process to about 80 MB
+    megabytes = _megabytes(maxrss)
+    assert megabytes < 40, f"peak RSS {megabytes:.1f} MB"
 
 
 def test_cli_enumerates_arity_6_without_numpy(tmp_path):
@@ -247,6 +285,18 @@ def test_cube_and_monotone_rows_from_bit_columns_match_callback():
 def test_poset_covers_chain():
     chain = Poset([0, 1, 3, 7])
     assert chain.covers() == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_poset_covers_match_the_definition():
+    rng = random.Random(7)
+    posets = [boolean_cube(3), monotone_nonzero_poset(3)]
+    posets += [Poset(rng.sample(range(1 << 7), 30)) for _ in range(20)]
+    for poset in posets:
+        n, leq = len(poset), poset.leq
+        assert poset.covers() == [
+            (a, b) for a in range(n) for b in range(n)
+            if a != b and leq(a, b) and not any(leq(a, x) and leq(x, b)
+                                                for x in range(n) if x not in (a, b))]
 
 
 def test_is_isotone_identity_and_reversal():
