@@ -23,7 +23,7 @@ _EXPORTS = {
         "lattice": "AdequacyCertificate AdequacyError LatticeMap Poset SearchOutcome "
                    "build_witness_language check_relation count_monotone enumerate_monotone "
                    "is_adequate is_isotone lemma_les_check named_embedding search_relation",
-        "csg": "build_csg_witness check_csg_relation enumerate_csg enumerate_early "
+        "csg": "build_csg_witness check_csg_relation count_csg enumerate_csg enumerate_early "
                "majorization_leq search_csg_relation",
     }.items()
     for name in names.split()

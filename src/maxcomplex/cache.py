@@ -1,4 +1,4 @@
-"""On-disk cache for expensive enumerations and search certificates.
+"""On-disk cache for search certificates.
 
 Every entry is one file named by its kind and parameters.  The file's
 header holds a content hash of (package version, kind, parameters) and a

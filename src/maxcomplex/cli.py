@@ -97,16 +97,16 @@ def parse_language_file(text: str) -> ColoredFunction:
         n = len(entries[0][1])
     else:
         raise ParseError("empty file without a header: language length is unknown")
-    b = header["b"] if "b" in header else int(max("".join(t for _, t, _ in entries) or "0")) + 1
-    c = header["c"] if "c" in header else max((col for _, _, col in entries), default=1) + 1
-    b, c = max(b, 2), max(c, 2)
+    # a header's b and c are taken as written, b=1 and c=1 too; inferred ones are at least 2
+    b = header["b"] if "b" in header else 1 + int(max("1" + "".join(t for _, t, _ in entries)))
+    c = header["c"] if "c" in header else 1 + max([1, *(col for _, _, col in entries)])
     table = bytearray(table_cells(b, n, c))
     zero_listed: set[int] = set()  # words listed with color 0, which their cells cannot show
     for k, (lineno, token, color) in enumerate(entries):
         if len(token) != n:
             raise ParseError(f"line {lineno}: word length {len(token)} != n = {n}")
         try:
-            r = int(token or "0", b) if b <= 36 else rank(token, b)
+            r = int(token or "0", b) if 2 <= b <= 36 else rank(token, b)
         except ValueError:  # a digit >= b
             raise ParseError(f"line {lineno}: digit out of range for b = {b}") from None
         if color >= c:
@@ -266,32 +266,16 @@ def cmd_count_max(args) -> int:
 
 
 def cmd_lattice_enumerate(args) -> int:
-    from .cache import DiskCache
+    if args.csg:
+        from . import csg
 
-    kind = "csg" if args.csg else "monotone"
-    cache = DiskCache(args.cache)
-    params = f"{kind}-n{args.n}"
-    cached = cache.load("enumeration", params)
-    if cached is not None:
-        count = int(cached)
+        kind, count = "csg", csg.count_csg(args.n)
     else:
-        if args.csg:
-            from . import csg
+        from . import lattice
 
-            count = len(csg.enumerate_csg(args.n))
-        else:
-            from . import lattice
-
-            count = lattice.count_monotone(args.n)
-        cache.store("enumeration", params, str(count))
-    payload = {
-        "kind": kind, "n": args.n,
-        "count": count,
-        "nonzero_count": count - 1,
-        "cache": cache.event,
-    }
-    _emit(args, payload, f"{kind} n={args.n}: {count} functions "
-                         f"({count - 1} nonzero)")
+        kind, count = "monotone", lattice.count_monotone(args.n)
+    payload = {"kind": kind, "n": args.n, "count": count, "nonzero_count": count - 1}
+    _emit(args, payload, f"{kind} n={args.n}: {count} functions ({count - 1} nonzero)")
     return EXIT_OK
 
 
@@ -455,10 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     lat = sub.add_parser("lattice", help="monotone and game lattice tooling")
     lsub = lat.add_subparsers(dest="subcommand", required=True)
 
-    p = lsub.add_parser("enumerate", help="enumerate monotone functions or games")
+    p = lsub.add_parser("enumerate", help="count monotone functions or games")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--csg", action="store_true")
-    p.add_argument("--cache", help="cache directory (default ./.maxcomplex-cache)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lattice_enumerate)
 

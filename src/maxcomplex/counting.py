@@ -14,7 +14,7 @@ from math import comb, factorial, log2, log10, perm
 
 from .bounds import general_bound_terms, power_capped, tower_capped
 from .core import CapacityError, InputError, unrank
-from .witness import NoWitnessError, crossover
+from .witness import crossover
 
 # Keep the inclusion-exclusion loop responsive: at most this many big-int
 # multiplications (terms x blocks), and at most this much work by operand size,
@@ -106,13 +106,21 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
     where perm counts the injective block choices.  This is o_i(b, c, n, i)
     with each assignment also required to have injective nonzero blocks; the
     two agree exactly when N - 1 > b^i - b (notes/decisions.md).
+
+    When the colors outnumber the words (b^n < c - 1), no depth crosses over
+    (the crossover is n + 1, as in `bounds._profile`) and a function is maximal
+    iff its b^n words take distinct nonzero colors: perm(c - 1, b^n) of them.
     """
     if c < 2:
         raise NoMaxError("c=1 admits no nonzero functions")
-    try:
-        cross = crossover(b, c, n)
-    except NoWitnessError as exc:
-        raise NoMaxError(str(exc)) from None
+    if b < 1 or n < 0:
+        raise InputError(f"bad parameters b={b}, n={n}")
+    words = power_capped(b, n, c - 1)  # b^n, exact when below c - 1
+    if words < c - 1:
+        if words > MAX_COUNT_WORK or (words * log2(c)) ** 1.5 > MAX_COUNT_BIT_WORK:
+            raise CapacityError("count exceeds the configured work limit")
+        return n + 1, perm(c - 1, words)
+    cross = crossover(b, c, n)  # b^n >= c - 1, so a crossover exists
     i = cross.i
     if i == 0:
         # c=2 with a single word: the unique maximal function accepts it

@@ -73,26 +73,18 @@ def majorization_poset(n: int) -> Poset:
 
 
 def _dominance_up_sets(n: int, weight: int) -> list[int]:
-    """All up-closed subsets of one weight class, as language masks."""
-    members = [r for r in range(1 << n) if bin(r).count("1") == weight]
-    k = len(members)
-    stairs = [_stairs(n, r) for r in members]
-    ups = []  # per member, the within-class indices of its upper bounds
-    for a in range(k):
-        ups.append([b for b in range(k) if stairs[a] & ~stairs[b] == 0])
-    out = []
-    for subset in range(1 << k):
-        if all(
-            all((subset >> b) & 1 for b in ups[a])
-            for a in range(k)
-            if (subset >> a) & 1
-        ):
-            mask = 0
-            for a in range(k):
-                if (subset >> a) & 1:
-                    mask |= 1 << members[a]
-            out.append(mask)
-    return out
+    """All up-closed subsets of one weight class W, as language masks: the
+    submasks sub of W with rows[r] & W & ~sub == 0 for every member r of sub."""
+    rows = majorization_poset(n).rows
+    members = [r for r in range(1 << n) if r.bit_count() == weight]
+    whole = sum(1 << r for r in members)
+    out, sub = [], 0
+    while True:  # the submasks of whole, ascending
+        if not any(sub >> r & 1 and rows[r] & whole & ~sub for r in members):
+            out.append(sub)
+        sub = (sub - whole) & whole
+        if not sub:
+            return out
 
 
 def enumerate_early(n: int) -> list[int]:
@@ -145,6 +137,16 @@ def enumerate_csg(n: int) -> tuple:
     closed = [(g | shadow_mask(n - 1, g), g) for g in prev]
     shift = 1 << (n - 1)
     return tuple((h << shift) | g for h in prev for need, g in closed if need & ~h == 0)
+
+
+def count_csg(n: int) -> int:
+    """|C_n| without listing C_n: the pair rule of `enumerate_csg`, counted.  The h
+    that fit g in C_{n-1} are the members of C_{n-1} that contain g | shadow(g)."""
+    if n < 1 or n > MAX_CSG_ARITY:  # enumerate_csg's guards raise first
+        return len(enumerate_csg(n))
+    prev = enumerate_csg(n - 1)
+    above = Poset(prev).above
+    return sum(above(g | shadow_mask(n - 1, g)).bit_count() for g in prev)
 
 
 @lru_cache(maxsize=None)

@@ -149,10 +149,9 @@ def _columns(masks: Sequence[int]) -> list[int]:
 class Poset:
     """Distinct integer masks ordered by inclusion, as a bit matrix of up-set rows.
 
-    Bit b of rows[a] is set iff masks[a] is contained in masks[b].  col[r]
-    holds the elements that contain bit r, and the row of an element is the
-    AND of col[r] over its bits (every element for the empty mask).  Labels
-    name the elements and default to the masks.
+    Bit b of rows[a] is set iff masks[a] is contained in masks[b], so the row
+    of an element is `above` of its mask.  Labels name the elements and
+    default to the masks.
     """
 
     def __init__(self, masks: Iterable[int], labels: Iterable | None = None):
@@ -160,10 +159,16 @@ class Poset:
         self.labels = masks if labels is None else tuple(labels)
         if len(set(masks)) != len(masks) or len(set(self.labels)) != len(masks):
             raise InputError("duplicate poset elements")
-        cols = _columns(masks)
-        every = (1 << len(masks)) - 1
-        self.rows = [reduce(and_, [cols[r] for r in _bits(mask)], every) for mask in masks]
+        self._cols, self._every = _columns(masks), (1 << len(masks)) - 1
+        self.rows = [self.above(mask) for mask in masks]
         self._index = {label: i for i, label in enumerate(self.labels)}
+
+    def above(self, mask: int) -> int:
+        """The elements whose masks contain mask, as a bitset of indices: the AND
+        of the bit columns of mask (every element for the empty mask)."""
+        if mask >> len(self._cols):  # a bit that no element has
+            return 0
+        return reduce(and_, [self._cols[r] for r in _bits(mask)], self._every)
 
     def __len__(self):
         return len(self.labels)
@@ -512,7 +517,6 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
         lower_covers[b].append(a)
     bit_preds = [[s & ~(1 << b) for b in _bits(s)] for s in range(size)]
     every = (1 << len(labels)) - 1
-    cols = _columns(labels) if shadow is not None else []
     assignment, counts = [0] * size, [0] * len(needed)
     free, nodes, missing, exhausted = every, 0, len(needed), 0
     # the targets whose low (high) substitution is a needed value still uncovered
@@ -521,7 +525,7 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
 
     @lru_cache(maxsize=None)
     def above_shadow(t: int) -> int:  # the targets containing shadow(labels[t])
-        return reduce(and_, [cols[r] for r in _bits(shadow(labels[t]))], every)
+        return target.above(shadow(labels[t]))
 
     def extend(s: int) -> bool:
         nonlocal free, nodes, missing, exhausted, lo_open, hi_open

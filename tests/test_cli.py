@@ -175,6 +175,34 @@ def test_cmd_construct_round_trip(tmp_path, capsys):
     assert reread == f"complexity {payload['complexity']}"
 
 
+def test_cmd_construct_round_trip_keeps_a_one_letter_alphabet(tmp_path, capsys):
+    out = str(tmp_path / "w.lang")
+    assert main(["construct", "--b", "1", "--c", "3", "--n", "2", "--out", out,
+                 "--json"]) == EXIT_OK
+    built = json.loads(capsys.readouterr().out)
+    assert main(["complexity", out, "--json"]) == EXIT_OK
+    reread = json.loads(capsys.readouterr().out)
+    assert (reread["b"], reread["c"], reread["n"]) == (1, 3, 2)
+    assert reread["complexity"] == built["complexity"] == 3
+
+
+def test_header_b1_and_c1_are_read_as_written(tmp_path, capsys):
+    f = parse_language_file("b=2 c=1 n=3\n")
+    assert (f.b, f.c, f.n) == (2, 1, 3)
+    assert main(["complexity", write(tmp_path, "c1.lang", "b=2 c=1 n=3\n"), "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["c"], payload["complexity"]) == (1, 0)
+    assert parse_language_file("b=1 c=2 n=3\n000\n").value("000") == 1
+    with pytest.raises(ParseError, match="line 3: digit out of range for b = 1"):
+        parse_language_file("b=1 c=2 n=3\n000\n010\n")
+    bad = write(tmp_path, "b1.lang", "b=1 c=2 n=2\n00\n01\n")
+    assert main(["complexity", bad]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: line 3: digit out of range for b = 1\n"
+    # inferred signatures still start at b = 2 and c = 2
+    f = parse_language_file("000 0\n")
+    assert (f.b, f.c) == (2, 2)
+
+
 def test_cmd_construct_refuses_words_a_file_cannot_spell(tmp_path, capsys):
     out = tmp_path / "x.lang"
     argv = ["construct", "--b", "11", "--c", "2", "--n", "2", "--out", str(out)]
@@ -243,6 +271,14 @@ def test_cmd_count_max_list_bytes(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_cmd_count_max_colors_outnumber_words(capsys):
+    argv = ["count-max", "--b", "2", "--c", "6", "--n", "2", "--verify-brute", "--json"]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["i"], payload["count"], payload["brute_count"]) == (3, "120", "120")
+    assert payload["brute_checked"] == 6**4 - 1
+
+
 def test_cmd_count_max_brute_edges(monkeypatch, capsys):
     assert main(["count-max", "--b", "1", "--c", "2", "--n", "3000",
                  "--verify-brute", "--json"]) == EXIT_OK
@@ -254,19 +290,18 @@ def test_cmd_count_max_brute_edges(monkeypatch, capsys):
     assert captured.out == "" and "brute force counts 60, formula says 61" in captured.err
 
 
-def test_cmd_lattice_enumerate(tmp_path, capsys):
-    argv = ["lattice", "enumerate", "--n", "4", "--csg",
-            "--cache", str(tmp_path / "cache"), "--json"]
+def test_cmd_lattice_enumerate(capsys):
+    argv = ["lattice", "enumerate", "--n", "4", "--csg", "--json"]
     assert main(argv) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["kind", "n", "count", "nonzero_count", "cache"]
-    assert payload["count"] == 27 and payload["cache"] == "miss"
-    # second run is served from the cache and reports identically
+    assert list(payload) == ["kind", "n", "count", "nonzero_count"]
+    assert payload["count"] == 27
+    # a second run counts again and reports identically
     assert main(argv) == EXIT_OK
-    assert json.loads(capsys.readouterr().out) == {**payload, "cache": "hit"}
+    assert json.loads(capsys.readouterr().out) == payload
 
 
-def test_cmd_lattice_enumerate_counts_monotone_without_listing(tmp_path, capsys, monkeypatch):
+def test_cmd_lattice_enumerate_counts_monotone_without_listing(capsys, monkeypatch):
     listing = lattice.enumerate_monotone
 
     def small_only(n):
@@ -274,11 +309,34 @@ def test_cmd_lattice_enumerate_counts_monotone_without_listing(tmp_path, capsys,
         return listing(n)
 
     monkeypatch.setattr(lattice, "enumerate_monotone", small_only)
-    argv = ["lattice", "enumerate", "--n", "6", "--cache", str(tmp_path / "cache"), "--json"]
-    assert main(argv) == EXIT_OK
+    assert main(["lattice", "enumerate", "--n", "6", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert (payload["count"], payload["nonzero_count"]) == (7828354, 7828353)
-    assert payload["cache"] == "miss"
+
+
+def test_cmd_lattice_enumerate_counts_games_without_listing(capsys, monkeypatch):
+    from maxcomplex import csg
+
+    listing = csg.enumerate_csg.__wrapped__  # uncached, so every arity is asked for
+
+    def small_only(n):
+        assert n < 7, f"C_{n} listed"
+        return listing(n)
+
+    monkeypatch.setattr(csg, "enumerate_csg", small_only)
+    assert main(["lattice", "enumerate", "--n", "7", "--csg", "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["count"], payload["nonzero_count"]) == (44315, 44314)
+
+
+def test_cmd_lattice_enumerate_keeps_no_cache(tmp_path, capsys, monkeypatch):
+    root = tmp_path / "cache"
+    monkeypatch.setenv("MAXCOMPLEX_CACHE", str(root))
+    for argv in (["--n", "4"], ["--n", "5", "--csg"], ["--n", "-1"], ["--n", "8", "--csg"]):
+        main(["lattice", "enumerate", *argv, "--json"])
+    assert not root.exists()
+    assert main(["lattice", "enumerate", "--n", "4", "--cache", str(root)]) == EXIT_USAGE
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
 
 
 def test_suite_runs_without_the_working_directory_cache():
@@ -398,17 +456,20 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
     assert cache.load("certificate", "demo") is None  # stale hash forces regeneration
     assert cache.event == "stale"
     # a body that does not match the header's hash is regenerated as well
-    argv = ["lattice", "enumerate", "--n", "4", "--cache", str(tmp_path / "cache")]
+    argv = ["lattice", "search", "--i", "2", "--j", "3", "--cache", str(tmp_path / "cache"),
+            "--json"]
     assert main(argv) == EXIT_OK
-    entry = cache._path("enumeration", "monotone-n4")
-    header = entry.read_text().partition("\n")[0]
+    found = json.loads(capsys.readouterr().out)
+    entry = cache._path("certificate", "monotone-i2-j3")
+    text = entry.read_text()
+    header = text.partition("\n")[0]
     for body in (b"42", b"99x", b"\xff"):
         entry.write_bytes(header.encode() + b"\n" + body)
-        assert cache.load("enumeration", "monotone-n4") is None
+        assert cache.load("certificate", "monotone-i2-j3") is None
         assert cache.event == "corrupt"
-        capsys.readouterr()
         assert main(argv) == EXIT_OK
-        assert capsys.readouterr().out.strip() == "monotone n=4: 168 functions (167 nonzero)"
+        assert json.loads(capsys.readouterr().out) == {**found, "cache": "corrupt"}
+        assert entry.read_text() == text  # stored again in place
 
 
 def test_disk_cache_version_bump_is_stale_and_overwritten(tmp_path, monkeypatch):
@@ -455,6 +516,8 @@ def test_disk_cache_version_bump_is_stale_and_overwritten(tmp_path, monkeypatch)
     (["complexity", "{long_color}"], EXIT_USAGE),
     (["lattice", "enumerate", "--n", "-1"], EXIT_USAGE),  # n must be >= 0
     (["lattice", "enumerate", "--n", "7"], EXIT_CAPACITY),  # F_7 is not counted
+    (["lattice", "enumerate", "--n", "-1", "--csg"], EXIT_USAGE),
+    (["lattice", "enumerate", "--n", "8", "--csg"], EXIT_CAPACITY),  # C_8 is not counted
 ], ids=["complexity-empty-dot", "construct-c1", "count-max-c1", "count-max-4-4-9",
         "resume-tampered",
         "bound-csg-24", "bound-monotone-42", "search-negative-i", "search-csg-negative-i",
@@ -463,7 +526,7 @@ def test_disk_cache_version_bump_is_stale_and_overwritten(tmp_path, monkeypatch)
         "construct-out-directory", "resume-binary", "resume-truncated",
         "unicode-digit-word", "unicode-digit-color", "unicode-digit-header",
         "header-n23", "header-n64", "long-header-value", "long-color",
-        "enumerate-negative-n", "enumerate-n7"])
+        "enumerate-negative-n", "enumerate-n7", "enumerate-csg-negative-n", "enumerate-csg-n8"])
 def test_library_errors_exit_with_documented_code(tmp_path, capsys, argv, code):
     # the image of source 00 is {01}, which is not upward closed
     tampered = ("maxcomplex-certificate v1\ni: 2\nj: 2\nmap:\n00 -> 0100\n01 -> 0101\n"
@@ -521,6 +584,8 @@ PROPERTY = settings(max_examples=200, deadline=None,
 @example(((2, 2, 0), b"\0"), "")
 @example(((3, 4, 0), b"\3"), "x")
 @example(((10, 5, 6), bytes(10**6)), "")
+@example(((1, 3, 2), b"\2"), "")
+@example(((2, 1, 2), bytes(4)), "")
 def test_language_file_round_trip_property(drawn, comment):
     (b, c, n), table = drawn
     f = ColoredFunction(b, n, c, table)

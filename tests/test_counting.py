@@ -1,5 +1,5 @@
 from itertools import product
-from math import comb, factorial, log10
+from math import comb, factorial, log10, perm
 
 import pytest
 
@@ -155,7 +155,9 @@ def test_count_max_equals_o_i_exactly_when_no_block_can_repeat():
     for b, c, n in product(range(2, 5), range(2, 5), range(7)):
         try:
             i, count = count_max(b, c, n)
-        except (CapacityError, NoMaxError):
+        except CapacityError:
+            continue
+        if i > n:  # colors outnumber words: no crossover, so no o_i to compare
             continue
         checked += 1
         codomain = c ** (b ** (n - i))
@@ -170,13 +172,22 @@ def test_count_max_degenerate():
     assert count_max(2, 2, 0) == (0, 1)
     with pytest.raises(NoMaxError):
         count_max(2, 1, 3)
-    with pytest.raises(NoMaxError):
-        count_max(2, 4, 0)  # colors outnumber the single word
+    assert count_max(2, 4, 0) == (1, 3)  # colors outnumber the single word
+
+
+@pytest.mark.parametrize("b,c,n,count", [(2, 6, 2, 120), (2, 7, 2, 360), (2, 4, 1, 6),
+                                         (3, 5, 1, 24), (1, 3, 2, 2), (2, 4, 0, 3)])
+def test_count_max_when_colors_outnumber_words(b, c, n, count):
+    # b^n < c - 1: every word takes its own nonzero color, perm(c - 1, b^n) ways
+    assert count_max(b, c, n) == (n + 1, count)
+    assert _brute_count(b, c, n) == len(brute_max_codes(b, c, n)) == count
 
 
 def test_count_max_work_guard():
     with pytest.raises(CapacityError):
         count_max(2, 2, 30)
+    with pytest.raises(CapacityError):
+        count_max(2, 2**64, 40)  # 2^40 words, each with its own of 2^64 - 1 colors
 
 
 def _former_brute(b, c, n):
@@ -326,7 +337,10 @@ def test_o_i_and_count_max_equal_the_former_evaluation():
     for b, c, n in product(range(0, 5), range(0, 5), range(-1, 9)):
         # b = 4, n = 8 is left out: the former loop takes seconds there at c = 3 and 4
         if n < 8 or b < 4:
-            assert _outcome(count_max, b, c, n) == _outcome(_former_count_max, b, c, n), (b, c, n)
+            former = _outcome(_former_count_max, b, c, n)
+            if former[0] is NoMaxError and "colors outnumber words" in former[1]:
+                former = (n + 1, perm(c - 1, b**n))  # refused before; one color per word
+            assert _outcome(count_max, b, c, n) == former, (b, c, n)
         # the former sum costs about b^(3i) steps once its codomain fits: i is kept small
         for i in range(-1, n + 2):
             if i < 1 or b**i <= 64:

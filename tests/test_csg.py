@@ -6,13 +6,16 @@ import pytest
 from maxcomplex.core import (
     CapacityError, ColoredFunction, InputError, _mask_is_early, rank, var_mask,
 )
-from maxcomplex.bounds import csg_bound
+from maxcomplex.bounds import CSG_COUNTS, csg_bound
 from maxcomplex.minauto import state_complexity, states_by_depth
 from maxcomplex.witness import NoWitnessError
 from maxcomplex.lattice import AdequacyError, LatticeMap, enumerate_monotone, sub_masks
 from maxcomplex.csg import (
+    _dominance_up_sets,
+    _stairs,
     build_csg_witness,
     check_csg_relation,
+    count_csg,
     csg_nonzero,
     csg_nonzero_poset,
     csg_witness_chain,
@@ -98,6 +101,48 @@ def test_early_count_n5():
 def test_csg_counts():
     assert [len(enumerate_csg(n)) for n in range(8)] == [2, 3, 5, 10, 27, 119, 1173, 44315]
     assert enumerate_csg(6) is enumerate_csg(6)  # cached: one object per arity
+
+
+def test_count_csg_equals_the_listing():
+    for n in range(8):
+        assert count_csg(n) == len(enumerate_csg(n)) == CSG_COUNTS[n], n
+
+
+def test_count_csg_keeps_the_listing_guards():
+    with pytest.raises(InputError, match="n must be >= 0"):
+        count_csg(-1)
+    with pytest.raises(CapacityError, match="beyond n=7"):
+        count_csg(8)
+
+
+def _former_dominance_up_sets(n, weight):
+    """The per-class loop enumerate_early used before: within-class upper-bound
+    lists from staircases, then every subset checked member by member."""
+    members = [r for r in range(1 << n) if bin(r).count("1") == weight]
+    k = len(members)
+    stairs = [_stairs(n, r) for r in members]
+    ups = []
+    for a in range(k):
+        ups.append([b for b in range(k) if stairs[a] & ~stairs[b] == 0])
+    out = []
+    for subset in range(1 << k):
+        if all(
+            all((subset >> b) & 1 for b in ups[a])
+            for a in range(k)
+            if (subset >> a) & 1
+        ):
+            mask = 0
+            for a in range(k):
+                if (subset >> a) & 1:
+                    mask |= 1 << members[a]
+            out.append(mask)
+    return out
+
+
+def test_dominance_up_sets_equal_the_former_loop():
+    for n in range(6):
+        for weight in range(n + 1):
+            assert _dominance_up_sets(n, weight) == _former_dominance_up_sets(n, weight)
 
 
 def _early_monotone_filter_numpy(n, masks):

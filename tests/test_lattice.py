@@ -214,12 +214,11 @@ def test_enumeration_keeps_one_copy_of_f6_in_memory():
 
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
-def test_cli_counts_arity_6_without_listing_it(tmp_path):
+def test_cli_counts_arity_6_without_listing_it():
     code = ("import resource, sys; from maxcomplex.cli import main; "
             "code = main(sys.argv[1:]); "
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
-    done = _run_from_bare_interpreter(code, "lattice", "enumerate", "--n", "6", "--json",
-                                      "--cache", str(tmp_path / "cache"))
+    done = _run_from_bare_interpreter(code, "lattice", "enumerate", "--n", "6", "--json")
     assert done.returncode == 0, done.stderr
     payload, maxrss = done.stdout.splitlines()
     assert json.loads(payload)["count"] == 7828354
@@ -228,12 +227,11 @@ def test_cli_counts_arity_6_without_listing_it(tmp_path):
     assert megabytes < 40, f"peak RSS {megabytes:.1f} MB"
 
 
-def test_cli_enumerates_arity_6_without_numpy(tmp_path):
+def test_cli_enumerates_arity_6_without_numpy():
     code = ("import sys; sys.modules['numpy'] = None; from maxcomplex.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
     done = subprocess.run([sys.executable, "-c", code, "lattice", "enumerate", "--n", "6",
-                           "--json", "--cache", str(tmp_path / "cache")],
-                          capture_output=True, text=True, env=_env_with_package(),
+                           "--json"], capture_output=True, text=True, env=_env_with_package(),
                           timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["count"] == 7828354
@@ -271,6 +269,17 @@ def test_poset_rows_are_inclusion_on_random_masks():
         rows = Poset(masks).rows
         assert rows == _rows_by_relation(masks, lambda a, b: a & ~b == 0), masks
         assert _is_partial_order(rows), masks
+
+
+def test_poset_above_is_a_containment_scan():
+    rng = random.Random(11)
+    for _ in range(500):
+        width = rng.randint(0, 7)
+        masks = rng.sample(range(1 << width), rng.randint(0, min(12, 1 << width)))
+        poset = Poset(masks)
+        for probe in [0, *(rng.randrange(1 << (width + 1)) for _ in range(8))]:
+            scan = sum(1 << a for a, mask in enumerate(masks) if probe & ~mask == 0)
+            assert poset.above(probe) == scan, (masks, probe)
 
 
 def test_cube_and_monotone_rows_from_bit_columns_match_callback():

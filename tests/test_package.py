@@ -15,14 +15,16 @@ SRC = str(Path(maxcomplex.__file__).resolve().parents[1])
 # Standard modules that no command needs: `dataclasses` and the `inspect` it
 # imports took about 12-16 ms of every command's start-up.
 STARTUP_FREE = ("dataclasses", "inspect")
-# Prints, as its last line, the maxcomplex modules and the STARTUP_FREE modules
-# loaded after cli.main(argv).
+# Loaded only by the commands that use the disk cache, for its content hashes.
+CACHE_ONLY = ("hashlib",)
+# Prints, as its last line, the maxcomplex modules and the STARTUP_FREE and
+# CACHE_ONLY modules loaded after cli.main(argv).
 RUN_MAIN = f"""
 import json, sys
 from maxcomplex import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("maxcomplex")),
-                  [m for m in {STARTUP_FREE!r} if m in sys.modules]]))
+                  [m for m in {STARTUP_FREE + CACHE_ONLY!r} if m in sys.modules]]))
 """
 
 
@@ -36,10 +38,13 @@ def fresh_python(code, *argv):
 
 
 def loaded_by(*argv):
-    code, modules, startup_free = json.loads(fresh_python(RUN_MAIN, *argv).splitlines()[-1])
+    """The maxcomplex modules that the command loads, by short name, and the
+    CACHE_ONLY modules it loads."""
+    code, modules, watched = json.loads(fresh_python(RUN_MAIN, *argv).splitlines()[-1])
     assert code == 0
-    assert startup_free == [], argv
-    return {m.removeprefix("maxcomplex").lstrip(".") or "maxcomplex" for m in modules}
+    assert not set(watched) & set(STARTUP_FREE), argv
+    names = {m.removeprefix("maxcomplex").lstrip(".") or "maxcomplex" for m in modules}
+    return names | set(watched)
 
 
 def test_public_names_are_their_modules_objects():
@@ -73,12 +78,17 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert loaded_by("complexity", str(lang)) == {"maxcomplex", "cli", "core", "minauto"}
     assert loaded_by("lattice", "verify-embedding", "--name", "post_alh") == {
         "maxcomplex", "cli", "core", "lattice"}
+    assert loaded_by("lattice", "enumerate", "--n", "6") == {"maxcomplex", "cli", "core",
+                                                            "lattice"}
+    assert not {"cache", "hashlib"} & loaded_by("lattice", "enumerate", "--n", "6", "--csg")
     cache, out = str(tmp_path / "cache"), str(tmp_path / "out")
+    assert {"cache", "hashlib"} <= loaded_by("lattice", "search", "--i", "2", "--j", "3",
+                                             "--cache", cache)
     for argv in (["complexity", str(lang), "--dot", out, "--mn-crosscheck"],
                  ["bound", "--kind", "csg", "--n", "5"],
                  ["construct", "--n", "3", "--out", out],
                  ["count-max", "--n", "2", "--verify-brute", "--list"],
-                 ["lattice", "enumerate", "--n", "3", "--csg", "--cache", cache],
+                 ["lattice", "enumerate", "--n", "3", "--csg"],
                  ["lattice", "search", "--i", "2", "--j", "3", "--out", out],
                  ["lattice", "search", "--i", "2", "--j", "3", "--resume", out],
                  ["lattice", "witness", "--n", "5", "--csg", "--out", out],
