@@ -16,8 +16,8 @@ _EXPORTS = {
                 "is_monotone is_zero rank residual unrank",
         "minauto": "EquivClasses NoAutomatonError Pdfa export_dot minimal_pdfa mn_class_count "
                    "mn_classes mn_equivalent run state_complexity states_by_depth",
-        "bounds": "BoundKind NeedCsgCountError NeedDedekindError complete_dfa_bound cp_family "
-                  "csg_bound family_bound general_bound monotone_bound",
+        "bounds": "NeedCsgCountError NeedDedekindError complete_dfa_bound cp_family csg_bound "
+                  "family_bound general_bound monotone_bound",
         "witness": "CrossoverPoint NoWitnessError construct_maximal crossover nonzero_functions",
         "counting": "NoMaxError count_max o_i onto_count onto_first_count stirling2",
         "lattice": "AdequacyCertificate AdequacyError LatticeMap Poset SearchOutcome "

@@ -7,29 +7,12 @@ term never materializes an astronomically large intermediate.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import partial
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import CapacityError, ColoredFunction, InputError
 
-
-class BoundKind(Enum):
-    """The bound formulas evaluated by this module.
-
-    GENERAL_PDFA   general_bound(b, c, n)
-    COMPLETE_DFA   complete_dfa_bound(k, n), totality costs one extra state
-    FAMILY_PDFA    family_bound(b, sizes) for explicit per-depth class sizes
-    MONOTONE_PDFA  monotone_bound(n)
-    CSG_PDFA       csg_bound(n)
-    """
-
-    GENERAL_PDFA = "general"
-    COMPLETE_DFA = "complete"
-    FAMILY_PDFA = "family"
-    MONOTONE_PDFA = "monotone"
-    CSG_PDFA = "csg"
 
 # Number of monotone Boolean functions of k variables (constants included),
 # k = 0..6.  Larger arities must be supplied by the caller; for k <= 6,

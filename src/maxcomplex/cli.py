@@ -196,14 +196,12 @@ def cmd_complexity(args) -> int:
 def cmd_bound(args) -> int:
     from . import bounds
 
-    kind = bounds.BoundKind(args.kind)
     payload: dict = {"kind": args.kind, "b": args.b, "c": args.c, "n": args.n}
-    if kind is bounds.BoundKind.GENERAL_PDFA:
+    if args.kind == "general":
         value = bounds.general_bound(args.b, args.c, args.n)
-    elif kind is bounds.BoundKind.COMPLETE_DFA:
-        r, value = bounds.complete_dfa_bound(args.b, args.n)
-        payload["r"] = r
-    elif kind is bounds.BoundKind.MONOTONE_PDFA:
+    elif args.kind == "complete":
+        payload["r"], value = bounds.complete_dfa_bound(args.b, args.n)
+    elif args.kind == "monotone":
         value = bounds.monotone_bound(args.n)
     else:
         value = bounds.csg_bound(args.n)
@@ -212,26 +210,27 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def cmd_construct(args) -> int:
-    from . import bounds, minauto, witness
+def _write_witness(args, f, bound, comment, head, noun) -> int:
+    """Score f, write it to --out and report it; then a missed bound is a mismatch."""
+    from . import minauto
 
-    f = witness.construct_maximal(args.b, args.c, args.n)
     complexity = minauto.state_complexity(f)
-    bound = bounds.general_bound(args.b, args.c, args.n)
-    Path(args.out).write_text(
-        format_language_file(f, comment=f"maximal witness b={args.b} c={args.c} n={args.n}")
-    )
-    payload = {
-        "b": args.b, "c": args.c, "n": args.n,
-        "bound": str(bound),
-        "complexity": complexity,
-        "attained": complexity == bound,
-        "out": args.out,
-    }
+    Path(args.out).write_text(format_language_file(f, comment=comment))
+    payload = {**head, "bound": str(bound), "complexity": complexity,
+               "attained": complexity == bound, "out": args.out}
     _emit(args, payload, f"complexity {complexity} bound {bound} -> {args.out}")
     if complexity != bound:
-        raise MismatchError(f"constructed witness scores {complexity}, bound is {bound}")
+        raise MismatchError(f"{noun} scores {complexity}, bound is {bound}")
     return EXIT_OK
+
+
+def cmd_construct(args) -> int:
+    from . import bounds, witness
+
+    f = witness.construct_maximal(args.b, args.c, args.n)
+    return _write_witness(args, f, bounds.general_bound(args.b, args.c, args.n),
+                          f"maximal witness b={args.b} c={args.c} n={args.n}",
+                          {"b": args.b, "c": args.c, "n": args.n}, "constructed witness")
 
 
 def cmd_count_max(args) -> int:
@@ -297,54 +296,54 @@ def cmd_lattice_verify(args) -> int:
 
 def cmd_lattice_search(args) -> int:
     from . import lattice
-    from .cache import DiskCache
 
     kind = "csg" if args.csg else "monotone"
-    cache = DiskCache(args.cache)
-    params = f"{kind}-i{args.i}-j{args.j}"
-    no_search = {"prunes": {"cover": 0, "room": 0}, "deepest": None}
+    payload = {"i": args.i, "j": args.j, "kind": kind, "status": "verified", "nodes": 0,
+               "certificate": args.resume, "prunes": {"cover": 0, "room": 0},
+               "deepest": None, "cache": None}
     if args.resume:
-        cert = lattice.verify_certificate(lattice.parse_certificate(Path(args.resume).read_text()))
-        payload = {"i": cert.i, "j": cert.j, "kind": cert.kind, "status": "verified",
-                   "nodes": 0, "certificate": args.resume, **no_search, "cache": None}
-        _emit(args, payload, f"certificate verified: {args.resume}")
-        return EXIT_OK
-    cached = cache.load("certificate", params)
-    if cached is not None:
-        cert = lattice.verify_certificate(lattice.parse_certificate(cached))
-        payload = {"i": args.i, "j": args.j, "kind": kind, "status": "cached",
-                   "nodes": 0, "certificate": str(cache._path("certificate", params)),
-                   **no_search, "cache": cache.event}
-        _emit(args, payload, f"certificate loaded from cache")
-        return EXIT_OK
-    if args.csg:
-        from . import csg
-
-        outcome = csg.search_csg_relation(args.i, args.j, budget=args.budget)
+        text = Path(args.resume).read_text()
+        human = f"certificate verified: {args.resume}"
+    elif args.i is None or args.j is None:
+        raise InputError("--i and --j are required without --resume")
     else:
-        outcome = lattice.search_relation(args.i, args.j, budget=args.budget)
-    payload = {"i": args.i, "j": args.j, "kind": kind, "status": outcome.status,
-               "nodes": outcome.nodes, "certificate": None, "prunes": dict(outcome.prunes),
-               "deepest": outcome.deepest, "cache": cache.event}
-    if outcome.status == "found":
-        cert = lattice.lattice_kind(kind).check(args.i, args.j, outcome.map)
-        text = lattice.format_certificate(cert)
-        if args.out:
-            target = Path(args.out)
-            target.write_text(text)
+        from .cache import DiskCache
+
+        cache, params = DiskCache(args.cache), f"{kind}-i{args.i}-j{args.j}"
+        text = cache.load("certificate", params)
+        payload.update(status="cached", certificate=str(cache._path("certificate", params)),
+                       cache=cache.event)
+        human = "certificate loaded from cache"
+    if text is not None:
+        cert = lattice.verify_certificate(lattice.parse_certificate(text))
+        payload.update(i=cert.i, j=cert.j, kind=cert.kind)
+    else:
+        if args.csg:
+            from . import csg
+
+            outcome = csg.search_csg_relation(args.i, args.j, budget=args.budget)
         else:
-            target = cache.store("certificate", params, text)
-        payload["certificate"] = str(target)
-        _emit(args, payload, f"found in {outcome.nodes} nodes -> {target}")
-        return EXIT_OK
-    _emit(args, payload, f"{outcome.status} after {outcome.nodes} nodes")
-    if outcome.status == "exhausted":
-        raise ExhaustedError("search budget exhausted")
+            outcome = lattice.search_relation(args.i, args.j, budget=args.budget)
+        payload.update(status=outcome.status, nodes=outcome.nodes, certificate=None,
+                       prunes=dict(outcome.prunes), deepest=outcome.deepest)
+        if outcome.status != "found":
+            _emit(args, payload, f"{outcome.status} after {outcome.nodes} nodes")
+            if outcome.status == "exhausted":
+                raise ExhaustedError("search budget exhausted")
+            return EXIT_OK
+        cert = lattice.lattice_kind(kind).check(args.i, args.j, outcome.map)
+        target = args.out or cache.store("certificate", params, lattice.format_certificate(cert))
+        payload["certificate"] = str(Path(target))
+        human = f"found in {outcome.nodes} nodes -> {payload['certificate']}"
+    if args.out:  # every certificate, whatever its source
+        Path(args.out).write_text(lattice.format_certificate(cert))
+        payload["certificate"] = str(Path(args.out))
+    _emit(args, payload, human)
     return EXIT_OK
 
 
 def cmd_lattice_witness(args) -> int:
-    from . import bounds, minauto
+    from . import bounds
 
     if args.budget is not None and not args.csg:
         raise InputError("--budget needs --csg")
@@ -352,27 +351,15 @@ def cmd_lattice_witness(args) -> int:
         from . import csg
 
         budget = 10**8 if args.budget is None else args.budget
-        w, _cert = csg.build_csg_witness(args.n, budget=budget)
-        bound = bounds.csg_bound(args.n)
-        kind = "csg"
+        w = csg.build_csg_witness(args.n, budget=budget)[0]
+        bound, kind = bounds.csg_bound(args.n), "csg"
     else:
         from . import lattice
 
         w = lattice.build_witness_language(args.n)
-        bound = bounds.monotone_bound(args.n)
-        kind = "monotone"
-    f = w.as_colored()
-    complexity = minauto.state_complexity(f)
-    Path(args.out).write_text(
-        format_language_file(f, comment=f"{kind} witness n={args.n}")
-    )
-    payload = {"kind": kind, "n": args.n, "bound": str(bound),
-               "complexity": complexity, "attained": complexity == bound,
-               "out": args.out}
-    _emit(args, payload, f"complexity {complexity} bound {bound} -> {args.out}")
-    if complexity != bound:
-        raise MismatchError(f"witness scores {complexity}, bound is {bound}")
-    return EXIT_OK
+        bound, kind = bounds.monotone_bound(args.n), "monotone"
+    return _write_witness(args, w.as_colored(), bound, f"{kind} witness n={args.n}",
+                          {"kind": kind, "n": args.n}, "witness")
 
 
 def cmd_lattice_lemma(args) -> int:
@@ -451,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lattice_verify)
 
     p = lsub.add_parser("search", help="search for an adequate embedding")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--i", type=int, help="required without --resume")
+    p.add_argument("--j", type=int, help="required without --resume")
     p.add_argument("--csg", action="store_true")
     p.add_argument("--budget", type=int, default=10**8)
     p.add_argument("--resume", help="verify a previously saved certificate instead")

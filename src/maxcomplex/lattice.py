@@ -256,6 +256,10 @@ def is_adequate(funcs: Iterable[MonotoneFunction], strong: bool = False) -> bool
         raise InputError("mixed arities")
     if j == 0:
         raise InputError("adequacy needs arity >= 1")
+    from .bounds import DEDEKIND
+
+    if j - 1 < len(DEDEKIND) and 2 * len(funcs) < DEDEKIND[j - 1] - 1:
+        return False  # fewer substitutions than members of F_{j-1}^-
     needed = set(monotone_nonzero(j - 1))
     lows = {sub_masks(j, f.mask)[0] for f in funcs}
     highs = {sub_masks(j, f.mask)[1] for f in funcs}
@@ -713,8 +717,12 @@ def parse_certificate(text: str) -> dict:
 
 
 def verify_certificate(parsed: dict) -> AdequacyCertificate:
-    """Re-check a parsed certificate from scratch with its kind's certifier."""
+    """Re-check a parsed certificate from scratch with its kind's certifier.  A map
+    with more sources than targets fails before the source cube is built."""
     family = lattice_kind(parsed["kind"])
     i, j = parsed["i"], parsed["j"]
-    m = LatticeMap.from_labels(family.source(i), family.target(j), parsed["image_masks"])
+    target = family.target(j)
+    if 1 << i > len(target):
+        raise AdequacyError("map is not injective")
+    m = LatticeMap.from_labels(family.source(i), target, parsed["image_masks"])
     return family.check(i, j, m)

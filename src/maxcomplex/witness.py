@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from itertools import count
 
-from .core import CapacityError, ColoredFunction, InputError, MAX_TABLE_CELLS, Value, unrank
+from .core import (CapacityError, ColoredFunction, InputError, MAX_TABLE_CELLS, Value,
+                   table_cells, unrank)
 from .bounds import _tower_profile, power_capped
 
 
@@ -55,11 +56,11 @@ def nonzero_functions(b: int, c: int, arity: int) -> list[ColoredFunction]:
 
 
 def construct_maximal(b: int, c: int, n: int) -> ColoredFunction:
-    """A function whose state complexity equals general_bound(b, c, n)."""
+    """A function whose state complexity equals general_bound(b, c, n).  The result
+    is a table of b^n cells, so its size is checked before anything else is built."""
     if c == 1:
         raise NoWitnessError("c=1 admits only the zero function")
-    if b < 1 or n < 0:
-        raise InputError(f"bad parameters b={b}, n={n}")
+    table_cells(b, n, c)
     if b == 1:
         # single word; any nonzero color yields the full chain of n+1 states
         return ColoredFunction(1, n, c, bytes([c - 1]))
@@ -73,8 +74,6 @@ def construct_maximal(b: int, c: int, n: int) -> ColoredFunction:
     k = cross.k
     s = c ** (b**k) - 1  # number of nonzero k-ary functions
     blocks = b ** (cross.i - 1)
-    if s > MAX_TABLE_CELLS or blocks > MAX_TABLE_CELLS or b**n > MAX_TABLE_CELLS:
-        raise CapacityError("construction exceeds capacity limits")
     parts = [bytes(unrank(idx, b**k, c)) for idx in range(1, s + 1)]
     q, r = divmod(s, b)
     glued = [b"".join(parts[j * b : (j + 1) * b]) for j in range(q)]

@@ -352,14 +352,6 @@ def test_bounds_nondecreasing_in_n():
         assert values == sorted(values)
 
 
-def test_bound_kind_enum_is_exhaustive():
-    from maxcomplex.bounds import BoundKind
-
-    assert {k.value for k in BoundKind} == {
-        "general", "complete", "family", "monotone", "csg"
-    }
-
-
 def test_builtin_tables_match_enumerations():
     from maxcomplex.lattice import enumerate_monotone
     from maxcomplex.csg import enumerate_csg, is_csg_mask

@@ -373,6 +373,77 @@ def test_cmd_lattice_search_resume_reports_certificate(tmp_path, capsys):
     assert payload["status"] == "verified" and payload["cache"] is None
 
 
+def test_cmd_lattice_search_resume_needs_no_shape(tmp_path, capsys):
+    cert = str(tmp_path / "cert.txt")
+    assert main(["lattice", "search", "--csg", "--i", "2", "--j", "3", "--out", cert]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["lattice", "search", "--resume", cert, "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["kind"], payload["i"], payload["j"]) == ("csg", 2, 3)
+    assert payload["status"] == "verified" and payload["certificate"] == cert
+
+
+@pytest.mark.parametrize("shape", [["--i", "2"], ["--j", "3"], []])
+def test_cmd_lattice_search_needs_a_shape_without_resume(shape, capsys):
+    assert main(["lattice", "search", *shape]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --i and --j are required without --resume\n"
+
+
+def test_cmd_lattice_search_cache_hit_writes_out(tmp_path, capsys):
+    argv = ["lattice", "search", "--i", "2", "--j", "3", "--json"]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    out = str(tmp_path / "q.txt")
+    assert main(argv + ["--out", out]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["cache"], payload["certificate"]) == ("cached", "hit", out)
+    assert main(["lattice", "search", "--resume", out]) == EXIT_OK
+    assert capsys.readouterr().out == f"certificate verified: {out}\n"
+
+
+def test_cmd_lattice_search_out_gets_the_certificate_without_the_cache_header(tmp_path, capsys):
+    assert main(["lattice", "search", "--i", "2", "--j", "3", "--json"]) == EXIT_OK
+    entry = Path(json.loads(capsys.readouterr().out)["certificate"])
+    header, _, body = entry.read_text().partition("\n")
+    assert header.startswith("maxcomplex-cache ")
+    out = str(tmp_path / "canonical.txt")
+    assert main(["lattice", "search", "--resume", str(entry), "--out", out, "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["certificate"]) == ("verified", out)
+    assert Path(out).read_text() == body and body.startswith("maxcomplex-certificate v1\n")
+
+
+def test_cmd_lattice_search_key_order_for_every_status(tmp_path, capsys):
+    keys = ["i", "j", "kind", "status", "nodes", "certificate", "prunes", "deepest", "cache"]
+    shape = ["--i", "2", "--j", "3"]
+    runs = [(shape, "found", EXIT_OK), (shape, "cached", EXIT_OK),
+            (None, "verified", EXIT_OK), (["--i", "5", "--j", "3"], "none", EXIT_OK),
+            (["--i", "4", "--j", "4", "--budget", "3"], "exhausted", EXIT_EXHAUSTED)]
+    entry = None
+    for argv, status, code in runs:
+        argv = ["--resume", entry] if argv is None else argv
+        assert main(["lattice", "search", *argv, "--json"]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == keys and payload["status"] == status
+        entry = entry or payload["certificate"]
+
+
+def test_cmd_lattice_search_resume_refuses_more_sources_than_targets_first(
+        tmp_path, capsys, monkeypatch):
+    cube = lattice.boolean_cube
+
+    def small_cubes(i):
+        assert i < 10, "the source cube was built"
+        return cube(i)
+
+    monkeypatch.setattr(lattice, "boolean_cube", small_cubes)
+    rows = "".join(f"{s:012b} -> 11\n" for s in range(1 << 12))  # 2^12 sources, 2 targets
+    cert = write(tmp_path, "wide.txt", f"maxcomplex-certificate v1\ni: 12\nj: 1\nmap:\n{rows}"
+                                       "cover:\nend\n")
+    assert main(["lattice", "search", "--resume", cert]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: map is not injective\n"
+
+
 @pytest.mark.parametrize("flag", [[], ["--csg"]])
 def test_cmd_lattice_search_rejects_j0(flag, capsys):
     assert main(["lattice", "search", "--i", "1", "--j", "0"] + flag) == EXIT_USAGE
@@ -425,6 +496,21 @@ def test_cmd_lattice_witness_csg(tmp_path, capsys):
     out = str(tmp_path / "c8.lang")
     assert main(["lattice", "witness", "--n", "8", "--csg", "--out", out]) == EXIT_OK
     assert "complexity 47" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,bound,noun", [
+    (["construct", "--n", "3"], general_bound(2, 2, 3), "constructed witness"),
+    (["lattice", "witness", "--n", "5"], 15, "witness"),
+], ids=["construct", "lattice-witness"])
+def test_witness_commands_report_then_exit_2_on_a_missed_bound(
+        tmp_path, capsys, monkeypatch, argv, bound, noun):
+    monkeypatch.setattr(minauto, "state_complexity", lambda f: bound - 1)
+    out = str(tmp_path / "w.lang")
+    assert main([*argv, "--out", out]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out == f"complexity {bound - 1} bound {bound} -> {out}\n"
+    assert captured.err == f"verification mismatch: {noun} scores {bound - 1}, bound is {bound}\n"
+    assert parse_language_file(Path(out).read_text()).n == int(argv[-1])
 
 
 def test_cmd_lattice_lemma(capsys):

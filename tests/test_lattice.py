@@ -324,6 +324,17 @@ def test_is_adequate_examples():
     assert not is_adequate([mono(2, P2 & Q2)])
 
 
+def test_is_adequate_refuses_by_the_cover_count_before_listing(monkeypatch):
+    def unreachable(n):
+        raise AssertionError(f"F_{n} was listed")
+
+    # either lists F_6, and `monotone_nonzero` keeps what an earlier test listed
+    monkeypatch.setattr(maxcomplex.lattice, "enumerate_monotone", unreachable)
+    monkeypatch.setattr(maxcomplex.lattice, "monotone_nonzero", unreachable)
+    top = mono(7, 2**128 - 1)  # 2 substitutions, F_6^- has 7,828,353 members
+    assert not is_adequate([top]) and not is_adequate([top], strong=True)
+
+
 def test_strong_adequacy_items():
     one1 = mono(1, 0b11)
     p1 = mono(1, var_mask(1, 0))

@@ -95,6 +95,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
                  ["lattice", "witness", "--n", "5", "--out", out],
                  ["lattice", "lemma-les"]):
         loaded_by(*argv)  # asserts exit 0 and that no STARTUP_FREE module was loaded
+    cert = str(tmp_path / "cert.txt")
+    loaded_by("lattice", "search", "--i", "2", "--j", "3", "--out", cert)
+    assert not {"cache", "hashlib"} & loaded_by("lattice", "search", "--resume", cert)
 
 
 def test_game_certificate_verifies_with_only_lattice_imported():

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from maxcomplex.bounds import general_bound
+from maxcomplex.core import CapacityError
 from maxcomplex.minauto import state_complexity, states_by_depth
 from maxcomplex.witness import (
     NoWitnessError,
@@ -86,6 +87,17 @@ def test_construct_when_colors_outnumber_words():
 def test_construct_rejects_c1():
     with pytest.raises(NoWitnessError):
         construct_maximal(2, 1, 3)
+
+
+def test_construct_checks_the_table_size_first(monkeypatch):
+    from maxcomplex import witness
+
+    def unreachable(*args):
+        raise AssertionError("the crossover was computed")
+
+    monkeypatch.setattr(witness, "crossover", unreachable)
+    with pytest.raises(CapacityError):
+        construct_maximal(2, 3, 10**8)
 
 
 def test_construct_deterministic():
