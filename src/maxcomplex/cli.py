@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from itertools import compress, product
+from itertools import compress, product, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -64,8 +66,72 @@ def parse_language_file(text: str) -> ColoredFunction:
     body lines are "word" (color 1) or "word <color>".  '#' comments and
     blank lines are ignored; unlisted words have color 0.  Alphabets beyond
     size 10 do not fit the single-digit word syntax.  Capacity is checked
-    before the table is allocated.
+    before the table is allocated.  A text in the shape that
+    `format_language_file` writes is read in one pass; any other text, and
+    every error, goes through the line loop.
     """
+    f = _read_well_formed(text)
+    return f if f is not None else _parse_lines(text)
+
+
+_HEADER = re.compile(r"b=([0-9]{1,4}) c=([0-9]{1,4}) n=([0-9]{1,4})")
+# int(word, b) also accepts ASCII whitespace, signs and underscores around or
+# between digits; in a well-formed body only the space before a color occurs
+_INT_EXTRAS = "\t\x0b\x0c\r+-_"
+
+
+def _read_well_formed(text: str) -> ColoredFunction | None:
+    """The function of a text that `_parse_lines` would accept, in its most common
+    shape, or None for any other text.  The shape: an ASCII text of printable '#'
+    comment lines, the header "b=<b> c=<c> n=<n>" with b and c in 2..10 and n >= 1,
+    then one line per word, "word" for color 1 or "word <color>" for color 2..c-1,
+    each line ended by a newline, and no word twice.
+
+    Short lines have n characters and long lines n + 2.  The body is searched in
+    place, with no copy: it may hold one space per long line and none of
+    `_INT_EXTRAS`.  The color lookup then finds each long line's space at position
+    n, int(word, b) refuses any other character and every digit >= b, and the
+    table finds repeats."""
+    lines = text.split("\n")
+    if not text.isascii() or lines.pop():  # a last line without its newline
+        return None
+    k = 0
+    while k < len(lines) and lines[k].startswith("#") and lines[k].isprintable():
+        k += 1  # a comment that str.splitlines would cut is not printable
+    header = _HEADER.fullmatch(lines[k]) if k < len(lines) else None
+    if header is None:
+        return None
+    b, c, n = map(int, header.groups())
+    start = sum(map(len, lines[: k + 1])) + k + 1  # where the body begins in text
+    del lines[: k + 1]
+    if not (2 <= b <= 10 and 2 <= c <= 10 and n) or not set(map(len, lines)) <= {n, n + 2}:
+        return None
+    long_lines = (len(text) - start - (n + 1) * len(lines)) // 2
+    if (text.count(" ", start) != long_lines
+            or any(text.find(extra, start) >= 0 for extra in _INT_EXTRAS)):
+        return None
+    try:
+        table = bytearray(table_cells(b, n, c))
+    except CapacityError:
+        return None
+    if long_lines:  # a tail that is not " <color>" raises KeyError
+        color_of = {"": 1, **{f" {color}": color for color in range(1, c)}}
+        words = map(itemgetter(slice(n)), lines)
+        colors = map(color_of.__getitem__, map(itemgetter(slice(n, None)), lines))
+    else:
+        words, colors = lines, repeat(1)
+    try:
+        for r, color in zip(map(int, words, repeat(b)), colors):
+            if table[r]:  # a repeated word
+                return None
+            table[r] = color
+    except (KeyError, ValueError):  # a bad tail, or a character that is not a digit < b
+        return None
+    return ColoredFunction(b, n, c, bytes(table))
+
+
+def _parse_lines(text: str) -> ColoredFunction:
+    """Read any text line by line; every ParseError comes from here."""
     header: dict[str, int] = {}
     entries: list[tuple[int, str, int]] = []  # (line number, digit string, color)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -193,6 +259,19 @@ def cmd_complexity(args) -> int:
     return EXIT_OK
 
 
+def _table_bound(bound, n: int, counts: str) -> int:
+    """bound(n).  A count past the built-in table can reach the bound only through
+    the library, so the error names the call that takes it."""
+    from . import bounds
+
+    try:
+        return bound(n)
+    except (bounds.NeedDedekindError, bounds.NeedCsgCountError) as exc:
+        need = str(exc).partition(";")[0]  # "need dedekind(7) to evaluate this bound"
+        raise CapacityError(f"{need}; this command has no option for it: pass the count "
+                            f"to maxcomplex.{bound.__name__}(n, {counts})") from None
+
+
 def cmd_bound(args) -> int:
     from . import bounds
 
@@ -202,9 +281,9 @@ def cmd_bound(args) -> int:
     elif args.kind == "complete":
         payload["r"], value = bounds.complete_dfa_bound(args.b, args.n)
     elif args.kind == "monotone":
-        value = bounds.monotone_bound(args.n)
+        value = _table_bound(bounds.monotone_bound, args.n, "dedekind")
     else:
-        value = bounds.csg_bound(args.n)
+        value = _table_bound(bounds.csg_bound, args.n, "csg_counts")
     payload["bound"] = digits = _decimal(value)
     _emit(args, payload, f"{args.kind} bound {digits}")
     return EXIT_OK

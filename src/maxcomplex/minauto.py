@@ -252,7 +252,8 @@ def mn_class_count(f: ColoredFunction, up_closure: bool = False) -> int:
 
 
 def export_dot(a: Pdfa) -> str:
-    """Deterministic DOT rendering; parallel edges get merged labels."""
+    """Deterministic DOT rendering; parallel edges get merged labels.  One pass over
+    the transitions in (source, symbol) order writes each label's symbols sorted."""
     lines = [
         "digraph pdfa {",
         "  rankdir=LR;",
@@ -261,16 +262,14 @@ def export_dot(a: Pdfa) -> str:
     ]
     special_name = {sid: f"q_{i}" for i, sid in enumerate(a.special, start=1)
                     if sid is not None}
-    for sid in range(a.state_count):
-        if sid in special_name:
-            lines.append(f'  s{sid} [shape=doublecircle, label="{special_name[sid]}"];')
-        else:
-            lines.append(f'  s{sid} [shape=circle, label="s{sid}"];')
-    merged: dict[tuple[int, int], list[int]] = {}
-    for (src, sym), dst in a.transitions.items():
-        merged.setdefault((src, dst), []).append(sym)
-    for (src, dst) in sorted(merged):
-        label = ",".join(str(sym) for sym in sorted(merged[(src, dst)]))
-        lines.append(f'  s{src} -> s{dst} [label="{label}"];')
+    lines += [f'  s{sid} [shape=doublecircle, label="{special_name[sid]}"];'
+              if sid in special_name else f'  s{sid} [shape=circle, label="s{sid}"];'
+              for sid in range(a.state_count)]
+    labels: dict[tuple[int, int], str] = {}
+    keys = sorted(a.transitions)  # the keys only: no list of (key, dst) pairs
+    for (src, sym), dst in zip(keys, map(a.transitions.__getitem__, keys)):
+        edge = src, dst
+        labels[edge] = f"{labels[edge]},{sym}" if edge in labels else str(sym)
+    lines += [f'  s{edge[0]} -> s{edge[1]} [label="{labels[edge]}"];' for edge in sorted(labels)]
     lines.append("}")
     return "\n".join(lines) + "\n"

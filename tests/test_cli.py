@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from maxcomplex.cli import (
     MAX_CROSSCHECK_CELLS,
     ParseError,
     _decimal,
+    _parse_lines,
+    _read_well_formed,
     format_language_file,
     main,
     parse_language_file,
@@ -143,6 +146,17 @@ def test_cmd_bound_json(capsys):
     assert main(["bound", "--kind", "complete", "--b", "2", "--n", "3", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["r"] == 2 and payload["bound"] == "8"
+
+
+@pytest.mark.parametrize("kind,n,need,call", [
+    ("csg", 25, "csg_count(9)", "maxcomplex.csg_bound(n, csg_counts)"),
+    ("monotone", 42, "dedekind(7)", "maxcomplex.monotone_bound(n, dedekind)"),
+])
+def test_cmd_bound_names_the_library_call_for_a_missing_count(kind, n, need, call, capsys):
+    assert main(["bound", "--kind", kind, "--n", str(n)]) == EXIT_CAPACITY
+    assert capsys.readouterr().err == (
+        f"capacity: need {need} to evaluate this bound; this command has no option for it: "
+        f"pass the count to {call}\n")
 
 
 def _from_digits(digits: str) -> int:
@@ -697,3 +711,126 @@ def test_language_file_parser_fuzz(text):
         return
     assert isinstance(f, ColoredFunction)
     assert parse_language_file(format_language_file(f)) == f
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except MaxcomplexError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_parsers_agree(text):
+    """The one-pass reader gives the line loop's function or declines; either way
+    parse_language_file gives what the line loop gives, error messages included."""
+    expected = _outcome(_parse_lines, text)
+    assert _outcome(parse_language_file, text) == expected
+    fast = _read_well_formed(text)
+    assert fast is None or fast == expected
+
+
+PARSER_TRAPS = {
+    "crlf": "b=2 c=2 n=2\r\n01\r\n10\r\n",
+    "cr-in-comment": "# x\rb=3 c=3 n=1\nb=2 c=2 n=1\n1\n",
+    "nel-in-comment": "# x\x852\nb=3 c=3 n=1\n1\n",
+    "no-final-newline": "b=2 c=2 n=2\n01\n10",
+    "comment-in-body": "b=2 c=2 n=2\n01\n# x\n10\n",
+    "blank-in-body": "b=2 c=2 n=2\n01\n\n10\n",
+    "word-0": "b=2 c=3 n=2\n01 0\n10\n",
+    "word-0-then-color": "b=2 c=3 n=2\n01 0\n10\n01 2\n",
+    "repeat-same-color": "b=2 c=3 n=2\n01 2\n10\n01 2\n",
+    "repeat-other-color": "b=2 c=3 n=2\n01 2\n10\n01\n",
+    "color-at-c": "b=2 c=3 n=2\n01 3\n",
+    "digit-at-b": "b=2 c=3 n=2\n01\n21\n",
+    "b-11": "b=11 c=2 n=2\n01\n10\n",
+    "c-11-color-10": "b=2 c=11 n=1\n0 10\n",
+    "c-11-color-0": "b=2 c=11 n=1\n0 0\n1 0\n",
+    "n-0": "b=2 c=2 n=0\n-\n",
+    "n-0-colored": "b=2 c=3 n=0\n- 2\n",
+    "b-1": "b=1 c=2 n=3\n000\n",
+    "c-1": "b=2 c=1 n=3\n",
+    "c-1-word": "b=2 c=1 n=1\n1\n",
+    "header-order": "c=3 b=2 n=2\n01 2\n",
+    "header-leading-zeros": "b=02 c=003 n=02\n01 2\n10\n",
+    "header-twice": "b=2 c=2 n=2 n=3\n010\n",
+    "space-in-word": "b=2 c=3 n=2\n0 12\n01 2\n",
+    "leading-space": "b=2 c=3 n=2\n 012\n",
+    "space-in-short-line": "b=2 c=2 n=3\n 01\n",  # int(" 01", 2) is 1
+    "sign": "b=2 c=2 n=3\n+01\n",
+    "minus": "b=2 c=2 n=3\n-01\n",  # int("-01", 2) is -1, the last cell
+    "underscore": "b=2 c=2 n=3\n0_1\n",
+    "two-spaces": "b=2 c=3 n=2\n01  \n10 2\n",
+    "tab": "b=2 c=3 n=2\n01\t2\n",
+    "unicode-digit": "b=10 c=2 n=2\n0\u00b9\n",
+    "unicode-decimal": "b=10 c=2 n=2\n0\u0663\n",  # int() reads the Arabic-Indic 3
+    "unicode-space": "b=2 c=2 n=3\n\u200301\n",
+    "capacity": "b=2 c=2 n=23\n" + "0" * 23 + "\n",
+    "capacity-bad-word": "b=2 c=2 n=64\nx\n",
+    "capacity-long-header": "b=10 c=2 n=9999\n",
+}
+
+
+@pytest.mark.parametrize("text", PARSER_TRAPS.values(), ids=PARSER_TRAPS.keys())
+def test_one_pass_reader_agrees_with_the_line_loop_on_traps(text):
+    _assert_parsers_agree(text)
+
+
+def test_one_pass_reader_reads_what_format_writes():
+    for f in (parse_language_file(ASIAN_TEXT), ColoredFunction(3, 3, 5, bytes(range(5)) * 3 + bytes(12)),
+              ColoredFunction(10, 2, 10, bytes(i % 10 for i in range(100)))):
+        assert _read_well_formed(format_language_file(f, "a comment")) == f
+    assert _read_well_formed(PARSER_TRAPS["repeat-same-color"]) is None
+
+
+def test_a_header_past_capacity_allocates_nothing():
+    text = "b=2 c=2 n=22\n" + "1" * 22 + "\n"  # a 4 MB table; n = 23 is past capacity
+    assert parse_language_file(text).table[-1] == 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="table of 2\\^23 cells exceeds capacity"):
+            parse_language_file(text.replace("22", "23"))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+@st.composite
+def _written(draw):
+    """The text that format_language_file writes for a drawn function and comment; a
+    comment with a carriage return is not one line to str.splitlines."""
+    (b, c, n), table = draw(_signatures_and_tables())
+    return format_language_file(ColoredFunction(b, n, c, table),
+                                draw(st.text(alphabet="abc #\r", max_size=8)))
+
+
+@st.composite
+def _near_well_formed(draw):
+    """A written file with one or two lines edited, and its final newline kept,
+    dropped or made CRLF.  An edit spoils one character of a line, gives a word
+    another tail, repeats a word with the same or another color, inserts a line
+    or cuts one."""
+    (b, c, n), table = draw(_signatures_and_tables())
+    lines = format_language_file(ColoredFunction(b, n, c, table)).split("\n")[:-1]
+    tails = st.sampled_from(["", " 0", " 1", f" {c - 1}", f" {c}", " 10", "  1", "\t1"])
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        line, word = lines[at], lines[at].split(" ")[0]
+        edit = draw(st.sampled_from(["spoil", "tail", "repeat", "insert", "cut"]))
+        if edit == "spoil" and line:
+            i = draw(st.integers(0, len(line) - 1))
+            lines[at] = line[:i] + draw(st.sampled_from(" +-_\u0663\r#9")) + line[i + 1:]
+        elif edit == "tail":
+            lines[at] = word + draw(tails)
+        elif edit == "repeat":
+            lines.insert(draw(st.integers(1, len(lines))), word + draw(tails))
+        elif edit == "insert":
+            lines.insert(at, draw(st.sampled_from(["", "# x", "b=2 c=2 n=2", "-", "- 2"])))
+        elif len(lines) > 1:
+            del lines[at]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "\n", "", "\r\n"]))
+
+
+@settings(PROPERTY, max_examples=600)
+@given(st.one_of(LANGUAGE_TEXT, _written(), _near_well_formed()))
+def test_one_pass_reader_agrees_with_the_line_loop(text):
+    _assert_parsers_agree(text)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from maxcomplex import minauto
 
@@ -10,6 +11,7 @@ from maxcomplex.bounds import cp_family, general_bound, monotone_bound
 from maxcomplex.lattice import build_witness_language
 from maxcomplex.minauto import (
     NoAutomatonError,
+    Pdfa,
     export_dot,
     minimal_pdfa,
     mn_class_count,
@@ -350,6 +352,58 @@ def test_export_dot_asian():
 
 def test_export_dot_deterministic():
     assert export_dot(minimal_pdfa(ASIAN)) == export_dot(minimal_pdfa(ASIAN))
+
+
+def _former_export_dot(a):
+    """export_dot before its one-pass labels: a sorted generator join per edge."""
+    lines = [
+        "digraph pdfa {",
+        "  rankdir=LR;",
+        '  __start [shape=point, label=""];',
+        f"  __start -> s{a.start};",
+    ]
+    special_name = {sid: f"q_{i}" for i, sid in enumerate(a.special, start=1)
+                    if sid is not None}
+    for sid in range(a.state_count):
+        if sid in special_name:
+            lines.append(f'  s{sid} [shape=doublecircle, label="{special_name[sid]}"];')
+        else:
+            lines.append(f'  s{sid} [shape=circle, label="s{sid}"];')
+    merged: dict[tuple[int, int], list[int]] = {}
+    for (src, sym), dst in a.transitions.items():
+        merged.setdefault((src, dst), []).append(sym)
+    for (src, dst) in sorted(merged):
+        label = ",".join(str(sym) for sym in sorted(merged[(src, dst)]))
+        lines.append(f'  s{src} -> s{dst} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _nonzero_functions(draw):
+    """Tables with b, c in 2..5 and up to 256 cells: small alphabets merge labels such
+    as "0,2", and several colors give several q_i."""
+    b, c = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    n = draw(st.integers(0, {2: 8, 3: 5, 4: 4, 5: 3}[b]))
+    table = draw(st.lists(st.integers(0, c - 1), min_size=b**n, max_size=b**n))
+    table[draw(st.integers(0, b**n - 1))] = draw(st.integers(1, c - 1))
+    return ColoredFunction(b, n, c, bytes(table))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_nonzero_functions())
+def test_export_dot_is_the_former_text(f):
+    a = minimal_pdfa(f)
+    assert export_dot(a) == _former_export_dot(a)
+
+
+def test_export_dot_sorts_rather_than_trusting_dict_order():
+    a = minimal_pdfa(ColoredFunction(3, 3, 4, bytes(i * 7 % 11 % 4 for i in range(27))))
+    assert any("," in line for line in export_dot(a).splitlines())  # merged labels occur
+    backwards = dict(reversed(list(a.transitions.items())))
+    b = Pdfa(a.b, a.n, a.c, a.state_count, a.start, backwards, a.special, a.depth)
+    assert list(b.transitions) != list(a.transitions)
+    assert export_dot(b) == _former_export_dot(b) == export_dot(a)
 
 
 def test_colored_special_states():
