@@ -776,7 +776,8 @@ def test_one_pass_reader_agrees_with_the_line_loop_on_traps(text):
 
 
 def test_one_pass_reader_reads_what_format_writes():
-    for f in (parse_language_file(ASIAN_TEXT), ColoredFunction(3, 3, 5, bytes(range(5)) * 3 + bytes(12)),
+    for f in (parse_language_file(ASIAN_TEXT),
+              ColoredFunction(3, 3, 5, bytes(range(5)) * 3 + bytes(12)),
               ColoredFunction(10, 2, 10, bytes(i % 10 for i in range(100)))):
         assert _read_well_formed(format_language_file(f, "a comment")) == f
     assert _read_well_formed(PARSER_TRAPS["repeat-same-color"]) is None
