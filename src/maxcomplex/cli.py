@@ -74,41 +74,37 @@ def parse_language_file(text: str) -> ColoredFunction:
     return f if f is not None else _parse_lines(text)
 
 
-_HEADER = re.compile(r"b=([0-9]{1,4}) c=([0-9]{1,4}) n=([0-9]{1,4})")
-# int(word, b) also accepts ASCII whitespace, signs and underscores around or
-# between digits; in a well-formed body only the space before a color occurs
-_INT_EXTRAS = "\t\x0b\x0c\r+-_"
+# printable ASCII '#' comment lines (none that str.splitlines would cut), then the header
+_PREAMBLE = re.compile(r"(?:#[ -~]*\n)*b=([0-9]{1,4}) c=([0-9]{1,4}) n=([0-9]{1,4})\n")
+# one repeated character class: the regex engine keeps no mark per repetition
+_BODY = re.compile("[0-9 \n]*")
 
 
 def _read_well_formed(text: str) -> ColoredFunction | None:
     """The function of a text that `_parse_lines` would accept, in its most common
-    shape, or None for any other text.  The shape: an ASCII text of printable '#'
-    comment lines, the header "b=<b> c=<c> n=<n>" with b and c in 2..10 and n >= 1,
-    then one line per word, "word" for color 1 or "word <color>" for color 2..c-1,
-    each line ended by a newline, and no word twice.
+    shape, or None for any other text.  The shape: printable ASCII '#' comment lines,
+    the header "b=<b> c=<c> n=<n>" with b and c in 2..10 and n >= 1, then one line
+    per word, "word" for color 1 or "word <color>" for color 1..c-1, each line ended
+    by a newline, and no word twice with different colors.
 
-    Short lines have n characters and long lines n + 2.  The body is searched in
-    place, with no copy: it may hold one space per long line and none of
-    `_INT_EXTRAS`.  The color lookup then finds each long line's space at position
-    n, int(word, b) refuses any other character and every digit >= b, and the
-    table finds repeats."""
+    The body is searched in place, with no copy: it may hold only digits, spaces and
+    newlines, and one space per long line.  Short lines have n characters and long
+    lines n + 2.  The color lookup finds each long line's space at position n, so no
+    word holds a space, and int(word, b) refuses every digit >= b."""
+    preamble = _PREAMBLE.match(text)
+    if preamble is None or not text.endswith("\n"):
+        return None
+    start = preamble.end()  # where the body begins in text
+    b, c, n = map(int, preamble.groups())
+    if not (2 <= b <= 10 and 2 <= c <= 10 and n) or not _BODY.fullmatch(text, start):
+        return None
     lines = text.split("\n")
-    if not text.isascii() or lines.pop():  # a last line without its newline
-        return None
-    k = 0
-    while k < len(lines) and lines[k].startswith("#") and lines[k].isprintable():
-        k += 1  # a comment that str.splitlines would cut is not printable
-    header = _HEADER.fullmatch(lines[k]) if k < len(lines) else None
-    if header is None:
-        return None
-    b, c, n = map(int, header.groups())
-    start = sum(map(len, lines[: k + 1])) + k + 1  # where the body begins in text
-    del lines[: k + 1]
-    if not (2 <= b <= 10 and 2 <= c <= 10 and n) or not set(map(len, lines)) <= {n, n + 2}:
+    lines.pop()  # the empty string after the final newline
+    del lines[: text.count("\n", 0, start)]
+    if not set(map(len, lines)) <= {n, n + 2}:
         return None
     long_lines = (len(text) - start - (n + 1) * len(lines)) // 2
-    if (text.count(" ", start) != long_lines
-            or any(text.find(extra, start) >= 0 for extra in _INT_EXTRAS)):
+    if text.count(" ", start) != long_lines:
         return None
     try:
         table = bytearray(table_cells(b, n, c))
@@ -122,10 +118,10 @@ def _read_well_formed(text: str) -> ColoredFunction | None:
         words, colors = lines, repeat(1)
     try:
         for r, color in zip(map(int, words, repeat(b)), colors):
-            if table[r]:  # a repeated word
+            if table[r] and table[r] != color:  # the line loop names both lines
                 return None
             table[r] = color
-    except (KeyError, ValueError):  # a bad tail, or a character that is not a digit < b
+    except (KeyError, ValueError):  # a bad tail, or a digit >= b
         return None
     return ColoredFunction(b, n, c, bytes(table))
 
@@ -259,31 +255,23 @@ def cmd_complexity(args) -> int:
     return EXIT_OK
 
 
-def _table_bound(bound, n: int, counts: str) -> int:
-    """bound(n).  A count past the built-in table can reach the bound only through
-    the library, so the error names the call that takes it."""
-    from . import bounds
-
-    try:
-        return bound(n)
-    except (bounds.NeedDedekindError, bounds.NeedCsgCountError) as exc:
-        need = str(exc).partition(";")[0]  # "need dedekind(7) to evaluate this bound"
-        raise CapacityError(f"{need}; this command has no option for it: pass the count "
-                            f"to maxcomplex.{bound.__name__}(n, {counts})") from None
-
-
 def cmd_bound(args) -> int:
     from . import bounds
 
     payload: dict = {"kind": args.kind, "b": args.b, "c": args.c, "n": args.n}
-    if args.kind == "general":
-        value = bounds.general_bound(args.b, args.c, args.n)
-    elif args.kind == "complete":
-        payload["r"], value = bounds.complete_dfa_bound(args.b, args.n)
-    elif args.kind == "monotone":
-        value = _table_bound(bounds.monotone_bound, args.n, "dedekind")
-    else:
-        value = _table_bound(bounds.csg_bound, args.n, "csg_counts")
+    try:
+        if args.kind == "general":
+            value = bounds.general_bound(args.b, args.c, args.n)
+        elif args.kind == "complete":
+            payload["r"], value = bounds.complete_dfa_bound(args.b, args.n)
+        elif args.kind == "monotone":
+            value = bounds.monotone_bound(args.n)
+        else:
+            value = bounds.csg_bound(args.n)
+    except (bounds.NeedDedekindError, bounds.NeedCsgCountError) as exc:
+        counts = "dedekind" if args.kind == "monotone" else "csg_counts"
+        raise CapacityError(f"{exc}: this command has no option for it, so pass the count "
+                            f"to maxcomplex.{args.kind}_bound(n, {counts})") from None
     payload["bound"] = digits = _decimal(value)
     _emit(args, payload, f"{args.kind} bound {digits}")
     return EXIT_OK

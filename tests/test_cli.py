@@ -155,8 +155,8 @@ def test_cmd_bound_json(capsys):
 def test_cmd_bound_names_the_library_call_for_a_missing_count(kind, n, need, call, capsys):
     assert main(["bound", "--kind", kind, "--n", str(n)]) == EXIT_CAPACITY
     assert capsys.readouterr().err == (
-        f"capacity: need {need} to evaluate this bound; this command has no option for it: "
-        f"pass the count to {call}\n")
+        f"capacity: need {need} to evaluate this bound; supply it explicitly: this command "
+        f"has no option for it, so pass the count to {call}\n")
 
 
 def _from_digits(digits: str) -> int:
@@ -759,7 +759,12 @@ PARSER_TRAPS = {
     "sign": "b=2 c=2 n=3\n+01\n",
     "minus": "b=2 c=2 n=3\n-01\n",  # int("-01", 2) is -1, the last cell
     "underscore": "b=2 c=2 n=3\n0_1\n",
+    "binary-prefix": "b=2 c=2 n=3\n0b1\n",  # int("0b1", 2) is 1
+    "binary-prefix-upper": "b=2 c=2 n=4\n0B11\n",
+    "octal-prefix": "b=8 c=2 n=3\n0o7\n",
+    "letter": "b=10 c=2 n=2\n0a\n",
     "two-spaces": "b=2 c=3 n=2\n01  \n10 2\n",
+    "lengths-balance": "b=2 c=2 n=3\n01\n0111\n",  # as many characters as two words
     "tab": "b=2 c=3 n=2\n01\t2\n",
     "unicode-digit": "b=10 c=2 n=2\n0\u00b9\n",
     "unicode-decimal": "b=10 c=2 n=2\n0\u0663\n",  # int() reads the Arabic-Indic 3
@@ -780,7 +785,8 @@ def test_one_pass_reader_reads_what_format_writes():
               ColoredFunction(3, 3, 5, bytes(range(5)) * 3 + bytes(12)),
               ColoredFunction(10, 2, 10, bytes(i % 10 for i in range(100)))):
         assert _read_well_formed(format_language_file(f, "a comment")) == f
-    assert _read_well_formed(PARSER_TRAPS["repeat-same-color"]) is None
+    same = PARSER_TRAPS["repeat-same-color"]
+    assert _read_well_formed(same) == _parse_lines(same)
 
 
 def test_a_header_past_capacity_allocates_nothing():
@@ -819,7 +825,7 @@ def _near_well_formed(draw):
         edit = draw(st.sampled_from(["spoil", "tail", "repeat", "insert", "cut"]))
         if edit == "spoil" and line:
             i = draw(st.integers(0, len(line) - 1))
-            lines[at] = line[:i] + draw(st.sampled_from(" +-_\u0663\r#9")) + line[i + 1:]
+            lines[at] = line[:i] + draw(st.sampled_from(" +-_\u0663\r#9boxB")) + line[i + 1:]
         elif edit == "tail":
             lines[at] = word + draw(tails)
         elif edit == "repeat":
