@@ -74,10 +74,12 @@ def parse_language_file(text: str) -> ColoredFunction:
     return f if f is not None else _parse_lines(text)
 
 
-# printable ASCII '#' comment lines (none that str.splitlines would cut), then the header
-_PREAMBLE = re.compile(r"(?:#[ -~]*\n)*b=([0-9]{1,4}) c=([0-9]{1,4}) n=([0-9]{1,4})\n")
-# one repeated character class: the regex engine keeps no mark per repetition
-_BODY = re.compile("[0-9 \n]*")
+# Patterns compiled on first use (re caches them), so a command that reads no
+# language file does not compile them.  _PREAMBLE: printable ASCII '#' comment
+# lines (none that str.splitlines would cut), then the header.  _BODY: one repeated
+# character class, for which the regex engine keeps no mark per repetition.
+_PREAMBLE = r"(?:#[ -~]*\n)*b=([0-9]{1,4}) c=([0-9]{1,4}) n=([0-9]{1,4})\n"
+_BODY = "[0-9 \n]*"
 
 
 def _read_well_formed(text: str) -> ColoredFunction | None:
@@ -91,12 +93,12 @@ def _read_well_formed(text: str) -> ColoredFunction | None:
     newlines, and one space per long line.  Short lines have n characters and long
     lines n + 2.  The color lookup finds each long line's space at position n, so no
     word holds a space, and int(word, b) refuses every digit >= b."""
-    preamble = _PREAMBLE.match(text)
+    preamble = re.match(_PREAMBLE, text)
     if preamble is None or not text.endswith("\n"):
         return None
     start = preamble.end()  # where the body begins in text
     b, c, n = map(int, preamble.groups())
-    if not (2 <= b <= 10 and 2 <= c <= 10 and n) or not _BODY.fullmatch(text, start):
+    if not (2 <= b <= 10 and 2 <= c <= 10 and n) or not re.compile(_BODY).fullmatch(text, start):
         return None
     lines = text.split("\n")
     lines.pop()  # the empty string after the final newline

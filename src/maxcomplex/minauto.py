@@ -271,5 +271,5 @@ def export_dot(a: Pdfa) -> str:
         edge = src, dst
         labels[edge] = f"{labels[edge]},{sym}" if edge in labels else str(sym)
     lines += [f'  s{edge[0]} -> s{edge[1]} [label="{labels[edge]}"];' for edge in sorted(labels)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)
