@@ -734,6 +734,7 @@ PARSER_TRAPS = {
     "cr-in-comment": "# x\rb=3 c=3 n=1\nb=2 c=2 n=1\n1\n",
     "nel-in-comment": "# x\x852\nb=3 c=3 n=1\n1\n",
     "no-final-newline": "b=2 c=2 n=2\n01\n10",
+    "no-final-newline-n-1": "b=2 c=3 n=1\n0\n1 2",  # the lengths alone would not show it
     "comment-in-body": "b=2 c=2 n=2\n01\n# x\n10\n",
     "blank-in-body": "b=2 c=2 n=2\n01\n\n10\n",
     "word-0": "b=2 c=3 n=2\n01 0\n10\n",
