@@ -89,7 +89,7 @@ def _read_well_formed(text: str) -> ColoredFunction | None:
     per word, "word" for color 1 or "word <color>" for color 1..c-1, each line ended
     by a newline, and no word twice with different colors.
 
-    The body is searched in place, with no copy: it may hold only digits, spaces and
+    The body is matched in place, with no copy: it may hold only digits, spaces and
     newlines, and one space per long line.  Short lines have n characters and long
     lines n + 2.  The color lookup finds each long line's space at position n, so no
     word holds a space, and int(word, b) refuses every digit >= b."""
