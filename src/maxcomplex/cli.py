@@ -98,7 +98,8 @@ def _read_well_formed(text: str) -> ColoredFunction | None:
         return None
     start = preamble.end()  # where the body begins in text
     b, c, n = map(int, preamble.groups())
-    if not (2 <= b <= 10 and 2 <= c <= 10 and n) or not re.compile(_BODY).fullmatch(text, start):
+    if (not (2 <= b <= 10 and 2 <= c <= 10 and n) or text.find(" 0\n", start) >= 0
+            or not re.compile(_BODY).fullmatch(text, start)):  # " 0\n": a color-0 line
         return None
     lines = text.split("\n")
     lines.pop()  # the empty string after the final newline
@@ -188,7 +189,10 @@ def format_language_file(f: ColoredFunction, comment: str = "") -> str:
     """A header, then one line per nonzero cell in rank order.  A word is a head of
     n - n//2 digits and a tail of n//2: the tails are built once, the heads one by
     one, and each head's block of cells is filtered to its nonzero cells in C.  A word
-    that uses a symbol >= 10 has no one-digit-per-symbol spelling: InputError."""
+    that uses a symbol >= 10 has no one-digit-per-symbol spelling, and a comment
+    that str.splitlines would cut is not one line: InputError."""
+    if comment and comment.splitlines() != [comment]:
+        raise InputError(f"comment {comment!r} is not one line")
     if f.b > 10:
         for r in compress(range(len(f.table)), f.table):
             if max(word := unrank(r, f.n, f.b), default=0) >= 10:
@@ -205,7 +209,8 @@ def format_language_file(f: ColoredFunction, comment: str = "") -> str:
         for tail, color in zip(compress(tails, block), block.replace(b"\0", b"")):
             token = head + tail or EMPTY_WORD_TOKEN
             lines.append(token if color == 1 else f"{token} {color}")
-    return "\n".join(lines) + "\n"
+    lines[-1] += "\n"  # the last line ends the text, with no copy of the whole
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

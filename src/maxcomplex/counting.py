@@ -31,6 +31,14 @@ class NoMaxError(InputError):
     """The bound's term-by-term profile is not realizable for these parameters."""
 
 
+def _check_work(products: int, terms: int, width: int, base: int) -> None:
+    """Refuse more than MAX_COUNT_WORK products, or terms x bits^1.5 past MAX_COUNT_BIT_WORK
+    for products of bits = width * log2(base), the width capped before it is a float."""
+    bits = min(width, MAX_COUNT_BIT_WORK) * log2(base)
+    if products > MAX_COUNT_WORK or terms * bits**1.5 > MAX_COUNT_BIT_WORK:
+        raise CapacityError("count exceeds the configured work limit")
+
+
 def _covering(s: int, pool: int, ways) -> int:
     """Objects using each of s required values of a pool, where ways(p) counts
     those built from any p values: sum_j (-1)^j C(s, j) * ways(pool - j)."""
@@ -43,7 +51,8 @@ def _covering(s: int, pool: int, ways) -> int:
 
 def stirling2(m: int, n: int) -> int:
     """Stirling number of the second kind S(m, n)."""
-    return onto_count(m, n) // factorial(n)
+    count = onto_count(m, n)
+    return count // factorial(n) if count else 0  # n > m builds no factorial(n)
 
 
 def onto_count(m: int, n: int) -> int:
@@ -52,6 +61,7 @@ def onto_count(m: int, n: int) -> int:
         raise InputError("arguments must be >= 0")
     if n > m:
         return 0
+    _check_work(n + 1, n + 1, m, n + 1)  # n + 1 powers p^m with p <= n
     return _covering(n, n, lambda p: p**m)
 
 
@@ -61,6 +71,7 @@ def onto_first_count(a: int, b: int) -> int:
         raise InputError("need a >= 0 and b >= 1")
     if b - 1 > a:
         return 0
+    _check_work(b, b, a, b)  # b powers p^a with p <= b
     return _covering(b - 1, b, lambda p: p**a)
 
 
@@ -117,8 +128,7 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
         raise InputError(f"bad parameters b={b}, n={n}")
     words = power_capped(b, n, c - 1)  # b^n, exact when below c - 1
     if words < c - 1:
-        if words > MAX_COUNT_WORK or (words * log2(c)) ** 1.5 > MAX_COUNT_BIT_WORK:
-            raise CapacityError("count exceeds the configured work limit")
+        _check_work(words, 1, words, c)  # one product of words factors
         return n + 1, perm(c - 1, words)
     cross = crossover(b, c, n)  # b^n >= c - 1, so a crossover exists
     i = cross.i
@@ -128,9 +138,7 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
     codomain = c ** (b**cross.k)
     blocks = b ** (i - 1)
     # each term's product has about b * blocks * log2(codomain) = b^n * log2(c) bits
-    bits = min(b**n, MAX_COUNT_BIT_WORK) * log2(c)  # capped before it becomes a float
-    if (codomain - 1) * blocks > MAX_COUNT_WORK or codomain * bits**1.5 > MAX_COUNT_BIT_WORK:
-        raise CapacityError("count exceeds the configured work limit")
+    _check_work((codomain - 1) * blocks, codomain, b**n, c)
     return i, _covering(codomain - 1, codomain, lambda p: perm(p**b - 1, blocks))
 
 

@@ -107,14 +107,14 @@ def count_monotone(n: int) -> int:
     f = (g, h) with g <= h, and g = (g0, g1), h = (h0, h1) one arity further
     down, so f is a 4-tuple of (n-2)-ary functions with g0 <= g1 <= h1 and
     g0 <= h0 <= h1: for each a = g0 <= b = h1 the middle pair ranges over
-    [a, b]^2.  The interval is the up-set row of a AND the down-set column of
+    [a, b]^2.  The interval is the up-set row of a AND the down-set row of
     b, so M(n) = sum over a <= b in F_{n-2} of |[a, b]|^2.
     """
     if n < 2 or n > MAX_MONOTONE_ARITY:  # enumerate_monotone's guards raise first
         return len(enumerate_monotone(n))
-    rows = Poset(enumerate_monotone(n - 2)).rows
-    downs = _columns(rows)
-    return sum((row & downs[b]).bit_count() ** 2 for row in rows for b in _bits(row))
+    poset = Poset(enumerate_monotone(n - 2))
+    downs = list(map(poset.below, poset.masks))
+    return sum((row & downs[b]).bit_count() ** 2 for row in poset.rows for b in _bits(row))
 
 
 @lru_cache(maxsize=None)
@@ -136,30 +136,24 @@ def _bits(x: int) -> list[int]:
     return [r for r, digit in enumerate(reversed(bin(x))) if digit == "1"]
 
 
-def _columns(masks: Sequence[int]) -> list[int]:
-    """cols[r] holds the indices of the masks that contain bit r.  On the up-set
-    rows of a poset this is the transpose: the down-set column of each element."""
-    cols = [0] * max(masks, default=0).bit_length()
-    for a, mask in enumerate(masks):
-        for r in _bits(mask):
-            cols[r] |= 1 << a
-    return cols
-
-
 class Poset:
-    """Distinct integer masks ordered by inclusion, as a bit matrix of up-set rows.
+    """Distinct integer masks ordered by inclusion, as bit columns and up-set rows.
 
-    Bit b of rows[a] is set iff masks[a] is contained in masks[b], so the row
-    of an element is `above` of its mask.  Labels name the elements and
-    default to the masks.
+    Bit a of column r is set iff masks[a] has bit r.  Bit b of rows[a] is set iff
+    masks[a] is contained in masks[b], so the row of an element is `above` of its
+    mask, and its down set is `below` of it.  Labels name the elements and default
+    to the masks.
     """
 
     def __init__(self, masks: Iterable[int], labels: Iterable | None = None):
-        masks = tuple(masks)
+        masks = self.masks = tuple(masks)
         self.labels = masks if labels is None else tuple(labels)
         if len(set(masks)) != len(masks) or len(set(self.labels)) != len(masks):
             raise InputError("duplicate poset elements")
-        self._cols, self._every = _columns(masks), (1 << len(masks)) - 1
+        self._cols, self._every = [0] * max(masks, default=0).bit_length(), (1 << len(masks)) - 1
+        for a, mask in enumerate(masks):
+            for r in _bits(mask):
+                self._cols[r] |= 1 << a
         self.rows = [self.above(mask) for mask in masks]
         self._index = {label: i for i, label in enumerate(self.labels)}
 
@@ -169,6 +163,12 @@ class Poset:
         if mask >> len(self._cols):  # a bit that no element has
             return 0
         return reduce(and_, [self._cols[r] for r in _bits(mask)], self._every)
+
+    def below(self, mask: int) -> int:
+        """The elements whose masks lie inside mask, as a bitset of indices: every
+        element but those in the bit columns of the bits that mask lacks."""
+        outside = [col for r, col in enumerate(self._cols) if not mask >> r & 1]
+        return self._every & ~reduce(or_, outside, 0)
 
     def __len__(self):
         return len(self.labels)
@@ -181,7 +181,7 @@ class Poset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Hasse edges (a, b) with a < b and nothing strictly between."""
-        downs = _columns(self.rows)
+        downs = list(map(self.below, self.masks))
         out = []
         for a, row in enumerate(self.rows):
             ups = row & ~(1 << a)  # ups & downs[b] holds the x with a < x <= b

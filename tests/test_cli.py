@@ -680,7 +680,7 @@ PROPERTY = settings(max_examples=200, deadline=None,
 
 
 @PROPERTY
-@given(_signatures_and_tables(), st.text(alphabet="abc #", max_size=8))
+@given(_signatures_and_tables(), st.text(alphabet="abc #\n\r", max_size=8))
 @example(((2, 2, 0), b"\0"), "")
 @example(((3, 4, 0), b"\3"), "x")
 @example(((10, 5, 6), bytes(10**6)), "")
@@ -689,7 +689,20 @@ PROPERTY = settings(max_examples=200, deadline=None,
 def test_language_file_round_trip_property(drawn, comment):
     (b, c, n), table = drawn
     f = ColoredFunction(b, n, c, table)
-    assert parse_language_file(format_language_file(f, comment)) == f
+    try:
+        text = format_language_file(f, comment)
+    except InputError:
+        assert "\n" in comment or "\r" in comment
+        return
+    assert parse_language_file(text) == f
+
+
+def test_a_comment_with_a_line_break_is_refused():
+    f = ColoredFunction.from_words(2, 2, 2, {(0, 1): 1})
+    for comment in ["run 1\n01", "run\r", "\n", "x\x85y", "x\u2028", "x\x0b"]:
+        with pytest.raises(InputError, match="is not one line"):
+            format_language_file(f, comment)
+    assert format_language_file(f, "run 1 # 01") == "# run 1 # 01\nb=2 c=2 n=2\n01\n"
 
 
 LANGUAGE_TEXT = st.one_of(
@@ -790,6 +803,19 @@ def test_one_pass_reader_reads_what_format_writes():
     assert _read_well_formed(same) == _parse_lines(same)
 
 
+def test_one_pass_reader_declines_a_color_0_line_before_reading_lines(monkeypatch):
+    import maxcomplex.cli as cli
+
+    monkeypatch.setattr(cli, "table_cells", _must_not_allocate)
+    for key in ["word-0", "word-0-then-color", "c-11-color-0"]:
+        assert _read_well_formed(PARSER_TRAPS[key]) is None, key
+    assert _read_well_formed("b=2 c=3 n=2\n10 2\n11 1\n01 0\n") is None
+
+
+def _must_not_allocate(*args):
+    raise AssertionError("the table was allocated")
+
+
 def test_a_header_past_capacity_allocates_nothing():
     text = "b=2 c=2 n=22\n" + "1" * 22 + "\n"  # a 4 MB table; n = 23 is past capacity
     assert parse_language_file(text).table[-1] == 1
@@ -804,11 +830,13 @@ def test_a_header_past_capacity_allocates_nothing():
 
 @st.composite
 def _written(draw):
-    """The text that format_language_file writes for a drawn function and comment; a
-    comment with a carriage return is not one line to str.splitlines."""
+    """The text that format_language_file writes for a drawn function, after a drawn
+    comment line.  A comment with a carriage return, which format_language_file
+    refuses, is not one line to str.splitlines."""
     (b, c, n), table = draw(_signatures_and_tables())
-    return format_language_file(ColoredFunction(b, n, c, table),
-                                draw(st.text(alphabet="abc #\r", max_size=8)))
+    comment = draw(st.text(alphabet="abc #\r", max_size=8))
+    text = format_language_file(ColoredFunction(b, n, c, table))
+    return f"# {comment}\n{text}" if comment else text
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 from math import comb, factorial, log10, perm
 
@@ -48,6 +49,14 @@ def test_stirling2_edges():
     assert stirling2(5, 5) == 1
     assert stirling2(3, 0) == 0
     assert stirling2(0, 0) == 1
+
+
+def test_stirling2_with_more_blocks_than_elements_builds_no_factorial(monkeypatch):
+    monkeypatch.setattr(counting, "factorial", _covering_must_not_run)
+    assert stirling2(5, 10**6) == 0
+    assert stirling2(0, 1) == 0
+    with pytest.raises(InputError, match="arguments must be >= 0"):
+        stirling2(-1, 5)
 
 
 def test_onto_count_examples():
@@ -111,6 +120,22 @@ def test_count_max_work_guard_counts_operand_size(monkeypatch):
     for signature in [(2, 2, 14), (2, 2, 15), (4, 4, 7), (4, 4, 8), (3, 2, 10), (3, 3, 5),
                       (2, 3, 9), (3, 5, 6), (5, 5, 5), (4, 5, 5), (3, 4, 6)]:
         assert count_max(*signature)[1] == "admitted", signature
+
+
+def test_surjection_counts_refuse_past_the_work_limit(monkeypatch):
+    monkeypatch.setattr(counting, "_covering", _covering_must_not_run)
+    # each ran for 11 s or more: 6,001 powers of 75,000 bits, or 65,536 of 2^20 bits
+    for fn, args in [(onto_count, (6000, 6000)), (onto_first_count, (6000, 6001)),
+                     (o_i, (2, 2, 20, 16)), (onto_count, (10**400, 2)), (stirling2, (10**9, 2))]:
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="count exceeds the configured work limit"):
+            fn(*args)
+        assert time.perf_counter() - start < 1, (fn, args)
+    # still admitted: the largest o_i the tests compute, and counts of about 2 s
+    monkeypatch.setattr(counting, "_covering", lambda s, pool, ways: "admitted")
+    for fn, args in [(o_i, (4, 4, 8, 7)), (o_i, (4, 4, 8, 8)), (onto_count, (3000, 3000)),
+                     (onto_first_count, (16384, 256)), (onto_count, (11, 11))]:
+        assert fn(*args) == "admitted", (fn, args)
 
 
 def test_count_max_example():

@@ -277,9 +277,33 @@ def test_poset_above_is_a_containment_scan():
         width = rng.randint(0, 7)
         masks = rng.sample(range(1 << width), rng.randint(0, min(12, 1 << width)))
         poset = Poset(masks)
-        for probe in [0, *(rng.randrange(1 << (width + 1)) for _ in range(8))]:
+        for probe in [0, *masks, *(rng.randrange(1 << (width + 1)) for _ in range(8))]:
             scan = sum(1 << a for a, mask in enumerate(masks) if probe & ~mask == 0)
             assert poset.above(probe) == scan, (masks, probe)
+            scan = sum(1 << a for a, mask in enumerate(masks) if mask & ~probe == 0)
+            assert poset.below(probe) == scan, (masks, probe)
+
+
+def test_poset_below_and_covers_match_pairwise_inclusion():
+    from maxcomplex.csg import csg_nonzero_poset, majorization_poset
+
+    posets = [*map(boolean_cube, range(5)), *map(majorization_poset, range(5)),
+              Poset(enumerate_monotone(3)), Poset(enumerate_monotone(4)),
+              csg_nonzero_poset(5), csg_nonzero_poset(6)]
+    # the down set of each element and the Hasse edges, from a scan of every pair
+    # of masks: no bit column is read
+    for poset in posets:
+        masks, n = poset.masks, len(poset)
+        strict_up, strict_down = [0] * n, [0] * n
+        for a, x in enumerate(masks):
+            for b, y in enumerate(masks):
+                if a != b and x & ~y == 0:
+                    strict_up[a] |= 1 << b
+                    strict_down[b] |= 1 << a
+        for b, mask in enumerate(masks):
+            assert poset.below(mask) == strict_down[b] | 1 << b, (n, b)
+        assert poset.covers() == [(a, b) for a in range(n) for b in range(n)
+                                  if strict_up[a] >> b & 1 and not strict_up[a] & strict_down[b]]
 
 
 def test_cube_and_monotone_rows_from_bit_columns_match_callback():
