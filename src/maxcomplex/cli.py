@@ -13,6 +13,7 @@ import sys
 from itertools import compress, product, repeat
 from operator import itemgetter
 from pathlib import Path
+from time import perf_counter
 
 from . import __version__
 from .core import (
@@ -374,7 +375,7 @@ def cmd_lattice_search(args) -> int:
     kind = "csg" if args.csg else "monotone"
     payload = {"i": args.i, "j": args.j, "kind": kind, "status": "verified", "nodes": 0,
                "certificate": args.resume, "prunes": {"cover": 0, "room": 0},
-               "deepest": None, "cache": None}
+               "deepest": None, "cache": None, "elapsed_ms": None}
     if args.resume:
         text = Path(args.resume).read_text()
         human = f"certificate verified: {args.resume}"
@@ -388,6 +389,7 @@ def cmd_lattice_search(args) -> int:
         payload.update(status="cached", certificate=str(cache._path("certificate", params)),
                        cache=cache.event)
         human = "certificate loaded from cache"
+    start = perf_counter()  # elapsed_ms times the certificate check or the search
     if text is not None:
         cert = lattice.verify_certificate(lattice.parse_certificate(text))
         payload.update(i=cert.i, j=cert.j, kind=cert.kind)
@@ -400,12 +402,15 @@ def cmd_lattice_search(args) -> int:
             outcome = lattice.search_relation(args.i, args.j, budget=args.budget)
         payload.update(status=outcome.status, nodes=outcome.nodes, certificate=None,
                        prunes=dict(outcome.prunes), deepest=outcome.deepest)
+        if outcome.status == "found":
+            cert = lattice.lattice_kind(kind).check(args.i, args.j, outcome.map)
+    payload["elapsed_ms"] = round((perf_counter() - start) * 1e3, 3)
+    if text is None:
         if outcome.status != "found":
             _emit(args, payload, f"{outcome.status} after {outcome.nodes} nodes")
             if outcome.status == "exhausted":
                 raise ExhaustedError("search budget exhausted")
             return EXIT_OK
-        cert = lattice.lattice_kind(kind).check(args.i, args.j, outcome.map)
         target = args.out or cache.store("certificate", params, lattice.format_certificate(cert))
         payload["certificate"] = str(Path(target))
         human = f"found in {outcome.nodes} nodes -> {payload['certificate']}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import product, repeat
 from operator import and_, getitem, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -446,19 +446,14 @@ def lemma_les_check() -> bool:
     """Pairing two 3-var functions under a selector variable is order-faithful.
 
     For f_ab = (s and b) or (not s and a): f_a1b1 <= f_a2b2 iff a1 <= a2 and
-    b1 <= b2, checked over all monotone quadruples exhaustively.
+    b1 <= b2.  Element 20a + b of the packed poset is f_ab, so its up row must
+    be the product of the up rows of a and b in F_3: all 160,000 quadruples.
     """
-    f3 = list(enumerate_monotone(3))
-    for a1 in f3:
-        for b1 in f3:
-            m1 = a1 | (b1 << 8)
-            for a2 in f3:
-                a_le = a1 & ~a2 == 0
-                for b2 in f3:
-                    m2 = a2 | (b2 << 8)
-                    if (m1 & ~m2 == 0) != (a_le and b1 & ~b2 == 0):
-                        return False
-    return True
+    f3 = Poset(enumerate_monotone(3))
+    packed = Poset(a | b << 8 for a in f3.masks for b in f3.masks)
+    width = len(f3)
+    return all(row == sum(f3.rows[b] << width * a2 for a2 in _bits(f3.rows[a]))
+               for (a, b), row in zip(product(range(width), repeat=2), packed.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +484,14 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
     still-uncovered (j-1)-ary function are tried first, then the rest, each
     group lowest index (so lowest label) first.  Every candidate tried is a
     node.  A candidate with fewer free targets at or above it than sources
-    at or above the source is skipped (the room rule), and branches that can
-    no longer complete the cover are pruned.  With `shadow`, an image must
-    also contain shadow(image) of every source one bit below it.  The first
-    map found in this order is returned.  notes/decisions.md, "Room pruning
-    and a useful-first order", gives why both rules lose no map.
+    at or above the source is skipped (the room rule).  So is one after
+    which the sources still to come can no longer complete the cover (the
+    cover count): the parent takes that test once the candidate is assigned,
+    and makes no call for the child.  With `shadow`, an image must also
+    contain shadow(image) of every source one bit below it.  The first map
+    found in this order is returned.  notes/decisions.md, "Room pruning and
+    a useful-first order" and "The cover count is taken at the parent",
+    gives why both rules lose no map.
     """
     if i < 0:
         raise InputError(f"i must be >= 0, got {i}")
@@ -515,6 +513,8 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
         for hits, v in zip((low_hits, high_hits), sub_masks(j, label)):
             if v in needed:
                 hits[needed[v]] |= 1 << t
+    # the targets whose two substitutions are distinct needed values
+    two = sum(1 << t for t, vs in enumerate(contrib) if len(vs) == 2)
     above = [row.bit_count() for row in source.rows]  # s and the sources above it
     lower_covers: list[list[int]] = [[] for _ in range(size)]
     for a, b in source.covers():
@@ -536,9 +536,6 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
         nonlocal cover_prunes, room_prunes, deepest
         if s == size:
             return missing == 0
-        if missing > 2 * (size - s):
-            cover_prunes += 1
-            return False
         candidates = free
         for c in lower_covers[s]:
             candidates &= rows[assignment[c]]
@@ -546,6 +543,10 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
             for p in bit_preds[s]:
                 candidates &= above_shadow(assignment[p])
         useful, room = candidates & (lo_open | hi_open), above[s]
+        # the cover count: t must newly cover need values, at most 2 since s passed
+        # it at its parent; keep holds the targets that do
+        need = missing - 2 * (size - s - 1) if s + 1 < size else 0
+        keep = -1 if need <= 0 else useful if need == 1 else lo_open & hi_open & two
         for group in (useful, candidates ^ useful):
             while group:
                 bit = group & -group
@@ -561,6 +562,9 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
                 assignment[s] = t
                 if s > deepest:
                     deepest = s
+                if not bit & keep:
+                    cover_prunes += 1
+                    continue
                 free ^= bit
                 for v in contrib[t]:
                     if counts[v] == 0:

@@ -370,7 +370,7 @@ def test_cmd_lattice_search_and_resume(tmp_path, capsys):
                  "--out", cert, "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == ["i", "j", "kind", "status", "nodes", "certificate", "prunes",
-                             "deepest", "cache"]
+                             "deepest", "cache", "elapsed_ms"]
     assert payload["status"] == "found" and payload["cache"] == "miss"
     assert main(["lattice", "search", "--i", "2", "--j", "2", "--resume", cert]) == EXIT_OK
     assert "verified" in capsys.readouterr().out
@@ -428,7 +428,8 @@ def test_cmd_lattice_search_out_gets_the_certificate_without_the_cache_header(tm
 
 
 def test_cmd_lattice_search_key_order_for_every_status(tmp_path, capsys):
-    keys = ["i", "j", "kind", "status", "nodes", "certificate", "prunes", "deepest", "cache"]
+    keys = ["i", "j", "kind", "status", "nodes", "certificate", "prunes", "deepest", "cache",
+            "elapsed_ms"]
     shape = ["--i", "2", "--j", "3"]
     runs = [(shape, "found", EXIT_OK), (shape, "cached", EXIT_OK),
             (None, "verified", EXIT_OK), (["--i", "5", "--j", "3"], "none", EXIT_OK),
@@ -439,6 +440,7 @@ def test_cmd_lattice_search_key_order_for_every_status(tmp_path, capsys):
         assert main(["lattice", "search", *argv, "--json"]) == code
         payload = json.loads(capsys.readouterr().out)
         assert list(payload) == keys and payload["status"] == status
+        assert isinstance(payload["elapsed_ms"], float) and payload["elapsed_ms"] >= 0
         entry = entry or payload["certificate"]
 
 
@@ -560,6 +562,7 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
             "--json"]
     assert main(argv) == EXIT_OK
     found = json.loads(capsys.readouterr().out)
+    del found["elapsed_ms"]  # wall time, different on every run
     entry = cache._path("certificate", "monotone-i2-j3")
     text = entry.read_text()
     header = text.partition("\n")[0]
@@ -568,7 +571,8 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
         assert cache.load("certificate", "monotone-i2-j3") is None
         assert cache.event == "corrupt"
         assert main(argv) == EXIT_OK
-        assert json.loads(capsys.readouterr().out) == {**found, "cache": "corrupt"}
+        payload = json.loads(capsys.readouterr().out)
+        assert payload.pop("elapsed_ms") >= 0 and payload == {**found, "cache": "corrupt"}
         assert entry.read_text() == text  # stored again in place
 
 

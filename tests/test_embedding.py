@@ -58,10 +58,18 @@ def test_search_pins_nodes_and_map(kind, i, j, nodes, image):
     assert cert.kind == kind and cert.covered == frozenset(KINDS[kind].nonzero(j - 1))
 
 
-@pytest.mark.parametrize("search,i,j", [(search_relation, 6, 4), (search_csg_relation, 4, 5)])
-def test_search_pins_exhaustion(search, i, j):
+def _counters(out):
+    """(status, nodes, cover prunes, room prunes, deepest) of a search."""
+    return out.status, out.nodes, *(k for _, k in out.prunes), out.deepest
+
+
+@pytest.mark.parametrize("search,i,j,counters", [
+    (search_relation, 6, 4, ("exhausted", 10**4 + 1, 0, 7571, 61)),
+    (search_csg_relation, 4, 5, ("exhausted", 10**4 + 1, 4499, 4622, 11)),
+], ids=["search_relation-6-4", "search_csg_relation-4-5"])
+def test_search_pins_exhaustion(search, i, j, counters):
     out = search(i, j, budget=10**4)
-    assert (out.status, out.map, out.nodes) == ("exhausted", None, 10**4 + 1)
+    assert out.map is None and _counters(out) == counters
 
 
 def _early_shadow(j):
@@ -73,19 +81,16 @@ def test_game_witness_searches_with_the_shadow_pin_nodes():
     for n in range(4, 9):
         i, j = csg.csg_witness_chain(n)
         out = search_embedding("csg", i, j, shadow=_early_shadow(j))
-        got.append((out.status, out.nodes, out.map and out.map.image_labels()))
-    assert got == [("none", 6, None), ("found", 6, (0x80, 0xe8, 0xfc, 0xff)), ("none", 17, None),
-                   ("none", 412, None), ("none", 147, None)]
+        got.append((*_counters(out), out.map and out.map.image_labels()))
+    assert got == [("none", 6, 0, 5, 0, None), ("found", 6, 0, 0, 3, (0x80, 0xe8, 0xfc, 0xff)),
+                   ("none", 17, 0, 15, 0, None), ("none", 412, 1, 299, 7, None),
+                   ("none", 147, 0, 132, 2, None)]
 
 
 def test_search_reports_prunes_and_deepest():
     out = search_relation(4, 4)
     assert (out.prunes, out.deepest) == ((("cover", 16559), ("room", 1343)), 15)
-    i, j = csg.csg_witness_chain(7)
-    out = search_embedding("csg", i, j, shadow=_early_shadow(j))
-    assert (out.status, out.prunes, out.deepest) == ("none", (("cover", 1), ("room", 299)), 7)
-    out = search_relation(6, 4, budget=10**4)
-    assert out.status == "exhausted" and sum(n for _, n in out.prunes) <= out.nodes
+    assert _counters(search_relation(6, 4)) == ("found", 47165, 0, 35359, 63)
     out = search_relation(5, 3)
     assert (out.nodes, out.prunes, out.deepest) == (0, (("cover", 0), ("room", 0)), None)
 

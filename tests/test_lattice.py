@@ -15,6 +15,7 @@ except ImportError:  # not on Windows
     resource = None
 
 import maxcomplex
+from maxcomplex import lattice
 from maxcomplex.core import (
     CapacityError,
     ColoredFunction,
@@ -421,8 +422,33 @@ def test_unknown_embedding_name():
         named_embedding("nonesuch")
 
 
-def test_lemma_les_check():
-    assert lemma_les_check()
+def _former_lemma_les_check():
+    """The quadruple loop that checked the pair-order lemma before Poset rows."""
+    f3 = list(enumerate_monotone(3))
+    for a1 in f3:
+        for b1 in f3:
+            m1 = a1 | (b1 << 8)
+            for a2 in f3:
+                a_le = a1 & ~a2 == 0
+                for b2 in f3:
+                    m2 = a2 | (b2 << 8)
+                    if (m1 & ~m2 == 0) != (a_le and b1 & ~b2 == 0):
+                        return False
+    return True
+
+
+def test_lemma_les_check(monkeypatch):
+    sizes = []
+
+    class Counted(Poset):
+        def __init__(self, masks):
+            super().__init__(masks)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(lattice, "Poset", Counted)
+    assert lemma_les_check() is True
+    assert _former_lemma_les_check() is True
+    assert sizes == [20, 400]  # F_3, then every ordered pair of it packed
 
 
 @pytest.mark.parametrize("i,j", [(0, 1), (1, 1), (2, 2), (2, 3), (3, 3)])
