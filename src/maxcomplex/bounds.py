@@ -195,6 +195,14 @@ _GAMES = (CSG_COUNTS, lambda k, cap, low: low >= cap,
           lambda k, e, low: low.bit_length() > e, NeedCsgCountError, "csg_count")
 
 
+def _chain_depth(n: int, kind: tuple) -> int:
+    """The depth i of the chain witness E_i -> lattice of arity n - i: the last depth
+    whose term is 2^i, that is the crossover r if its term is still 2^r, else
+    r - 1 (a crossover always exists, as the term at depth n is 1)."""
+    r, tail, _ = _table_profile(n, None, kind)
+    return r if tail[0] == 1 << r else r - 1
+
+
 def monotone_bound(n: int, dedekind: Mapping[int, int] | None = None) -> int:
     """Sum over depths i of min(2^i, M(n-i) - 1) for monotone languages."""
     return _table_profile(n, dedekind, _MONOTONE)[2]

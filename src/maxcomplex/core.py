@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from itertools import product
+from typing import Iterable, Iterator, Sequence, Union
 
 Word = tuple[int, ...]
 WordLike = Union[str, Sequence[int]]
@@ -19,6 +20,8 @@ WordLike = Union[str, Sequence[int]]
 # Tables are bytes, one cell per word; big instances must stay desk-sized.
 MAX_TABLE_CELLS = 1 << 22
 MAX_COLORS = 256
+# Refuse to materialize counts and bounds above this many decimal digits.
+DIGIT_LIMIT = 10**6
 # The built-in embedding catalog of `lattice.named_embedding`, listed here so
 # that the CLI can offer the names without importing `lattice`.
 EMBEDDING_NAMES = ("post_alh", "fig39", "both_restricted", "alh", "small", "friday")
@@ -132,6 +135,12 @@ def unrank(index: int, length: int, b: int) -> Word:
     for pos in range(length - 1, -1, -1):
         index, digits[pos] = divmod(index, b)
     return tuple(digits)
+
+
+def code_tables(b: int, c: int, length: int) -> Iterator[bytes]:
+    """Every table [b]^length -> [c] in code order: table k is bytes(unrank(k,
+    b**length, c)), as `product` varies its last cell fastest."""
+    return map(bytes, product(range(c), repeat=b**length))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from itertools import product
 from math import comb, factorial, log2, log10, perm
 
 from .bounds import general_bound_terms, power_capped, tower_capped
-from .core import CapacityError, InputError, unrank
+from .core import DIGIT_LIMIT, CapacityError, InputError, code_tables
 from .witness import crossover
 
 # Keep the inclusion-exclusion loop responsive: at most this many big-int
@@ -22,9 +22,6 @@ from .witness import crossover
 # big-int products grows with their size (2*10^10 is 2-3 s on a 2-core Xeon VM).
 MAX_COUNT_WORK = 10**7
 MAX_COUNT_BIT_WORK = 2 * 10**10
-
-# Refuse to materialize codomain cardinalities above this many decimal digits.
-DIGIT_LIMIT = 10**6
 
 
 class NoMaxError(InputError):
@@ -168,10 +165,9 @@ def brute_max_codes(b: int, c: int, n: int) -> list[int]:
     # one id table per depth keeps each depth's bitsets as narrow as its level
     ids: list[dict[bytes, int]] = [{} for _ in terms]
     rows = []  # rows[g][d]: bitset of the depth-d residuals of child g
-    cells = b ** (n - 1)  # of each child's table
-    for code in range(c**cells):
+    for child in code_tables(b, c, n - 1):
         row = []
-        levels = minauto.residual_levels([bytes(unrank(code, cells, c))], b, n - 1)
+        levels = minauto.residual_levels([child], b, n - 1)
         for index, (level, _) in zip(ids, levels):
             bits = 0
             for table in level:

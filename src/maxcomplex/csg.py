@@ -24,9 +24,7 @@ from .core import (
     var_mask,
 )
 from .lattice import (
-    KINDS,
     AdequacyCertificate,
-    LatticeKind,
     LatticeMap,
     Poset,
     SearchOutcome,
@@ -34,7 +32,7 @@ from .lattice import (
     certify,
     search_embedding,
 )
-from .bounds import _GAMES, _table_profile
+from .bounds import _GAMES, _chain_depth
 
 MAX_EARLY_ARITY = 5
 MAX_CSG_ARITY = 7
@@ -173,14 +171,6 @@ def search_csg_relation(i: int, j: int, budget: int = 10**8) -> SearchOutcome:
     return search_embedding("csg", i, j, budget)
 
 
-KINDS["csg"] = LatticeKind(
-    order="majorization", source_name="the majorization cube E_{}",
-    target_name="the nonzero game lattice C_{}^-",
-    source=lambda i: majorization_poset(i), nonzero=lambda j: csg_nonzero(j),
-    target=lambda j: csg_nonzero_poset(j), check=lambda i, j, m: check_csg_relation(i, j, m),
-    max_j=MAX_CSG_POSET_ARITY)
-
-
 def shadow_mask(j: int, mask: int) -> int:
     """All words obtained by deleting one 1 from a member of the language."""
     out = 0
@@ -194,11 +184,7 @@ def csg_witness_chain(n: int) -> tuple[int, int]:
     """Depths (i, j), i+j = n, where the game witness embeds E_i into C_j^-."""
     if not 1 <= n <= 8:
         raise InputError("game witness construction supports 1 <= n <= 8")
-
-    # the last depth whose game term is 2^i: the crossover r if its term is still
-    # 2^r, else r - 1 (a crossover always exists, as the term at depth n is 1)
-    r, tail, _ = _table_profile(n, None, _GAMES)
-    i = r if tail[0] == 1 << r else r - 1
+    i = _chain_depth(n, _GAMES)
     return i, n - i
 
 

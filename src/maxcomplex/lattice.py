@@ -8,8 +8,8 @@ reduce to bit arithmetic.
 An embedding 2^i -> F_j^- is "adequate onto F_{j-1}^-" when it is injective
 and order-preserving and the first-variable substitutions of its image hit
 every nonzero monotone (j-1)-ary function.  Certificates of this are the
-persistence format for expensive searches.  Through `KINDS`, the search and
-the certifier serve the game lattices of `csg` as well.
+persistence format for expensive searches.  Through `lattice_kind`, the search
+and the certifier serve the game lattices of `csg` as well.
 """
 
 from __future__ import annotations
@@ -282,10 +282,10 @@ class AdequacyCertificate(Value):
 
 
 class LatticeKind(Value):
-    """One lattice family; its callables look up the module functions when called."""
+    """One lattice family: the functions that `lattice_kind` found on its modules."""
 
-    __slots__ = ("order", "source", "nonzero", "target", "check", "max_j", "source_name",
-                 "target_name")
+    __slots__ = ("order", "source", "nonzero", "target", "check", "search", "max_j",
+                 "source_name", "target_name")
 
     def __init__(self,
                  order: str,  # the source order's name in certificates
@@ -293,21 +293,29 @@ class LatticeKind(Value):
                  nonzero: Callable[[int], tuple],  # j -> the nonzero j-ary masks, ascending
                  target: Callable[[int], Poset],  # j -> those masks under inclusion
                  check: Callable[[int, int, LatticeMap], AdequacyCertificate],  # the certifier
+                 search: Callable[..., SearchOutcome],  # (i, j, budget) -> the search
                  max_j: int,  # largest j whose target poset is built
                  source_name: str,  # formatted with i in error messages
                  target_name: str):  # formatted with j in error messages
-        self._set(order, source, nonzero, target, check, max_j, source_name, target_name)
-
-
-KINDS: dict[str, LatticeKind] = {}  # "csg" is added when `csg` is imported
+        self._set(order, source, nonzero, target, check, search, max_j, source_name,
+                  target_name)
 
 
 def lattice_kind(kind: str) -> LatticeKind:
+    """The family's functions as their modules bind them now, so that a function
+    replaced on its module (by a tracer or a test) is the one called."""
+    if kind == "monotone":
+        return LatticeKind("product", boolean_cube, monotone_nonzero, monotone_nonzero_poset,
+                           check_relation, search_relation, MAX_MONOTONE_POSET_ARITY,
+                           "the {}-cube", "the nonzero monotone {}-lattice")
     if kind == "csg":
-        from . import csg  # noqa: F401  (registers the game kind)
-    if kind not in KINDS:
-        raise InputError(f"unknown lattice kind {kind!r}; choose from ('monotone', 'csg')")
-    return KINDS[kind]
+        from . import csg
+
+        return LatticeKind("majorization", csg.majorization_poset, csg.csg_nonzero,
+                           csg.csg_nonzero_poset, csg.check_csg_relation,
+                           csg.search_csg_relation, csg.MAX_CSG_POSET_ARITY,
+                           "the majorization cube E_{}", "the nonzero game lattice C_{}^-")
+    raise InputError(f"unknown lattice kind {kind!r}; choose from ('monotone', 'csg')")
 
 
 def certify(kind: str, i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
@@ -316,6 +324,9 @@ def certify(kind: str, i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
     Substitutions of members are members, so they need no check of their own.
     """
     family = lattice_kind(kind)
+    size = len(m.source)  # a map of the wrong size fails before a cube is built
+    if i >= 0 and (i >= size.bit_length() or size != 1 << i):
+        raise InputError(f"source poset is not {family.source_name.format(i)}")
     source, target = family.source(i), family.target(j)
     if (m.source.labels, m.source.rows) != (source.labels, source.rows):
         raise InputError(f"source poset is not {family.source_name.format(i)}")
@@ -339,13 +350,6 @@ def certify(kind: str, i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
 def check_relation(i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
     """Certify an injective isotone embedding 2^i -> F_j^- adequate onto F_{j-1}^-."""
     return certify("monotone", i, j, m)
-
-
-KINDS["monotone"] = LatticeKind(
-    order="product", source_name="the {}-cube", target_name="the nonzero monotone {}-lattice",
-    source=lambda i: boolean_cube(i), nonzero=lambda j: monotone_nonzero(j),
-    target=lambda j: monotone_nonzero_poset(j), check=lambda i, j, m: check_relation(i, j, m),
-    max_j=MAX_MONOTONE_POSET_ARITY)
 
 
 # ---------------------------------------------------------------------------
@@ -603,33 +607,27 @@ def search_relation(i: int, j: int, budget: int = 10**8) -> SearchOutcome:
 # Witness languages attaining the monotone bound
 # ---------------------------------------------------------------------------
 
-def _small_maps() -> dict[int, tuple[int, int, tuple]]:
-    """Built-in chain maps for small n: (i, j, image masks by source rank)."""
-    p1, one1 = var_mask(1, 0), 0b11
-    p2, q2 = var_mask(2, 0), var_mask(2, 1)
-    return {
-        1: (0, 1, (p1,)),
-        2: (1, 1, (p1, one1)),
-        3: (1, 2, (p2 & q2, 0b1111)),
-        4: (2, 2, (p2 & q2, q2, p2, p2 | q2)),
-    }
+def _small_maps() -> dict[tuple[int, int], tuple]:
+    """Built-in chain maps for small n, by shape (i, j): image masks by source rank."""
+    p1, p2, q2 = var_mask(1, 0), var_mask(2, 0), var_mask(2, 1)
+    return {(0, 0): (1,), (0, 1): (p1,), (1, 1): (p1, 0b11), (1, 2): (p2 & q2, 0b1111),
+            (2, 2): (p2 & q2, q2, p2, p2 | q2)}
 
 
 WITNESS_MAX_N = 10
 
-_WITNESS_CHAIN = {5: "post_alh", 6: "both_restricted", 7: "fig39",
-                  8: "alh", 9: "small", 10: "friday"}
-
 
 def witness_chain(n: int) -> tuple[int, int, tuple]:
-    """(crossover depth i, residual arity j, image masks) used for arity n."""
+    """(crossover depth i, residual arity j, image masks) used for arity n: the
+    built-in map of shape (i, j), i the depth `bounds._chain_depth` gives."""
+    from .bounds import _MONOTONE, _chain_depth
+
     if not 0 <= n <= WITNESS_MAX_N:
         raise InputError(f"witness construction supports 0 <= n <= {WITNESS_MAX_N}")
-    if n == 0:
-        return 0, 0, (1,)
-    if n <= 4:
-        return _small_maps()[n]
-    return _embedding_tables()[_WITNESS_CHAIN[n]]
+    i, maps = _chain_depth(n, _MONOTONE), _small_maps()
+    if (i, n - i) not in maps:  # the catalog's tables take about 0.1 ms to build
+        maps = {(a, b): masks for a, b, masks in _embedding_tables().values()}
+    return i, n - i, maps[i, n - i]
 
 
 def assemble_from_chain(n: int, i: int, j: int, masks: Sequence[int]) -> int:

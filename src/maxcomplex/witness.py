@@ -7,10 +7,10 @@ the remaining arity, and deeper levels inherit fullness automatically.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import islice
 
 from .core import (CapacityError, ColoredFunction, InputError, MAX_TABLE_CELLS, Value,
-                   table_cells, unrank)
+                   code_tables, table_cells)
 from .bounds import _tower_profile, power_capped
 
 
@@ -51,8 +51,7 @@ def nonzero_functions(b: int, c: int, arity: int) -> list[ColoredFunction]:
     total = power_capped(c, b**arity, MAX_TABLE_CELLS + 2)
     if total > MAX_TABLE_CELLS:
         raise CapacityError(f"{total - 1} functions exceed capacity")
-    cells = b**arity
-    return [ColoredFunction(b, arity, c, bytes(unrank(idx, cells, c))) for idx in range(1, total)]
+    return [ColoredFunction(b, arity, c, t) for t in islice(code_tables(b, c, arity), 1, None)]
 
 
 def construct_maximal(b: int, c: int, n: int) -> ColoredFunction:
@@ -74,7 +73,7 @@ def construct_maximal(b: int, c: int, n: int) -> ColoredFunction:
     k = cross.k
     s = c ** (b**k) - 1  # number of nonzero k-ary functions
     blocks = b ** (cross.i - 1)
-    parts = [bytes(unrank(idx, b**k, c)) for idx in range(1, s + 1)]
+    parts = list(islice(code_tables(b, c, k), 1, None))
     q, r = divmod(s, b)
     glued = [b"".join(parts[j * b : (j + 1) * b]) for j in range(q)]
     if r:
@@ -83,11 +82,6 @@ def construct_maximal(b: int, c: int, n: int) -> ColoredFunction:
     used = set(glued)
     assert len(used) == len(glued) <= blocks
     # extend with the canonically earliest unused nonzero (k+1)-ary functions
-    for idx in count(1):
-        if len(glued) == blocks:
-            break
-        candidate = bytes(unrank(idx, b ** (k + 1), c))
-        if candidate not in used:
-            glued.append(candidate)
-            used.add(candidate)
+    unused = (t for t in islice(code_tables(b, c, k + 1), 1, None) if t not in used)
+    glued += islice(unused, blocks - len(glued))
     return ColoredFunction(b, n, c, b"".join(glued))

@@ -25,7 +25,7 @@ from maxcomplex.cli import (
 from maxcomplex.bounds import general_bound
 from maxcomplex.core import CapacityError, ColoredFunction, InputError, MaxcomplexError
 from maxcomplex.counting import count_max
-from maxcomplex import counting, lattice, minauto
+from maxcomplex import cli, counting, lattice, minauto
 
 ASIAN_TEXT = """\
 # exercise outcomes
@@ -176,6 +176,17 @@ def test_cmd_bound_prints_values_past_the_int_str_digit_limit(capsys):
                   3**20000):
         text = _decimal(value)
         assert _from_digits(text) == value and (text == "0" or text[0] != "0")
+
+
+def test_cmd_bound_refuses_more_digits_than_the_limit(capsys, monkeypatch):
+    # at the default limit of 10^6 digits, --n 3321949 is the last value printed
+    monkeypatch.setattr(cli, "DIGIT_LIMIT", 100)
+    assert main(["bound", "--n", "340"]) == EXIT_OK  # 100 digits
+    assert capsys.readouterr().out == f"general bound {general_bound(2, 2, 340)}\n"
+    assert main(["bound", "--n", "341", "--json"]) == EXIT_CAPACITY  # 101 digits
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "capacity: the bound has more than 100 decimal digits\n"
 
 
 def test_cmd_construct_round_trip(tmp_path, capsys):
@@ -808,8 +819,6 @@ def test_one_pass_reader_reads_what_format_writes():
 
 
 def test_one_pass_reader_declines_a_color_0_line_before_reading_lines(monkeypatch):
-    import maxcomplex.cli as cli
-
     monkeypatch.setattr(cli, "table_cells", _must_not_allocate)
     for key in ["word-0", "word-0-then-color", "c-11-color-0"]:
         assert _read_well_formed(PARSER_TRAPS[key]) is None, key

@@ -14,13 +14,13 @@ from maxcomplex.core import (
 )
 from maxcomplex.csg import check_csg_relation, csg_nonzero_poset, search_csg_relation
 from maxcomplex.lattice import (
-    KINDS,
     AdequacyError,
     LatticeMap,
     boolean_cube,
     certify,
     check_relation,
     format_certificate,
+    lattice_kind,
     monotone_nonzero_poset,
     named_embedding,
     parse_certificate,
@@ -51,11 +51,11 @@ def test_search_pins_nodes_and_map(kind, i, j, nodes, image):
     assert (out.status, out.nodes) == ("found", nodes)
     assert isinstance(out.map, LatticeMap)
     assert out.map.image_labels() == image
-    assert out.map.source is KINDS[kind].source(i)
-    assert out.map.target is KINDS[kind].target(j)
+    assert out.map.source is lattice_kind(kind).source(i)
+    assert out.map.target is lattice_kind(kind).target(j)
     assert search_embedding(kind, i, j).map == out.map
-    cert = KINDS[kind].check(i, j, out.map)
-    assert cert.kind == kind and cert.covered == frozenset(KINDS[kind].nonzero(j - 1))
+    cert = lattice_kind(kind).check(i, j, out.map)
+    assert cert.kind == kind and cert.covered == frozenset(lattice_kind(kind).nonzero(j - 1))
 
 
 def _counters(out):
@@ -99,7 +99,7 @@ def _former_search(kind, i, j, budget, shadow=None):
     """The engine before bitset candidates, room pruning and the useful-first
     order, kept as an oracle: it rescans the target labels at every node and
     tries them in label order.  Returns (status, nodes, image indices)."""
-    family = KINDS[kind]
+    family = lattice_kind(kind)
     needed = set(family.nonzero(j - 1))
     if i >= len(family.nonzero(j)).bit_length() or len(needed) > 2 << i:
         return "none", 0, None
@@ -230,8 +230,52 @@ def test_engine_rejects_bad_arguments():
         search_embedding("monotone", 1, 0)
     with pytest.raises(InputError, match="unknown lattice kind"):
         search_embedding("early", 1, 2)
+    with pytest.raises(InputError, match=r"^unknown lattice kind 'x'; "
+                                         r"choose from \('monotone', 'csg'\)$"):
+        lattice_kind("x")
     with pytest.raises(InputError, match="budget must be >= 0"):
         search_embedding("monotone", 3, 3, budget=-1)
+
+
+def _spy(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_cli_and_verifier_call_the_game_functions_bound_on_csg(tmp_path, capsys, monkeypatch):
+    # the tracer records a search or a check by replacing the function on its module
+    calls = []
+    monkeypatch.setattr(csg, "search_csg_relation", _spy(calls, "search", search_csg_relation))
+    monkeypatch.setattr(csg, "check_csg_relation", _spy(calls, "check", check_csg_relation))
+    assert (lattice_kind("csg").search, lattice_kind("csg").check) == (
+        csg.search_csg_relation, csg.check_csg_relation)
+    out = tmp_path / "game.cert"
+    argv = ["lattice", "search", "--csg", "--i", "2", "--j", "3", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert calls == ["search", "check"]
+    assert verify_certificate(parse_certificate(out.read_text())).kind == "csg"
+    assert calls == ["search", "check", "check"]
+
+
+def test_certify_compares_the_source_size_before_building_a_cube(monkeypatch):
+    post_alh = named_embedding("post_alh")  # a map from the 2-cube
+
+    def small_only(build):
+        def guarded(i):
+            if i >= 13:
+                raise AssertionError(f"a cube of dimension {i} was built")
+            return build(i)
+        return guarded
+
+    monkeypatch.setattr(lattice, "boolean_cube", small_only(boolean_cube))
+    monkeypatch.setattr(csg, "majorization_poset", small_only(csg.majorization_poset))
+    for i in (1, 3, 13, 17, 10**6):
+        with pytest.raises(InputError, match=f"^source poset is not the {i}-cube$"):
+            check_relation(i, 3, post_alh)
+        with pytest.raises(InputError, match=f"^source poset is not the majorization cube E_{i}$"):
+            check_csg_relation(i, 3, post_alh)
 
 
 def test_certify_checks_the_source_order():

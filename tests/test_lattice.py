@@ -501,9 +501,20 @@ def test_witness_n3_is_the_asian_set():
     assert {"".join(map(str, w)) for w in f.support()} == {"011", "100", "101", "110", "111"}
 
 
+def _former_witness_chain(n):
+    """`witness_chain` before the shape rule: hand-typed maps and catalog names by n."""
+    p1, p2, q2 = var_mask(1, 0), var_mask(2, 0), var_mask(2, 1)
+    small = {0: (0, 0, (1,)), 1: (0, 1, (p1,)), 2: (1, 1, (p1, 0b11)),
+             3: (1, 2, (p2 & q2, 0b1111)), 4: (2, 2, (p2 & q2, q2, p2, p2 | q2))}
+    names = {5: "post_alh", 6: "both_restricted", 7: "fig39", 8: "alh", 9: "small", 10: "friday"}
+    return small[n] if n in small else lattice._embedding_tables()[names[n]]
+
+
 def test_witness_chain_shapes():
     assert witness_chain(8)[:2] == (4, 4)
     assert witness_chain(10)[:2] == (6, 4)
+    for n in range(11):
+        assert witness_chain(n) == _former_witness_chain(n), n
     with pytest.raises(InputError):
         witness_chain(11)
 

@@ -71,6 +71,18 @@ def test_import_loads_no_submodule_until_a_name_is_used():
     assert out.split() == ["['maxcomplex']", "True", "True"]
 
 
+def test_importing_csg_changes_nothing_in_lattice():
+    out = fresh_python(
+        "import maxcomplex.lattice as lattice\n"
+        "def snapshot():  # each name's object and its repr, which shows a grown dict\n"
+        "    return {k: (id(v), repr(v)) for k, v in vars(lattice).items()}\n"
+        "before = snapshot()\n"
+        "import maxcomplex.csg\n"
+        "after = snapshot()\n"
+        "print(sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k)))\n")
+    assert out.split() == ["[]"]
+
+
 def test_each_command_imports_only_what_it_runs(tmp_path):
     lang = tmp_path / "small.lang"
     lang.write_text("b=2 c=2 n=3\n101\n011\n")

@@ -1,9 +1,10 @@
 import hashlib
+from itertools import count
 
 import pytest
 
 from maxcomplex.bounds import general_bound
-from maxcomplex.core import CapacityError
+from maxcomplex.core import CapacityError, ColoredFunction, unrank
 from maxcomplex.minauto import state_complexity, states_by_depth
 from maxcomplex.witness import (
     NoWitnessError,
@@ -47,10 +48,11 @@ def test_nonzero_functions_examples():
 
 
 def test_nonzero_functions_are_distinct_and_ordered():
-    fs = nonzero_functions(2, 3, 2)
-    codes = [sum(v * 3 ** (len(f.table) - 1 - i) for i, v in enumerate(f.table))
-             for f in fs]
-    assert codes == list(range(1, 3**4))
+    for b, c, arity in [(2, 3, 2), (2, 2, 0), (2, 2, 3), (3, 2, 2), (2, 5, 1), (1, 4, 3)]:
+        fs = nonzero_functions(b, c, arity)
+        codes = [sum(v * c ** (len(f.table) - 1 - i) for i, v in enumerate(f.table))
+                 for f in fs]
+        assert codes == list(range(1, c ** (b**arity))), (b, c, arity)
 
 
 @pytest.mark.parametrize("b,c", [(2, 2), (2, 3), (3, 2)])
@@ -116,6 +118,42 @@ def test_construct_deterministic():
 ])
 def test_construct_tables_are_unchanged(signature, digest):
     assert hashlib.sha256(construct_maximal(*signature).table).hexdigest() == digest
+
+
+def _former_construct_maximal(b, c, n):
+    """`construct_maximal` before `core.code_tables`: one `unrank` per table, and
+    its own walk over the codes of the (k+1)-ary functions."""
+    if b == 1:
+        return ColoredFunction(1, n, c, bytes([c - 1]))
+    if b**n < c - 1:
+        return ColoredFunction(b, n, c, bytes(r + 1 for r in range(b**n)))
+    cross = crossover(b, c, n)
+    if cross.i == 0:
+        return ColoredFunction(b, 0, c, bytes([1]))
+    k = cross.k
+    s = c ** (b**k) - 1
+    blocks = b ** (cross.i - 1)
+    parts = [bytes(unrank(idx, b**k, c)) for idx in range(1, s + 1)]
+    q, r = divmod(s, b)
+    glued = [b"".join(parts[j * b : (j + 1) * b]) for j in range(q)]
+    if r:
+        glued.append(b"".join(parts[q * b : q * b + r] + [parts[0]] * (b - r)))
+    used = set(glued)
+    for idx in count(1):
+        if len(glued) == blocks:
+            break
+        candidate = bytes(unrank(idx, b ** (k + 1), c))
+        if candidate not in used:
+            glued.append(candidate)
+            used.add(candidate)
+    return ColoredFunction(b, n, c, b"".join(glued))
+
+
+@pytest.mark.parametrize("b,c,top", [(2, 2, 20), (3, 2, 9), (2, 3, 10), (2, 5, 5), (3, 3, 5),
+                                     (4, 2, 6), (1, 3, 4), (2, 200, 3)])
+def test_construct_maximal_matches_the_former_construction(b, c, top):
+    for n in range(top + 1):
+        assert construct_maximal(b, c, n).table == _former_construct_maximal(b, c, n).table, n
 
 
 def test_constructed_witness_is_table1_member():
