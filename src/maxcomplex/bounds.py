@@ -105,6 +105,20 @@ def general_bound_terms(b: int, c: int, n: int) -> list[int]:
     return [b**i for i in range(r)] + tail
 
 
+def general_bound_reaches(b: int, c: int, n: int, e: int) -> bool:
+    """Whether general_bound(b, c, n) >= 2^e follows from its term at depth n - k,
+    min(b^(n-k), c^(b^k) - 1), for the least k with c^(b^k) - 1 >= 2^e.  Checked in
+    bits, without evaluating the bound: x^m >= 2^(m * w / 64) for w = the bit length
+    of x^64 less one, which is at most 1/64 below log2(x)."""
+    if b < 2 or c < 2:
+        return False
+    wb, wc = ((x**64).bit_length() - 1 for x in (b, c))
+    cap, k = (e + 1) * 64, 0
+    while power_capped(b, k, cap) * wc < cap:  # c^(b^k) may be below 2^(e+1)
+        k += 1
+    return (n - k) * wb >= e * 64
+
+
 def complete_dfa_bound(k: int, n: int) -> tuple[int, int]:
     """Crossover index r and the tight bound for complete (total) automata.
 

@@ -268,6 +268,13 @@ def cmd_bound(args) -> int:
     from . import bounds
 
     payload: dict = {"kind": args.kind, "b": args.b, "c": args.c, "n": args.n}
+    too_long = f"the bound has more than {DIGIT_LIMIT} decimal digits"
+    # one term of 2^ceil(10 L / 3) > 10^L, L = DIGIT_LIMIT (10^3 < 2^10), refuses the
+    # value before it is built; the complete bound is general_bound(b, 2, n) + 1
+    c = args.c if args.kind == "general" else 2
+    if (args.kind in ("general", "complete")
+            and bounds.general_bound_reaches(args.b, c, args.n, -(-10 * DIGIT_LIMIT // 3))):
+        raise CapacityError(too_long)
     try:
         if args.kind == "general":
             value = bounds.general_bound(args.b, args.c, args.n)
@@ -283,7 +290,7 @@ def cmd_bound(args) -> int:
                             f"to maxcomplex.{args.kind}_bound(n, {counts})") from None
     # the decimal conversion is super-linear: 111 s for the 3,010,294 digits of n = 10^7
     if value.bit_length() > 3 * DIGIT_LIMIT and value >= 10**DIGIT_LIMIT:
-        raise CapacityError(f"the bound has more than {DIGIT_LIMIT} decimal digits")
+        raise CapacityError(too_long)
     payload["bound"] = digits = _decimal(value)
     _emit(args, payload, f"{args.kind} bound {digits}")
     return EXIT_OK

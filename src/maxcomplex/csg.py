@@ -67,6 +67,8 @@ def _stairs(n: int, r: int) -> int:
 @lru_cache(maxsize=None)
 def majorization_poset(n: int) -> Poset:
     """{0,1}^n under prefix-sum domination, elements labeled by rank."""
+    if n < 0:
+        raise InputError(f"n must be >= 0, got {n}")
     return Poset([_stairs(n, r) for r in range(1 << n)], labels=range(1 << n))
 
 

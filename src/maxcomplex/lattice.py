@@ -17,8 +17,8 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache, reduce
-from itertools import product, repeat
-from operator import and_, getitem, or_
+from itertools import product
+from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -52,9 +52,11 @@ def _down_sets(k: int) -> Iterator[tuple[int, array]]:
 
     g = (g0, g1) <= h = (h0, h1) iff g1 <= h1 and g0 <= g1 & h0, so the pairs
     below h are, for each g1 <= h1 in turn, the segment of records with
-    g0 <= g1 & h0.  A segment depends on (g1, g1 & h0) alone: the table
-    segments[g1][m] holds it, as bytes, for every m <= g1, and each down set
-    is one join of table lookups.
+    g0 <= g1 & h0.  A segment depends on (g1, g1 & h0) alone, so rows[h0][t]
+    holds, as bytes, the segment of the t-th g1 of F_(k-1), and each down set
+    is one join of the row entries at the positions of the g1 <= h1, picked
+    by one itemgetter per h1.  Each row ends in b"", which every getter also
+    picks, so a getter always returns a tuple, for h1 = 0 too.
     """
     if k == 0:
         yield from {0: array("B", [0]), 1: array("B", [0, 1])}.items()
@@ -62,12 +64,13 @@ def _down_sets(k: int) -> Iterator[tuple[int, array]]:
     prev = dict(_down_sets(k - 1))
     segments = {g1: {m: _pair(k, g1, prev[m]).tobytes() for m in below}
                 for g1, below in prev.items()}
+    rows = {h0: [segments[g1][g1 & h0] for g1 in prev] + [b""] for h0 in prev}
+    position = {g1: t for t, g1 in enumerate(prev)}
     shift, record = 1 << (k - 1), _RECORD[k]
     for h1, below_h1 in prev.items():
-        segs = [segments[g1] for g1 in below_h1]
+        pick = itemgetter(*map(position.__getitem__, below_h1), len(prev))
         for h0 in below_h1:
-            joined = b"".join(map(getitem, segs, map(and_, below_h1, repeat(h0))))
-            yield (h1 << shift) | h0, array(record, joined)
+            yield (h1 << shift) | h0, array(record, b"".join(pick(rows[h0])))
 
 
 @lru_cache(maxsize=None)

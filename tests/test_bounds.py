@@ -1,5 +1,6 @@
 import json
 from functools import partial
+from itertools import product
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from maxcomplex.bounds import (
     csg_bound,
     family_bound,
     general_bound,
+    general_bound_reaches,
     general_bound_terms,
     monotone_bound,
     power_capped,
@@ -229,6 +231,15 @@ def test_general_bound_equals_binary_formula():
 
 def test_general_bound_values_small():
     assert [general_bound(2, 2, n) for n in range(7)] == [1, 2, 4, 7, 11, 19, 34]
+
+
+def test_general_bound_reaches_only_what_the_bound_reaches():
+    for b, c, n, e in product(range(1, 5), range(1, 5), range(24), (1, 7, 40, 200)):
+        if general_bound_reaches(b, c, n, e):
+            assert general_bound(b, c, n) >= 1 << e, (b, c, n, e)
+    # 2^334 > 10^100; the term at depth n - 9 is min(2^(n-9), 2^(2^9) - 1)
+    assert [general_bound_reaches(2, 2, n, 334) for n in (342, 343)] == [False, True]
+    assert not any(general_bound_reaches(b, c, 10**9, 334) for b, c in [(1, 2), (2, 1), (0, 2)])
 
 
 def test_complete_dfa_bound_examples():

@@ -25,7 +25,7 @@ from maxcomplex.cli import (
 from maxcomplex.bounds import general_bound
 from maxcomplex.core import CapacityError, ColoredFunction, InputError, MaxcomplexError
 from maxcomplex.counting import count_max
-from maxcomplex import cli, counting, lattice, minauto
+from maxcomplex import bounds, cli, counting, lattice, minauto
 
 ASIAN_TEXT = """\
 # exercise outcomes
@@ -187,6 +187,17 @@ def test_cmd_bound_refuses_more_digits_than_the_limit(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "capacity: the bound has more than 100 decimal digits\n"
+
+
+@pytest.mark.parametrize("argv", [["--n", "10000000"], ["--kind", "complete", "--n", "10000000"],
+                                  ["--b", "3", "--c", "5", "--n", "3000000"]])
+def test_cmd_bound_refuses_a_long_value_before_evaluating_it(argv, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the bound was evaluated")
+
+    monkeypatch.setattr(bounds, "_tower_profile", refuse)
+    assert main(["bound", *argv]) == EXIT_CAPACITY
+    assert capsys.readouterr().err == "capacity: the bound has more than 1000000 decimal digits\n"
 
 
 def test_cmd_construct_round_trip(tmp_path, capsys):

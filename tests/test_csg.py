@@ -9,7 +9,9 @@ from maxcomplex.core import (
 from maxcomplex.bounds import CSG_COUNTS, csg_bound
 from maxcomplex.minauto import state_complexity, states_by_depth
 from maxcomplex.witness import NoWitnessError
-from maxcomplex.lattice import AdequacyError, LatticeMap, enumerate_monotone, sub_masks
+from maxcomplex.lattice import (
+    AdequacyError, LatticeMap, enumerate_monotone, named_embedding, sub_masks,
+)
 from maxcomplex.csg import (
     _dominance_up_sets,
     _stairs,
@@ -260,6 +262,13 @@ def test_check_csg_relation_rejects_non_isotone():
     m = LatticeMap(majorization_poset(1), poset, (top, 0))
     with pytest.raises(AdequacyError):
         check_csg_relation(1, 2, m)
+
+
+def test_certify_rejects_negative_i_with_an_input_error():
+    with pytest.raises(InputError, match="n must be >= 0, got -1"):
+        check_csg_relation(-1, 3, named_embedding("post_alh"))
+    with pytest.raises(InputError, match="n must be >= 0, got -1"):
+        majorization_poset(-1)
 
 
 def test_search_rejects_negative_i_and_large_j():

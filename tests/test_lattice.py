@@ -179,6 +179,15 @@ def test_down_sets_list_each_mask_below_h():
             assert list(below) == [g for g in pool if g & ~h == 0]
 
 
+def test_down_sets_equal_the_former_copy_per_down_set():
+    for k in range(MAX_MONOTONE_ARITY):
+        down, former = list(_down_sets(k)), list(_former_down_sets(k))
+        assert [h for h, _ in down] == [h for h, _ in former]
+        for (h, below), (_, copied) in zip(down, former):
+            assert isinstance(below, array), (k, h)  # ↓0 = {0} included
+            assert below.typecode == copied.typecode and below.tobytes() == copied.tobytes()
+
+
 def _env_with_package():
     src = str(Path(maxcomplex.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
