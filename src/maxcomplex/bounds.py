@@ -7,6 +7,7 @@ term never materializes an astronomically large intermediate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
@@ -66,10 +67,17 @@ def _profile(b: int, n: int, count: Callable[[int, int], int],
     term below r is b^i; tail lists the terms from r on.  count(k, cap) returns
     min(N(k), cap) and is only asked with cap = b^i + 2, so no larger N is built.
     above(k, e) is True only if N(k) >= 2^e and count(k, 2^e) returns 2^e: while
-    it holds for 2^e > b^i + 2, depth i is below r and b^i is not built."""
-    i, step = 0, b.bit_length()  # b^i < 2^(i * step)
-    while b > 1 and i <= n and above(n - i, i * step + 2):
-        i += 1
+    it holds for 2^e > b^i + 2, depth i is below r and b^i is not built.  N does not
+    fall as k grows, so it holds for a prefix of the depths: gallop, then bisect."""
+    step = b.bit_length()  # b^i < 2^(i * step)
+
+    def beyond(i: int) -> bool:  # past the depths that above puts below r
+        return b < 2 or i > n or not above(n - i, i * step + 2)
+
+    end = 0
+    while not beyond(end):
+        end = 2 * end + 1
+    i = bisect_left(range(end), True, (end + 1) // 2, key=beyond)
     r, tail, prefixes = n + 1, [], b**i
     for i in range(i, n + 1):
         cap = prefixes + 2

@@ -25,6 +25,7 @@ from .core import (
     InputError,
     MaxcomplexError,
     MismatchError,
+    is_zero,
     rank,
     table_cells,
     unrank,
@@ -243,7 +244,10 @@ def cmd_complexity(args) -> int:
     f = parse_language_file(Path(args.file).read_text())
     if args.mn_crosscheck and len(f.table) > MAX_CROSSCHECK_CELLS:
         raise CapacityError(f"--mn-crosscheck takes at most {MAX_CROSSCHECK_CELLS} cells")
-    by_depth = minauto.states_by_depth(f)
+    # with --dot, one residual pass builds the automaton, and its states give the counts
+    pdfa = minauto.minimal_pdfa(f) if args.dot and not is_zero(f) else None
+    by_depth = ([pdfa.depth.count(d) for d in range(f.n + 1)] if pdfa
+                else minauto.states_by_depth(f))
     complexity = sum(by_depth)
     if complexity == 0:
         print("warning: empty language (complexity 0)", file=sys.stderr)
@@ -258,7 +262,7 @@ def cmd_complexity(args) -> int:
         if oracle != complexity:
             raise MismatchError(f"pairwise oracle disagrees: {oracle} != {complexity}")
     if args.dot:
-        Path(args.dot).write_text(minauto.export_dot(minauto.minimal_pdfa(f)))
+        Path(args.dot).write_text(minauto.export_dot(pdfa or minauto.minimal_pdfa(f)))
         payload["dot"] = args.dot
     _emit(args, payload, f"complexity {complexity}")
     return EXIT_OK

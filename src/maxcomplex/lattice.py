@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import accumulate, compress, product
 from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -39,38 +39,51 @@ _LOW = int(sys.byteorder == "big")  # lane of a record's low half
 
 
 def _pair(k: int, high: int, lows: array) -> array:
-    """The k-ary records (high << 2^(k-1)) | low, for each low in lows."""
-    if _RECORD[k] == lows.typecode:  # halves narrower than a byte
-        return array(lows.typecode, [(high << (1 << (k - 1))) | low for low in lows])
-    lanes = lows * 2  # every lane is overwritten
-    lanes[_LOW::2], lanes[1 - _LOW::2] = lows, array(lows.typecode, [high]) * len(lows)
-    return array(_RECORD[k], lanes.tobytes())
+    """The k-ary records (high << 2^(k-1)) | low, for each low in lows.  From k = 4 on,
+    the lows come wide, as the low lanes of k-ary records whose high lanes are 0,
+    and the high lanes of that array are written in place."""
+    if k <= 3:  # halves narrower than a byte
+        return array(_RECORD[k], [(high << (1 << (k - 1))) | low for low in lows])
+    lows[1 - _LOW::2] = array(lows.typecode, [high]) * (len(lows) // 2)
+    return lows
 
 
 def _down_sets(k: int) -> Iterator[tuple[int, array]]:
     """Each monotone k-ary mask h, ascending, with the records of all g <= h, ascending.
+    From k = 3 on the records come wide, ready for `_pair(k + 1, h, ...)`: each is the
+    low lane of a (k+1)-ary record whose high lane is 0, and the array holds the lanes.
 
     g = (g0, g1) <= h = (h0, h1) iff g1 <= h1 and g0 <= g1 & h0, so the pairs
     below h are, for each g1 <= h1 in turn, the segment of records with
-    g0 <= g1 & h0.  A segment depends on (g1, g1 & h0) alone, so rows[h0][t]
-    holds, as bytes, the segment of the t-th g1 of F_(k-1), and each down set
-    is one join of the row entries at the positions of the g1 <= h1, picked
-    by one itemgetter per h1.  Each row ends in b"", which every getter also
-    picks, so a getter always returns a tuple, for h1 = 0 too.
+    g0 <= g1 & h0.  A segment depends on (g1, g1 & h0) alone: the segments of
+    one g1 are one `_pair` run over the down sets of all m <= g1, cut at their
+    ends.  rows[h0][t] holds, as bytes, the segment of the t-th g1 of F_(k-1),
+    and each down set is one join of the row entries at the positions of the
+    g1 <= h1, picked by one itemgetter per h1.  Each row ends in b"", which
+    every getter also picks, so a getter always returns a tuple, for h1 = 0 too.
     """
     if k == 0:
         yield from {0: array("B", [0]), 1: array("B", [0, 1])}.items()
         return
     prev = dict(_down_sets(k - 1))
-    segments = {g1: {m: _pair(k, g1, prev[m]).tobytes() for m in below}
-                for g1, below in prev.items()}
-    rows = {h0: [segments[g1][g1 & h0] for g1 in prev] + [b""] for h0 in prev}
-    position = {g1: t for t, g1 in enumerate(prev)}
-    shift, record = 1 << (k - 1), _RECORD[k]
-    for h1, below_h1 in prev.items():
-        pick = itemgetter(*map(position.__getitem__, below_h1), len(prev))
+    masks = {h: below[_LOW::2] if k >= 4 else below for h, below in prev.items()}
+    lane, shift, segments = _RECORD[k], 1 << (k - 1), {}
+    size = array(lane).itemsize << (k >= 3)  # bytes of a segment's record
+    for g1, below in masks.items():
+        run = _pair(k, g1, array(_RECORD[k - 1], b"".join(map(prev.__getitem__, below))))
+        ends = list(accumulate(len(masks[m]) * size for m in below))
+        if k >= 3:  # each record into the low lane of a (k+1)-ary one
+            records, run = array(lane, run.tobytes()), array(lane, bytes(ends[-1]))
+            run[_LOW::2] = records
+        data = run.tobytes()
+        segments[g1] = {m: data[start:end] for m, start, end in zip(below, [0, *ends], ends)}
+    rows = {h0: [segments[g1][g1 & h0] for g1 in masks] + [b""] for h0 in masks}
+    del prev, segments  # the rows hold every segment
+    position = {g1: t for t, g1 in enumerate(masks)}
+    for h1, below_h1 in masks.items():
+        pick = itemgetter(*map(position.__getitem__, below_h1), len(masks))
         for h0 in below_h1:
-            yield (h1 << shift) | h0, array(record, b"".join(pick(rows[h0])))
+            yield (h1 << shift) | h0, array(lane, b"".join(pick(rows[h0])))
 
 
 @lru_cache(maxsize=None)
@@ -79,8 +92,8 @@ def enumerate_monotone(n: int) -> array:
 
     A function f is the pair g = f|x0=0 <= h = f|x0=1 of (n-1)-ary monotone
     functions, so F_n lists, for each h in F_{n-1} ascending, the pairs with
-    g <= h ascending.  From n = 4 on, each h's records are interleaved in one
-    reused buffer of half-width lanes and appended from there.
+    g <= h ascending: from n = 4 on, the wide down set of h with h written
+    into its high lanes.
     """
     if n < 0:
         raise InputError("n must be >= 0")
@@ -89,18 +102,8 @@ def enumerate_monotone(n: int) -> array:
     if n == 0:
         return array("Q", [0, 1])
     out = array(_RECORD[n])
-    if n <= 3:  # halves narrower than a byte
-        for h, below in _down_sets(n - 1):
-            out += _pair(n, h, below)
-        return array("Q", out)
-    half = _RECORD[n - 1]
-    lanes = array(half)
     for h, below in _down_sets(n - 1):
-        size = 2 * len(below)
-        if size > len(lanes):
-            lanes = below * 2  # every lane is overwritten
-        lanes[_LOW:size:2], lanes[1 - _LOW:size:2] = below, array(half, [h]) * len(below)
-        out.frombytes(memoryview(lanes)[:size].cast("B"))
+        out.frombytes(memoryview(_pair(n, h, below)).cast("B"))
     return out if out.typecode == "Q" else array("Q", out)
 
 
@@ -153,11 +156,17 @@ class Poset:
         self.labels = masks if labels is None else tuple(labels)
         if len(set(masks)) != len(masks) or len(set(self.labels)) != len(masks):
             raise InputError("duplicate poset elements")
-        self._cols, self._every = [0] * max(masks, default=0).bit_length(), (1 << len(masks)) - 1
-        for a, mask in enumerate(masks):
-            for r in _bits(mask):
-                self._cols[r] |= 1 << a
-        self.rows = [self.above(mask) for mask in masks]
+        if min(masks, default=0) < 0:
+            raise InputError("poset masks must be >= 0")
+        # the masks as w binary digits each, the last first: digit w - 1 - r of a block
+        # is bit r, so the digits at that offset, read as one number, are column r
+        w, self._every = max(masks, default=0).bit_length(), (1 << len(masks)) - 1
+        text = "".join([format(mask, f"0{w}b") for mask in reversed(masks)]) if w else ""
+        self._cols = [int(text[w - 1 - r::w], 2) for r in range(w)]
+        # byte a * w + r is 1 iff masks[a] has bit r
+        flags = text[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+        self.rows = [reduce(and_, compress(self._cols, flags[a * w:a * w + w]), self._every)
+                     for a in range(len(masks))]
         self._index = {label: i for i, label in enumerate(self.labels)}
 
     def above(self, mask: int) -> int:

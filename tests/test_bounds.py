@@ -208,6 +208,57 @@ def test_profile_equals_the_former_loop():
                 _former_table_profile, n, extra, kind), (n, extra, kind[-1])
 
 
+def _linear_scan_profile(b, n, count, above):
+    """bounds._profile before it galloped: one `above` test per skipped depth."""
+    i, step = 0, b.bit_length()
+    while b > 1 and i <= n and above(n - i, i * step + 2):
+        i += 1
+    r, tail, prefixes = n + 1, [], b**i
+    for i in range(i, n + 1):
+        cap = prefixes + 2
+        capped = count(n - i, cap)
+        if r > n and capped < cap:
+            r = i
+        if r <= n:
+            tail.append(min(capped - 1, prefixes))
+        prefixes *= b
+    return r, tail, (r if b == 1 else (b**r - 1) // (b - 1)) + sum(tail)
+
+
+def test_profile_search_equals_the_linear_scan(monkeypatch):
+    profile, compared = bounds._profile, []
+
+    def both(b, n, count, above):
+        linear = _outcome(_linear_scan_profile, b, n, count, above)
+        assert _outcome(profile, b, n, count, above) == linear, (b, n)
+        compared.append(n)
+        return profile(b, n, count, above)
+
+    monkeypatch.setattr(bounds, "_profile", both)
+    extras = (None, {7: 2414682040998}, {k: 10**9 for k in range(8, 25)})
+    for n in [*range(80), 200, 1000, 5000]:
+        for b, c in product(range(1, 5), range(1, 5)):
+            _outcome(general_bound, b, c, n)
+        for b in range(2, 5):
+            _outcome(complete_dfa_bound, b, n)
+        for extra in extras:
+            _outcome(monotone_bound, n, extra)
+            _outcome(csg_bound, n, extra)
+    assert len(compared) == 83 * (16 + 3 + 6)
+
+
+def test_profile_tests_logarithmically_many_depths(monkeypatch):
+    profile, depths = bounds._profile, []
+
+    def counted(b, n, count, above):
+        return profile(b, n, count, lambda k, e: depths.append(k) or above(k, e))
+
+    monkeypatch.setattr(bounds, "_profile", counted)
+    with pytest.raises(NeedDedekindError, match=r"need dedekind\(22\) "):
+        monotone_bound(10**6)
+    assert 0 < len(depths) <= 2 * (10**6).bit_length() + 2
+
+
 def test_monotone_bound_reaches_a_missing_count_without_binomials(monkeypatch):
     calls = []
     monkeypatch.setattr(bounds, "comb", lambda n, k: calls.append(n) or comb(n, k))

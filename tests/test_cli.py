@@ -116,6 +116,18 @@ def test_cmd_complexity_json_schema(tmp_path, capsys):
     assert (tmp_path / "a.dot").read_text().startswith("digraph")
 
 
+def test_cmd_complexity_dot_makes_one_residual_pass(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "asian.lang", ASIAN_TEXT)
+    passes, levels = [], minauto.residual_levels
+    monkeypatch.setattr(minauto, "residual_levels", lambda *a: passes.append(1) or levels(*a))
+    dot = str(tmp_path / "a.dot")
+    assert main(["complexity", path, "--json", "--dot", dot]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert len(passes) == 1
+    assert payload["states_by_depth"] == minauto.states_by_depth(parse_language_file(ASIAN_TEXT))
+    assert payload["complexity"] == 6 and payload["dot"] == dot
+
+
 def test_cmd_complexity_crosscheck_mismatch(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "asian.lang", ASIAN_TEXT)
     monkeypatch.setattr(minauto, "mn_class_count", lambda f: 99)

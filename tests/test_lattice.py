@@ -4,10 +4,12 @@ import random
 import subprocess
 import sys
 from array import array
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 try:
     import resource
@@ -169,6 +171,16 @@ def test_enumeration_equals_the_former_pair_rule_without_numpy():
         assert masks.typecode == "Q" and masks.tobytes() == _former_enumerate(n).tobytes()
 
 
+def _widened(k, records):
+    """k-ary records as `_down_sets(k)` gives them from k = 3 on: each in the low lane
+    of a record twice as wide, whose high lane is 0."""
+    if k < 3:
+        return records
+    wide = array(records.typecode, bytes(2 * len(records) * records.itemsize))
+    wide[_LOW::2] = records
+    return wide
+
+
 def test_down_sets_list_each_mask_below_h():
     for k in range(5):
         pool = list(enumerate_monotone(k))
@@ -176,15 +188,19 @@ def test_down_sets_list_each_mask_below_h():
         assert [h for h, _ in down] == pool
         for h, below in down:
             assert below.typecode == _RECORD[k]
-            assert list(below) == [g for g in pool if g & ~h == 0]
+            lows = below[_LOW::2] if k >= 3 else below
+            assert list(lows) == [g for g in pool if g & ~h == 0]
+            assert k < 3 or not any(below[1 - _LOW::2])
 
 
 def test_down_sets_equal_the_former_copy_per_down_set():
+    # from k = 3 on, each down set is the former copy widened
     for k in range(MAX_MONOTONE_ARITY):
         down, former = list(_down_sets(k)), list(_former_down_sets(k))
         assert [h for h, _ in down] == [h for h, _ in former]
         for (h, below), (_, copied) in zip(down, former):
             assert isinstance(below, array), (k, h)  # ↓0 = {0} included
+            copied = _widened(k, copied)
             assert below.typecode == copied.typecode and below.tobytes() == copied.tobytes()
 
 
@@ -323,6 +339,47 @@ def test_cube_and_monotone_rows_from_bit_columns_match_callback():
         labels = monotone_nonzero(j)
         assert monotone_nonzero_poset(j).rows == _rows_by_relation(labels,
                                                                    lambda a, b: a & ~b == 0)
+
+
+def _former_poset_bits(masks):
+    """The bit columns and up-set rows as Poset once built them: one OR per set bit
+    of each mask, then one AND of the columns of its bits per row."""
+    every = (1 << len(masks)) - 1
+    cols = [0] * max(masks, default=0).bit_length()
+    for a, mask in enumerate(masks):
+        for r in range(mask.bit_length()):
+            if mask >> r & 1:
+                cols[r] |= 1 << a
+    rows = [reduce(and_, [col for r, col in enumerate(cols) if mask >> r & 1], every)
+            for mask in masks]
+    return cols, rows
+
+
+def test_poset_bits_equal_the_former_construction_on_every_lattice():
+    from maxcomplex.csg import csg_nonzero_poset, majorization_poset
+
+    f3 = enumerate_monotone(3)
+    posets = [*map(boolean_cube, range(7)), *map(monotone_nonzero_poset, range(1, 6)),
+              *map(majorization_poset, range(8)), *map(csg_nonzero_poset, range(1, 7)),
+              Poset(a | b << 8 for a in f3 for b in f3)]  # the pair-order lemma's
+    for poset in posets:
+        assert (poset._cols, poset.rows) == _former_poset_bits(poset.masks), len(poset)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 1 << 70), unique=True, max_size=40))
+@example([])
+@example([0])
+@example([0, 1])
+def test_poset_bits_equal_the_former_construction(masks):
+    poset = Poset(masks)
+    assert (poset._cols, poset.rows) == _former_poset_bits(masks)
+
+
+def test_poset_rejects_negative_masks():
+    for masks in ([-1], [0, -1], [3, -4, 1]):
+        with pytest.raises(InputError, match="must be >= 0"):
+            Poset(masks)
 
 
 def test_poset_covers_chain():
