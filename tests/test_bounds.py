@@ -247,7 +247,7 @@ def test_profile_search_equals_the_linear_scan(monkeypatch):
     assert len(compared) == 83 * (16 + 3 + 6)
 
 
-def test_profile_tests_logarithmically_many_depths(monkeypatch):
+def test_profile_calls_above_logarithmically_often(monkeypatch):
     profile, depths = bounds._profile, []
 
     def counted(b, n, count, above):
