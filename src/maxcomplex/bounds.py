@@ -12,7 +12,7 @@ from functools import partial
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import CapacityError, ColoredFunction, InputError
+from .core import DIGIT_LIMIT, CapacityError, ColoredFunction, InputError
 
 
 # Number of monotone Boolean functions of k variables (constants included),
@@ -62,22 +62,28 @@ def tower_capped(c: int, b: int, e: int, cap: int) -> int:
 
 def _profile(b: int, n: int, count: Callable[[int, int], int],
              above: Callable[[int, int], bool]) -> tuple[int, list[int], int]:
-    """(r, tail, total) for the sum over depths i = 0..n of min(b^i, N(n-i) - 1).
+    """(r, tail, total) for the sum over depths i = 0..n of min(b^i, N(n-i) - 1), b >= 2.
     r is the least i with b^i >= N(n-i) - 1, or n + 1 if there is none, so each
     term below r is b^i; tail lists the terms from r on.  count(k, cap) returns
     min(N(k), cap) and is only asked with cap = b^i + 2, so no larger N is built.
     above(k, e) is True only if N(k) >= 2^e and count(k, 2^e) returns 2^e: while
     it holds for 2^e > b^i + 2, depth i is below r and b^i is not built.  N does not
-    fall as k grows, so it holds for a prefix of the depths: gallop, then bisect."""
+    fall as k grows, so it holds for a prefix of the depths: gallop, then bisect.
+    A total of more than DIGIT_LIMIT decimal digits raises CapacityError, before b^i
+    is built when the depths below i already pass the limit."""
     step = b.bit_length()  # b^i < 2^(i * step)
 
     def beyond(i: int) -> bool:  # past the depths that above puts below r
-        return b < 2 or i > n or not above(n - i, i * step + 2)
+        return i > n or not above(n - i, i * step + 2)
 
     end = 0
     while not beyond(end):
         end = 2 * end + 1
     i = bisect_left(range(end), True, (end + 1) // 2, key=beyond)
+    # the total is at least b^(i-1), past 10^L (L = DIGIT_LIMIT) from 2^ceil(10 L / 3) on,
+    # as 10^3 < 2^10; in bits, b^m >= 2^(m * w / 64) for w the bit length of b^64 less one
+    if (i - 1) * ((b**64).bit_length() - 1) >= 64 * -(-10 * DIGIT_LIMIT // 3):
+        raise _too_long()
     r, tail, prefixes = n + 1, [], b**i
     for i in range(i, n + 1):
         cap = prefixes + 2
@@ -87,44 +93,44 @@ def _profile(b: int, n: int, count: Callable[[int, int], int],
         if r <= n:
             tail.append(min(capped - 1, prefixes))
         prefixes *= b
-    return r, tail, (r if b == 1 else (b**r - 1) // (b - 1)) + sum(tail)
+    return _checked(r, tail, (b**r - 1) // (b - 1) + sum(tail))
+
+
+def _checked(r: int, tail: list[int], total: int) -> tuple[int, list[int], int]:
+    """(r, tail, total), unless total has more than DIGIT_LIMIT decimal digits."""
+    if total.bit_length() > 3 * DIGIT_LIMIT and total >= 10**DIGIT_LIMIT:  # 10^L has > 3 L bits
+        raise _too_long()
+    return r, tail, total
+
+
+def _too_long() -> CapacityError:
+    return CapacityError(f"the bound has more than {DIGIT_LIMIT} decimal digits")
 
 
 def _tower_profile(b: int, c: int, n: int) -> tuple[int, list[int], int]:
-    """_profile for N(k) = c^(b^k), which is at least 2^(b^k * (c.bit_length() - 1))."""
+    """_profile for N(k) = c^(b^k), which is at least 2^(b^k * (c.bit_length() - 1)).
+    For b = 1 or c = 1, N(k) = c: the crossover is 0 unless c > 2 (then b = 1 and
+    every term is 1), and every term from it on is min(b, c - 1)."""
+    if b < 1 or c < 1 or n < 0:
+        raise InputError(f"bad parameters b={b}, c={c}, n={n}")
+    if b == 1 or c == 1:
+        r = n + 1 if c > 2 else 0
+        tail = [min(b, c - 1)] * (n + 1 - r)
+        return _checked(r, tail, r + sum(tail))
     return _profile(b, n, partial(tower_capped, c, b),
                     lambda k, e: power_capped(b, k, e) * (c.bit_length() - 1) >= e)
 
 
-def _general_profile(b: int, c: int, n: int) -> tuple[int, list[int], int]:
-    if b < 1 or c < 1 or n < 0:
-        raise InputError(f"bad parameters b={b}, c={c}, n={n}")
-    return _tower_profile(b, c, n)
-
-
 def general_bound(b: int, c: int, n: int) -> int:
-    """Sum over depths i of min(b^i, c^(b^(n-i)) - 1)."""
-    return _general_profile(b, c, n)[2]
+    """Sum over depths i of min(b^i, c^(b^(n-i)) - 1).  A value of more than
+    DIGIT_LIMIT decimal digits raises CapacityError."""
+    return _tower_profile(b, c, n)[2]
 
 
 def general_bound_terms(b: int, c: int, n: int) -> list[int]:
     """The terms min(b^i, c^(b^(n-i)) - 1) of general_bound, by depth i = 0..n."""
-    r, tail, _ = _general_profile(b, c, n)
+    r, tail, _ = _tower_profile(b, c, n)
     return [b**i for i in range(r)] + tail
-
-
-def general_bound_reaches(b: int, c: int, n: int, e: int) -> bool:
-    """Whether general_bound(b, c, n) >= 2^e follows from its term at depth n - k,
-    min(b^(n-k), c^(b^k) - 1), for the least k with c^(b^k) - 1 >= 2^e.  Checked in
-    bits, without evaluating the bound: x^m >= 2^(m * w / 64) for w = the bit length
-    of x^64 less one, which is at most 1/64 below log2(x)."""
-    if b < 2 or c < 2:
-        return False
-    wb, wc = ((x**64).bit_length() - 1 for x in (b, c))
-    cap, k = (e + 1) * 64, 0
-    while power_capped(b, k, cap) * wc < cap:  # c^(b^k) may be below 2^(e+1)
-        k += 1
-    return (n - k) * wb >= e * 64
 
 
 def complete_dfa_bound(k: int, n: int) -> tuple[int, int]:
@@ -138,7 +144,7 @@ def complete_dfa_bound(k: int, n: int) -> tuple[int, int]:
         raise InputError("complete-automaton bound needs alphabet size >= 2")
     if n < 0:
         raise InputError("n must be >= 0")
-    r, _, total = _general_profile(k, 2, n)  # r <= n: k^n >= 2^1 - 1
+    r, _, total = _tower_profile(k, 2, n)  # r <= n: k^n >= 2^1 - 1
     return r, total + 1
 
 

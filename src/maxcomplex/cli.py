@@ -17,7 +17,6 @@ from time import perf_counter
 
 from . import __version__
 from .core import (
-    DIGIT_LIMIT,
     CapacityError,
     ColoredFunction,
     EMBEDDING_NAMES,
@@ -271,14 +270,10 @@ def cmd_complexity(args) -> int:
 def cmd_bound(args) -> int:
     from . import bounds
 
+    for name in {"general": "", "complete": "c", "monotone": "bc", "csg": "bc"}[args.kind]:
+        if getattr(args, name) != 2:
+            raise InputError(f"--kind {args.kind} fixes --{name} at 2")
     payload: dict = {"kind": args.kind, "b": args.b, "c": args.c, "n": args.n}
-    too_long = f"the bound has more than {DIGIT_LIMIT} decimal digits"
-    # one term of 2^ceil(10 L / 3) > 10^L, L = DIGIT_LIMIT (10^3 < 2^10), refuses the
-    # value before it is built; the complete bound is general_bound(b, 2, n) + 1
-    c = args.c if args.kind == "general" else 2
-    if (args.kind in ("general", "complete")
-            and bounds.general_bound_reaches(args.b, c, args.n, -(-10 * DIGIT_LIMIT // 3))):
-        raise CapacityError(too_long)
     try:
         if args.kind == "general":
             value = bounds.general_bound(args.b, args.c, args.n)
@@ -292,9 +287,6 @@ def cmd_bound(args) -> int:
         counts = "dedekind" if args.kind == "monotone" else "csg_counts"
         raise CapacityError(f"{exc}: this command has no option for it, so pass the count "
                             f"to maxcomplex.{args.kind}_bound(n, {counts})") from None
-    # the decimal conversion is super-linear: 111 s for the 3,010,294 digits of n = 10^7
-    if value.bit_length() > 3 * DIGIT_LIMIT and value >= 10**DIGIT_LIMIT:
-        raise CapacityError(too_long)
     payload["bound"] = digits = _decimal(value)
     _emit(args, payload, f"{args.kind} bound {digits}")
     return EXIT_OK

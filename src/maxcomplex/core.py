@@ -20,7 +20,7 @@ WordLike = Union[str, Sequence[int]]
 # Tables are bytes, one cell per word; big instances must stay desk-sized.
 MAX_TABLE_CELLS = 1 << 22
 MAX_COLORS = 256
-# Refuse to materialize counts and bounds above this many decimal digits.
+# The most decimal digits of a bound (`bounds._profile`) or a count (`counting.o_i`).
 DIGIT_LIMIT = 10**6
 # The built-in embedding catalog of `lattice.named_embedding`, listed here so
 # that the CLI can offer the names without importing `lattice`.

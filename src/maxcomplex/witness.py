@@ -30,7 +30,8 @@ class CrossoverPoint(Value):
 def crossover(b: int, c: int, n: int) -> CrossoverPoint:
     """The unique depth where min(b^i, c^(b^(n-i)) - 1) switches sides.
 
-    Returns the least i with b^i >= c^(b^(n-i)) - 1.
+    Returns the least i with b^i >= c^(b^(n-i)) - 1.  It is found with the whole
+    bound, so a bound of more than DIGIT_LIMIT decimal digits raises CapacityError.
     """
     if c == 1:
         raise NoWitnessError("c=1 admits only the zero function")

@@ -8,7 +8,7 @@ import pytest
 from maxcomplex import bounds
 from maxcomplex.cli import _decimal, main
 from maxcomplex.csg import csg_witness_chain
-from maxcomplex.core import ColoredFunction, InputError
+from maxcomplex.core import CapacityError, ColoredFunction, InputError
 from maxcomplex.bounds import (
     CSG_COUNTS,
     DEDEKIND,
@@ -19,7 +19,6 @@ from maxcomplex.bounds import (
     csg_bound,
     family_bound,
     general_bound,
-    general_bound_reaches,
     general_bound_terms,
     monotone_bound,
     power_capped,
@@ -244,7 +243,7 @@ def test_profile_search_equals_the_linear_scan(monkeypatch):
         for extra in extras:
             _outcome(monotone_bound, n, extra)
             _outcome(csg_bound, n, extra)
-    assert len(compared) == 83 * (16 + 3 + 6)
+    assert len(compared) == 83 * (9 + 3 + 6)  # b = 1 or c = 1 has a closed form
 
 
 def test_profile_calls_above_logarithmically_often(monkeypatch):
@@ -284,13 +283,45 @@ def test_general_bound_values_small():
     assert [general_bound(2, 2, n) for n in range(7)] == [1, 2, 4, 7, 11, 19, 34]
 
 
-def test_general_bound_reaches_only_what_the_bound_reaches():
-    for b, c, n, e in product(range(1, 5), range(1, 5), range(24), (1, 7, 40, 200)):
-        if general_bound_reaches(b, c, n, e):
-            assert general_bound(b, c, n) >= 1 << e, (b, c, n, e)
-    # 2^334 > 10^100; the term at depth n - 9 is min(2^(n-9), 2^(2^9) - 1)
-    assert [general_bound_reaches(2, 2, n, 334) for n in (342, 343)] == [False, True]
-    assert not any(general_bound_reaches(b, c, 10**9, 334) for b, c in [(1, 2), (2, 1), (0, 2)])
+def test_bounds_refuse_exactly_the_values_past_the_digit_limit(monkeypatch):
+    # each bound, with its value from the former loop, or None where that loop needs a count
+    cases = [(partial(general_bound, b, c, n), _former_profile(b, n, partial(tower_capped, c, b)))
+             for b, c, n in product(range(1, 6), range(1, 6), range(0, 200, 2))]
+    for n, (kind, bound) in product(range(90), [(bounds._MONOTONE, monotone_bound),
+                                                (bounds._GAMES, csg_bound)]):
+        former = _outcome(_former_table_profile, n, None, kind)
+        cases.append((partial(bound, n), former if isinstance(former[1], list) else None))
+    too_long = "the bound has more than {} decimal digits"
+    for limit in (1, 3, 10, 40):
+        monkeypatch.setattr(bounds, "DIGIT_LIMIT", limit)
+        for bound, former in cases:
+            if former is not None and former[2] < 10**limit:
+                assert bound() == former[2], (bound, limit)
+            elif former is not None:
+                with pytest.raises(CapacityError, match=f"^{too_long.format(limit)}$"):
+                    bound()
+            else:  # past the limit, or short of a count
+                with pytest.raises(CapacityError):
+                    bound()
+
+
+def test_library_refuses_a_long_bound_before_evaluating_it(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the bound was evaluated")
+
+    monkeypatch.setattr(bounds, "tower_capped", refuse)
+    too_long = "^the bound has more than 1000000 decimal digits$"
+    for call in (partial(general_bound, 2, 2, 10**7), partial(complete_dfa_bound, 2, 10**7),
+                 partial(general_bound, 3, 5, 3 * 10**6), partial(crossover, 2, 2, 10**7),
+                 partial(monotone_bound, 10**7)):  # a digit error, not NeedDedekindError
+        with pytest.raises(CapacityError, match=too_long):
+            call()
+
+
+def test_degenerate_signatures_take_the_closed_form():
+    assert general_bound(2, 1, 10**6) == 0 and general_bound(1, 3, 10**6) == 10**6 + 1
+    assert general_bound_terms(1, 2, 5) == [1] * 6 and general_bound_terms(3, 1, 3) == [0] * 4
+    assert bounds._tower_profile(1, 4, 5) == (6, [], 6)
 
 
 def test_complete_dfa_bound_examples():

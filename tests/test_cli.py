@@ -162,6 +162,7 @@ def test_cmd_bound_json(capsys):
 
 @pytest.mark.parametrize("kind,n,need,call", [
     ("csg", 25, "csg_count(9)", "maxcomplex.csg_bound(n, csg_counts)"),
+    ("csg", 24, "csg_count(8)", "maxcomplex.csg_bound(n, csg_counts)"),
     ("monotone", 42, "dedekind(7)", "maxcomplex.monotone_bound(n, dedekind)"),
 ])
 def test_cmd_bound_names_the_library_call_for_a_missing_count(kind, n, need, call, capsys):
@@ -192,7 +193,7 @@ def test_cmd_bound_prints_values_past_the_int_str_digit_limit(capsys):
 
 def test_cmd_bound_refuses_more_digits_than_the_limit(capsys, monkeypatch):
     # at the default limit of 10^6 digits, --n 3321949 is the last value printed
-    monkeypatch.setattr(cli, "DIGIT_LIMIT", 100)
+    monkeypatch.setattr(bounds, "DIGIT_LIMIT", 100)
     assert main(["bound", "--n", "340"]) == EXIT_OK  # 100 digits
     assert capsys.readouterr().out == f"general bound {general_bound(2, 2, 340)}\n"
     assert main(["bound", "--n", "341", "--json"]) == EXIT_CAPACITY  # 101 digits
@@ -202,14 +203,32 @@ def test_cmd_bound_refuses_more_digits_than_the_limit(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["--n", "10000000"], ["--kind", "complete", "--n", "10000000"],
-                                  ["--b", "3", "--c", "5", "--n", "3000000"]])
+                                  ["--b", "3", "--c", "5", "--n", "3000000"],
+                                  ["--kind", "monotone", "--n", "10000000"]])
 def test_cmd_bound_refuses_a_long_value_before_evaluating_it(argv, capsys, monkeypatch):
+    # the monotone bound's known terms pass the limit before its first missing count
     def refuse(*args):
         raise AssertionError("the bound was evaluated")
 
-    monkeypatch.setattr(bounds, "_tower_profile", refuse)
+    monkeypatch.setattr(bounds, "tower_capped", refuse)  # the count of the tail loop
     assert main(["bound", *argv]) == EXIT_CAPACITY
     assert capsys.readouterr().err == "capacity: the bound has more than 1000000 decimal digits\n"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["--kind", "monotone", "--b", "5"], "b"), (["--kind", "monotone", "--c", "3"], "c"),
+    (["--kind", "csg", "--b", "3"], "b"), (["--kind", "csg", "--c", "1"], "c"),
+    (["--kind", "complete", "--c", "7"], "c"),
+])
+def test_cmd_bound_rejects_an_option_its_kind_fixes(argv, name, capsys):
+    assert main(["bound", *argv, "--n", "10"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --kind {argv[1]} fixes --{name} at 2\n"
+    assert main(["bound", "--kind", argv[1], "--b", "2", "--c", "2", "--n", "10"]) == EXIT_OK
+    assert main(["bound", "--kind", "complete", "--b", "3", "--n", "4", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["bound"] == str(
+        general_bound(3, 2, 4) + 1)
 
 
 def test_cmd_construct_round_trip(tmp_path, capsys):
