@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import partial
+from itertools import repeat
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -96,7 +97,7 @@ def _profile(b: int, n: int, count: Callable[[int, int], int],
     return _checked(r, tail, (b**r - 1) // (b - 1) + sum(tail))
 
 
-def _checked(r: int, tail: list[int], total: int) -> tuple[int, list[int], int]:
+def _checked(r: int, tail: Iterable[int], total: int) -> tuple[int, Iterable[int], int]:
     """(r, tail, total), unless total has more than DIGIT_LIMIT decimal digits."""
     if total.bit_length() > 3 * DIGIT_LIMIT and total >= 10**DIGIT_LIMIT:  # 10^L has > 3 L bits
         raise _too_long()
@@ -107,16 +108,16 @@ def _too_long() -> CapacityError:
     return CapacityError(f"the bound has more than {DIGIT_LIMIT} decimal digits")
 
 
-def _tower_profile(b: int, c: int, n: int) -> tuple[int, list[int], int]:
+def _tower_profile(b: int, c: int, n: int) -> tuple[int, Iterable[int], int]:
     """_profile for N(k) = c^(b^k), which is at least 2^(b^k * (c.bit_length() - 1)).
     For b = 1 or c = 1, N(k) = c: the crossover is 0 unless c > 2 (then b = 1 and
-    every term is 1), and every term from it on is min(b, c - 1)."""
+    every term is 1), and every term from it on is min(b, c - 1).  That tail is
+    left unbuilt, as a repeat: most callers keep only r or the total."""
     if b < 1 or c < 1 or n < 0:
         raise InputError(f"bad parameters b={b}, c={c}, n={n}")
     if b == 1 or c == 1:
-        r = n + 1 if c > 2 else 0
-        tail = [min(b, c - 1)] * (n + 1 - r)
-        return _checked(r, tail, r + sum(tail))
+        r, term = (n + 1 if c > 2 else 0), min(b, c - 1)
+        return _checked(r, repeat(term, n + 1 - r), r + term * (n + 1 - r))
     return _profile(b, n, partial(tower_capped, c, b),
                     lambda k, e: power_capped(b, k, e) * (c.bit_length() - 1) >= e)
 
@@ -130,7 +131,7 @@ def general_bound(b: int, c: int, n: int) -> int:
 def general_bound_terms(b: int, c: int, n: int) -> list[int]:
     """The terms min(b^i, c^(b^(n-i)) - 1) of general_bound, by depth i = 0..n."""
     r, tail, _ = _tower_profile(b, c, n)
-    return [b**i for i in range(r)] + tail
+    return [b**i for i in range(r)] + list(tail)
 
 
 def complete_dfa_bound(k: int, n: int) -> tuple[int, int]:

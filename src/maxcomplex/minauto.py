@@ -216,7 +216,8 @@ def _classes(f: ColoredFunction, up_closure: bool) -> list[list[list[int]]]:
     Two prefixes of the same depth d both reach length n only at extension
     length n - d, so the test is one comparison of their b^(n-d)-cell slices.
     Each prefix joins the first class whose first member's slice equals its
-    own, scanning the classes in order: a quadratic grouping, nothing hashed.
+    own: `firsts.index` tests the classes in order and stops at the first
+    equal one, in C.  A quadratic grouping, nothing hashed.
     """
     table = _oracle_table(f, up_closure)
     by_depth = []
@@ -226,11 +227,9 @@ def _classes(f: ColoredFunction, up_closure: bool) -> list[list[list[int]]]:
         firsts: list[bytes] = []
         for r in _live_prefixes(f, depth):
             piece = table[r * width : (r + 1) * width]
-            for group, first in zip(groups, firsts):
-                if piece == first:
-                    group.append(r)
-                    break
-            else:
+            try:
+                groups[firsts.index(piece)].append(r)
+            except ValueError:  # no class yet has this slice
                 groups.append([r])
                 firsts.append(piece)
         by_depth.append(groups)

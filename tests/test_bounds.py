@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from functools import partial
 from itertools import product
 from math import comb
@@ -9,6 +10,7 @@ from maxcomplex import bounds
 from maxcomplex.cli import _decimal, main
 from maxcomplex.csg import csg_witness_chain
 from maxcomplex.core import CapacityError, ColoredFunction, InputError
+from maxcomplex.counting import count_max
 from maxcomplex.bounds import (
     CSG_COUNTS,
     DEDEKIND,
@@ -195,7 +197,8 @@ def test_profile_equals_the_former_loop():
         for c in range(1, 5):
             for n in range(61):
                 former = _former_profile(b, n, partial(tower_capped, c, b))
-                assert bounds._tower_profile(b, c, n) == former, (b, c, n)
+                r, tail, total = bounds._tower_profile(b, c, n)
+                assert (r, list(tail), total) == former, (b, c, n)
     for b, c, n in [(2, 2, 10**4), (2, 2, 10**5), (3, 2, 10**4), (2, 5, 10**4)]:
         former = _former_profile(b, n, partial(tower_capped, c, b))
         assert bounds._tower_profile(b, c, n) == former, (b, c, n)
@@ -321,7 +324,22 @@ def test_library_refuses_a_long_bound_before_evaluating_it(monkeypatch):
 def test_degenerate_signatures_take_the_closed_form():
     assert general_bound(2, 1, 10**6) == 0 and general_bound(1, 3, 10**6) == 10**6 + 1
     assert general_bound_terms(1, 2, 5) == [1] * 6 and general_bound_terms(3, 1, 3) == [0] * 4
-    assert bounds._tower_profile(1, 4, 5) == (6, [], 6)
+    r, tail, total = bounds._tower_profile(1, 4, 5)
+    assert (r, list(tail), total) == (6, [], 6)
+
+
+def test_degenerate_signatures_hold_no_tail():
+    calls = (partial(general_bound, 2, 1, 10**6), partial(general_bound, 1, 2, 10**6),
+             partial(crossover, 1, 2, 10**6), partial(count_max, 1, 2, 10**6))
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            call()
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20, call
+    finally:
+        tracemalloc.stop()
+    assert len(general_bound_terms(1, 2, 10**6)) == 10**6 + 1  # the terms are still built
 
 
 def test_complete_dfa_bound_examples():

@@ -282,6 +282,63 @@ def test_mn_classes_equal_the_former_pairwise_loop():
         assert mn_class_count(f, up_closure=True) == (sum(map(len, former)) if any(f.table) else 0)
 
 
+class _CountedSlice(bytes):
+    """A slice of the oracle's table that counts its == calls and cannot be hashed."""
+
+    tests = 0
+
+    def __eq__(self, other):
+        _CountedSlice.tests += 1
+        return bytes(self) == bytes(other)
+
+    def __hash__(self):
+        raise AssertionError("the oracle hashed a slice")
+
+
+class _CountedTable:
+    def __init__(self, table):
+        self.table = table
+
+    def __getitem__(self, key):
+        return _CountedSlice(self.table[key])
+
+
+def _former_slice_tests(f, up_closure=False):
+    """The pair tests of mn_classes as the for ... else loop made them: each live
+    prefix's slice against each class's first slice in turn, up to the first equal."""
+    table = minauto._oracle_table(f, up_closure)
+    tests = 0
+    for depth in range(f.n + 1):
+        width = f.b ** (f.n - depth)
+        firsts = []
+        for r in minauto._live_prefixes(f, depth):
+            piece = table[r * width : (r + 1) * width]
+            for first in firsts:
+                tests += 1
+                if piece == first:
+                    break
+            else:
+                firsts.append(piece)
+    return tests
+
+
+def test_mn_classes_make_the_former_pair_tests_and_hash_nothing(monkeypatch):
+    rng = random.Random(28)
+    cases = [(f, False) for f in _oracle_cases()]
+    cases += [(f, True) for f, _ in cases if f.b == 2 and f.c == 2]
+    cases += [(ColoredFunction(2, n, 2, bytes(int(rng.random() < p) for _ in range(2**n))), True)
+              for n in range(11) for p in (2**-6, 0.2, 0.7)]
+    expected = [(_former_mn_classes(f, up), _former_slice_tests(f, up)) for f, up in cases]
+    oracle_table = minauto._oracle_table
+    monkeypatch.setattr(minauto, "_oracle_table",
+                        lambda f, up_closure: _CountedTable(oracle_table(f, up_closure)))
+    for (f, up), (classes, tests) in zip(cases, expected):
+        _CountedSlice.tests = 0
+        assert mn_classes(f, up_closure=up).by_depth == classes, (f, up)
+        assert _CountedSlice.tests == tests, (f, up)
+    assert sum(tests for _, tests in expected) > 10**4
+
+
 def test_mn_class_count_decodes_no_words(monkeypatch):
     funcs = _oracle_cases()
     expected = [state_complexity(f) for f in funcs]
