@@ -119,10 +119,10 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
     (the crossover is n + 1, as in `bounds._profile`) and a function is maximal
     iff its b^n words take distinct nonzero colors: perm(c - 1, b^n) of them.
     """
-    if c < 2:
+    if c == 1:
         raise NoMaxError("c=1 admits no nonzero functions")
-    if b < 1 or n < 0:
-        raise InputError(f"bad parameters b={b}, n={n}")
+    if b < 1 or c < 1 or n < 0:
+        raise InputError(f"bad parameters b={b}, c={c}, n={n}")
     words = power_capped(b, n, c - 1)  # b^n, exact when below c - 1
     if words < c - 1:
         _check_work(words, 1, words, c)  # one product of words factors

@@ -28,6 +28,7 @@ from .lattice import (
     LatticeMap,
     Poset,
     SearchOutcome,
+    _pairs,
     assemble_from_chain,
     certify,
     search_embedding,
@@ -133,10 +134,7 @@ def enumerate_csg(n: int) -> tuple:
         raise CapacityError(f"game enumeration beyond n={MAX_CSG_ARITY} is not desk-feasible")
     if n == 0:
         return (0, 1)
-    prev = enumerate_csg(n - 1)
-    closed = [(g | shadow_mask(n - 1, g), g) for g in prev]
-    shift = 1 << (n - 1)
-    return tuple((h << shift) | g for h in prev for need, g in closed if need & ~h == 0)
+    return tuple(_pairs(enumerate_csg(n - 1), 1 << (n - 1), lambda g: g | shadow_mask(n - 1, g)))
 
 
 def count_csg(n: int) -> int:

@@ -14,7 +14,6 @@ and the certifier serve the game lattices of `csg` as well.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from functools import lru_cache, reduce
 from itertools import accumulate, compress, product
@@ -34,56 +33,52 @@ MAX_MONOTONE_ARITY = 6
 # F_6^- has 7,828,353 elements: its order matrix alone would take about 7.7 TB.
 MAX_MONOTONE_POSET_ARITY = 5
 
-_RECORD = "BBBBHIQ"  # array type of a k-ary mask (2^k bits), by k
-_LOW = int(sys.byteorder == "big")  # lane of a record's low half
+# the lanes of a Q record, as indices into its H and I views: bits 16-31 and 32-63
+_LANE16 = array("H", array("Q", [1 << 16]).tobytes()).index(1)
+_LANE32 = array("I", array("Q", [1 << 32]).tobytes()).index(1)
 
 
-def _pair(k: int, high: int, lows: array) -> array:
-    """The k-ary records (high << 2^(k-1)) | low, for each low in lows.  From k = 4 on,
-    the lows come wide, as the low lanes of k-ary records whose high lanes are 0,
-    and the high lanes of that array are written in place."""
-    if k <= 3:  # halves narrower than a byte
-        return array(_RECORD[k], [(high << (1 << (k - 1))) | low for low in lows])
-    lows[1 - _LOW::2] = array(lows.typecode, [high]) * (len(lows) // 2)
-    return lows
+def _pairs(prev: Sequence[int], shift: int,
+           key: Callable[[int], int] | None = None) -> Iterator[int]:
+    """The masks (h << shift) | g for h in prev, then g in prev, kept iff key(g), or g
+    itself without a key, lies inside h.  They come out ascending when prev is."""
+    closed = [(g if key is None else key(g), g) for g in prev]
+    return ((h << shift) | g for h in prev for need, g in closed if need & ~h == 0)
 
 
-def _down_sets(k: int) -> Iterator[tuple[int, array]]:
-    """Each monotone k-ary mask h, ascending, with the records of all g <= h, ascending.
-    From k = 3 on the records come wide, ready for `_pair(k + 1, h, ...)`: each is the
-    low lane of a (k+1)-ary record whose high lane is 0, and the array holds the lanes.
+def _f6() -> array:
+    """F_6 by one segment join over F_4.
 
-    g = (g0, g1) <= h = (h0, h1) iff g1 <= h1 and g0 <= g1 & h0, so the pairs
-    below h are, for each g1 <= h1 in turn, the segment of records with
-    g0 <= g1 & h0.  A segment depends on (g1, g1 & h0) alone: the segments of
-    one g1 are one `_pair` run over the down sets of all m <= g1, cut at their
-    ends.  rows[h0][t] holds, as bytes, the segment of the t-th g1 of F_(k-1),
-    and each down set is one join of the row entries at the positions of the
-    g1 <= h1, picked by one itemgetter per h1.  Each row ends in b"", which
-    every getter also picks, so a getter always returns a tuple, for h1 = 0 too.
+    f = (g0, g1, h0, h1) in 16-bit lanes, the last highest, is monotone iff
+    g1 <= h1, h0 <= h1 and g0 <= g1 & h0.  For each h = (h0, h1) in turn, the
+    records below it are, for each g1 <= h1, the segment of g0 <= g1 & h0 with
+    g1 in its lane.  A segment depends on (g1, g1 & h0) alone: the segments of
+    one g1 are one run over the down sets of all m <= g1, cut at their ends.
+    rows[h0][t] holds the segment of the t-th g1, and each down set is one join
+    of the row entries at the positions of the g1 <= h1, picked by one
+    itemgetter per h1.  Each row ends in b"", which every getter also picks,
+    so a getter always returns a tuple, for h1 = 0 too.
     """
-    if k == 0:
-        yield from {0: array("B", [0]), 1: array("B", [0, 1])}.items()
-        return
-    prev = dict(_down_sets(k - 1))
-    masks = {h: below[_LOW::2] if k >= 4 else below for h, below in prev.items()}
-    lane, shift, segments = _RECORD[k], 1 << (k - 1), {}
-    size = array(lane).itemsize << (k >= 3)  # bytes of a segment's record
-    for g1, below in masks.items():
-        run = _pair(k, g1, array(_RECORD[k - 1], b"".join(map(prev.__getitem__, below))))
-        ends = list(accumulate(len(masks[m]) * size for m in below))
-        if k >= 3:  # each record into the low lane of a (k+1)-ary one
-            records, run = array(lane, run.tobytes()), array(lane, bytes(ends[-1]))
-            run[_LOW::2] = records
+    f4 = Poset(enumerate_monotone(4))
+    masks, downs = f4.masks, [_bits(f4.below(m)) for m in f4.masks]
+    lists = [array("Q", map(masks.__getitem__, below)).tobytes() for below in downs]
+    segments = {}
+    for g1, below in zip(masks, downs):
+        run = array("H", b"".join(map(lists.__getitem__, below)))
+        run[_LANE16::4] = array("H", [g1]) * (len(run) // 4)
         data = run.tobytes()
-        segments[g1] = {m: data[start:end] for m, start, end in zip(below, [0, *ends], ends)}
+        ends = [0, *accumulate(len(lists[m]) for m in below)]
+        segments[g1] = {masks[m]: data[a:b] for m, a, b in zip(below, ends, ends[1:])}
     rows = {h0: [segments[g1][g1 & h0] for g1 in masks] + [b""] for h0 in masks}
-    del prev, segments  # the rows hold every segment
-    position = {g1: t for t, g1 in enumerate(masks)}
-    for h1, below_h1 in masks.items():
-        pick = itemgetter(*map(position.__getitem__, below_h1), len(masks))
-        for h0 in below_h1:
-            yield (h1 << shift) | h0, array(lane, b"".join(pick(rows[h0])))
+    del segments  # the rows hold every segment
+    out = array("Q")
+    for h1, below in zip(masks, downs):
+        pick = itemgetter(*below, len(masks))
+        for h0 in map(masks.__getitem__, below):
+            run = array("I", b"".join(pick(rows[h0])))
+            run[_LANE32::2] = array("I", [(h1 << 16) | h0]) * (len(run) // 2)
+            out.frombytes(memoryview(run).cast("B"))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -91,20 +86,19 @@ def enumerate_monotone(n: int) -> array:
     """All monotone functions of n variables as ascending masks, 0 and 1 included.
 
     A function f is the pair g = f|x0=0 <= h = f|x0=1 of (n-1)-ary monotone
-    functions, so F_n lists, for each h in F_{n-1} ascending, the pairs with
-    g <= h ascending: from n = 4 on, the wide down set of h with h written
-    into its high lanes.
+    functions, so F_n lists, for each h in F_{n-1} ascending, the g <= h
+    ascending: `_pairs` from F_0 up, and `_f6` for F_6.
     """
     if n < 0:
         raise InputError("n must be >= 0")
     if n > MAX_MONOTONE_ARITY:
         raise CapacityError(f"enumeration beyond n={MAX_MONOTONE_ARITY} is not desk-feasible")
-    if n == 0:
-        return array("Q", [0, 1])
-    out = array(_RECORD[n])
-    for h, below in _down_sets(n - 1):
-        out.frombytes(memoryview(_pair(n, h, below)).cast("B"))
-    return out if out.typecode == "Q" else array("Q", out)
+    if n == 6:
+        return _f6()
+    masks = array("Q", [0, 1])
+    for k in range(n):
+        masks = array("Q", _pairs(masks, 1 << k))
+    return masks
 
 
 def count_monotone(n: int) -> int:
@@ -697,7 +691,8 @@ def parse_certificate(text: str) -> dict:
     """Parse the certificate text format; returns kind, i, j and image masks.
 
     The map must list each of the 2^i sources once, as i bits ("-" when
-    i = 0), with a 2^j-bit image; anything else raises InputError.  The
+    i = 0), with a 2^j-bit image, and an order: line, when present, must
+    name the kind's source order; anything else raises InputError.  The
     cover section is not read: verification recomputes it.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -726,8 +721,11 @@ def parse_certificate(text: str) -> dict:
         image[int(src or "0", 2)] = int(bits[::-1], 2)
     if len(image) != len(rows):
         raise InputError("certificate map lists a source twice")
-    return {"kind": fields.get("kind", "monotone"), "i": i, "j": j,
-            "image_masks": tuple(image[s] for s in range(len(rows)))}
+    kind = fields.get("kind", "monotone")
+    order = lattice_kind(kind).order
+    if fields.get("order", order) != order:
+        raise InputError(f"certificate order {fields['order']!r} is not {kind}'s {order!r}")
+    return {"kind": kind, "i": i, "j": j, "image_masks": tuple(image[s] for s in range(len(rows)))}
 
 
 def verify_certificate(parsed: dict) -> AdequacyCertificate:

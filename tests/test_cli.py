@@ -322,6 +322,14 @@ def test_cmd_count_max_list_needs_verify_brute(capsys, extra):
     assert captured.err == "error: --list needs --verify-brute\n"
 
 
+@pytest.mark.parametrize("c,err", [("0", "error: bad parameters b=2, c=0, n=3\n"),
+                                   ("1", "error: c=1 admits no nonzero functions\n")],
+                         ids=["c0", "c1"])
+def test_cmd_count_max_refuses_fewer_than_two_colors(capsys, c, err):
+    assert main(["count-max", "--c", c, "--n", "3"]) == EXIT_USAGE
+    assert capsys.readouterr().err == err
+
+
 def test_cmd_count_max_brute_capacity(capsys):
     assert main(["count-max", "--n", "5", "--verify-brute"]) == EXIT_CAPACITY
 
@@ -448,6 +456,33 @@ def test_cmd_lattice_search_resume_needs_no_shape(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert (payload["kind"], payload["i"], payload["j"]) == ("csg", 2, 3)
     assert payload["status"] == "verified" and payload["certificate"] == cert
+
+
+@pytest.mark.parametrize("kind", ["monotone", "csg"])
+def test_cmd_lattice_search_resume_refuses_a_wrong_order_line(tmp_path, capsys, kind):
+    cert = tmp_path / "cert.txt"
+    flags, other = (["--csg"], "monotone") if kind == "csg" else ([], "csg")
+    assert main(["lattice", "search", *flags, "--i", "2", "--j", "3",
+                 "--out", str(cert)]) == EXIT_OK
+    order = lattice.lattice_kind(kind).order
+    text = cert.read_text()
+    assert f"\norder: {order}\n" in text
+    for wrong in ("nonsense", lattice.lattice_kind(other).order):
+        cert.write_text(text.replace(f"order: {order}", f"order: {wrong}"))
+        capsys.readouterr()
+        assert main(["lattice", "search", "--resume", str(cert)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: certificate order {wrong!r} is not {kind}'s {order!r}\n")
+
+
+def test_cmd_lattice_search_resume_accepts_a_missing_order_line(tmp_path, capsys):
+    cert = tmp_path / "cert.txt"
+    assert main(["lattice", "search", "--i", "2", "--j", "3", "--out", str(cert)]) == EXIT_OK
+    cert.write_text(cert.read_text().replace("order: product\n", ""))
+    assert "order:" not in cert.read_text()
+    capsys.readouterr()
+    assert main(["lattice", "search", "--resume", str(cert)]) == EXIT_OK
+    assert capsys.readouterr().out == f"certificate verified: {cert}\n"
 
 
 @pytest.mark.parametrize("shape", [["--i", "2"], ["--j", "3"], []])

@@ -200,6 +200,15 @@ def test_count_max_degenerate():
     assert count_max(2, 4, 0) == (1, 3)  # colors outnumber the single word
 
 
+@pytest.mark.parametrize("c", [0, -1])
+def test_count_max_refuses_c_below_1_as_bad_parameters(c):
+    with pytest.raises(InputError, match=f"bad parameters b=2, c={c}, n=3") as caught:
+        count_max(2, c, 3)
+    assert type(caught.value) is InputError  # not NoMaxError, which is for c = 1
+    with pytest.raises(InputError, match=f"bad parameters b=2, c={c}, n=3"):
+        crossover(2, c, 3)
+
+
 @pytest.mark.parametrize("b,c,n,count", [(2, 6, 2, 120), (2, 7, 2, 360), (2, 4, 1, 6),
                                          (3, 5, 1, 24), (1, 3, 2, 2), (2, 4, 0, 3)])
 def test_count_max_when_colors_outnumber_words(b, c, n, count):
@@ -365,6 +374,9 @@ def test_o_i_and_count_max_equal_the_former_evaluation():
             former = _outcome(_former_count_max, b, c, n)
             if former[0] is NoMaxError and "colors outnumber words" in former[1]:
                 former = (n + 1, perm(c - 1, b**n))  # refused before; one color per word
+            if c < 1 or former[0] is InputError and former[1].startswith("bad parameters"):
+                # c < 1 was refused as c = 1 before, and the refusal now names c too
+                former = (InputError, f"bad parameters b={b}, c={c}, n={n}")
             assert _outcome(count_max, b, c, n) == former, (b, c, n)
         # the former sum costs about b^(3i) steps once its codomain fits: i is kept small
         for i in range(-1, n + 2):

@@ -105,6 +105,21 @@ def test_csg_counts():
     assert enumerate_csg(6) is enumerate_csg(6)  # cached: one object per arity
 
 
+def _former_enumerate_csg(n):
+    """The comprehension that enumerate_csg ran before it shared `lattice._pairs`."""
+    if n == 0:
+        return (0, 1)
+    prev = _former_enumerate_csg(n - 1)
+    closed = [(g | shadow_mask(n - 1, g), g) for g in prev]
+    shift = 1 << (n - 1)
+    return tuple((h << shift) | g for h in prev for need, g in closed if need & ~h == 0)
+
+
+def test_csg_equals_the_former_comprehension():
+    for n in range(8):
+        assert enumerate_csg(n) == _former_enumerate_csg(n), n
+
+
 def test_count_csg_equals_the_listing():
     for n in range(8):
         assert count_csg(n) == len(enumerate_csg(n)) == CSG_COUNTS[n], n

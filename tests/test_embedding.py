@@ -324,6 +324,8 @@ MALFORMED = {
     "short-row": lambda t: t.replace("00 -> 0", "00 -> "),
     "negative-i": lambda t: t.replace("i: 2", "i: -1"),
     "j-zero": lambda t: t.replace("j: 3", "j: 0"),
+    "order-nonsense": lambda t: t.replace("order: product", "order: nonsense"),
+    "order-of-games": lambda t: t.replace("order: product", "order: majorization"),
 }
 
 
@@ -340,6 +342,12 @@ def test_parse_certificate_reads_valid_certificates():
     cert = check_relation(0, 1, search_relation(0, 1).map)
     assert "\n- -> " in format_certificate(cert)
     assert verify_certificate(parse_certificate(format_certificate(cert))) == cert
+
+
+def test_parse_certificate_accepts_a_missing_order_line():
+    for text in (_post_alh_text(), _game_text()):
+        order = next(line for line in text.splitlines() if line.startswith("order: "))
+        assert parse_certificate(text.replace(order + "\n", "")) == parse_certificate(text)
 
 
 def _returns_or_input_error(text):

@@ -29,14 +29,11 @@ from maxcomplex.core import (
 from maxcomplex.bounds import DEDEKIND, _MONOTONE, _table_profile, monotone_bound
 from maxcomplex.minauto import state_complexity
 from maxcomplex.lattice import (
-    _LOW,
-    _RECORD,
     EMBEDDING_NAMES,
     MAX_MONOTONE_ARITY,
     AdequacyError,
     LatticeMap,
     Poset,
-    _down_sets,
     boolean_cube,
     build_witness_language,
     check_relation,
@@ -125,6 +122,12 @@ def _numpy_f6():
     return out
 
 
+# the former record layout: array type of a k-ary mask (2^k bits) by k, and the
+# lane of a record's low half
+_RECORD = "BBBBHIQ"
+_LOW = int(sys.byteorder == "big")
+
+
 def _former_pair(k, high, lows):
     if _RECORD[k] == lows.typecode:
         return array(lows.typecode, [(high << (1 << (k - 1))) | low for low in lows])
@@ -171,37 +174,26 @@ def test_enumeration_equals_the_former_pair_rule_without_numpy():
         assert masks.typecode == "Q" and masks.tobytes() == _former_enumerate(n).tobytes()
 
 
-def _widened(k, records):
-    """k-ary records as `_down_sets(k)` gives them from k = 3 on: each in the low lane
-    of a record twice as wide, whose high lane is 0."""
-    if k < 3:
-        return records
-    wide = array(records.typecode, bytes(2 * len(records) * records.itemsize))
-    wide[_LOW::2] = records
-    return wide
+def test_lane_constants_address_the_16_and_32_bit_lanes_of_a_q_record():
+    record = array("Q", [0xDDDD_CCCC_BBBB_AAAA])
+    assert array("H", record.tobytes())[lattice._LANE16] == 0xBBBB
+    assert array("I", record.tobytes())[lattice._LANE32] == 0xDDDD_CCCC
+    lanes = array("H", bytes(8))
+    lanes[lattice._LANE16] = 1
+    wide = array("I", bytes(8))
+    wide[lattice._LANE32] = 1
+    assert array("Q", lanes.tobytes()) == array("Q", [1 << 16])
+    assert array("Q", wide.tobytes()) == array("Q", [1 << 32])
 
 
-def test_down_sets_list_each_mask_below_h():
-    for k in range(5):
-        pool = list(enumerate_monotone(k))
-        down = list(_down_sets(k))
-        assert [h for h, _ in down] == pool
-        for h, below in down:
-            assert below.typecode == _RECORD[k]
-            lows = below[_LOW::2] if k >= 3 else below
-            assert list(lows) == [g for g in pool if g & ~h == 0]
-            assert k < 3 or not any(below[1 - _LOW::2])
+def test_enumeration_below_arity_6_never_lists_f6(monkeypatch):
+    def unreachable():
+        raise AssertionError("_f6 called")
 
-
-def test_down_sets_equal_the_former_copy_per_down_set():
-    # from k = 3 on, each down set is the former copy widened
-    for k in range(MAX_MONOTONE_ARITY):
-        down, former = list(_down_sets(k)), list(_former_down_sets(k))
-        assert [h for h, _ in down] == [h for h, _ in former]
-        for (h, below), (_, copied) in zip(down, former):
-            assert isinstance(below, array), (k, h)  # ↓0 = {0} included
-            copied = _widened(k, copied)
-            assert below.typecode == copied.typecode and below.tobytes() == copied.tobytes()
+    monkeypatch.setattr(lattice, "_f6", unreachable)
+    for n in range(MAX_MONOTONE_ARITY):
+        masks = enumerate_monotone.__wrapped__(n)  # past the cache
+        assert masks.typecode == "Q" and masks == _pair_loop(n), n
 
 
 def _env_with_package():

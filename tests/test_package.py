@@ -1,5 +1,7 @@
-"""The package's lazy exports and the modules each CLI command imports."""
+"""The package's lazy exports, the modules each CLI command imports, and the
+oldest Python its sources parse under."""
 
+import ast
 import importlib
 import json
 import os
@@ -123,3 +125,11 @@ def test_game_certificate_verifies_with_only_lattice_imported():
         "print('maxcomplex.csg' in sys.modules)\n"
         "print(verify_certificate(parse_certificate(sys.argv[1])).kind)\n", text)
     assert out.split() == ["False", "csg"]
+
+
+def test_sources_parse_as_the_oldest_python_that_pyproject_allows():
+    # requires-python is >= 3.10; this catches 3.11-only syntax on any interpreter
+    sources = sorted(Path(SRC, "maxcomplex").glob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
