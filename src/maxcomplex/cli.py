@@ -10,6 +10,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from itertools import compress, product, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -243,10 +244,10 @@ def cmd_complexity(args) -> int:
     f = parse_language_file(Path(args.file).read_text())
     if args.mn_crosscheck and len(f.table) > MAX_CROSSCHECK_CELLS:
         raise CapacityError(f"--mn-crosscheck takes at most {MAX_CROSSCHECK_CELLS} cells")
-    # with --dot, one residual pass builds the automaton, and its states give the counts
+    # with --dot, one residual pass builds the automaton, and its states give the counts:
+    # depth runs 0..n without a gap and never falls, so the Counter is in depth order
     pdfa = minauto.minimal_pdfa(f) if args.dot and not is_zero(f) else None
-    by_depth = ([pdfa.depth.count(d) for d in range(f.n + 1)] if pdfa
-                else minauto.states_by_depth(f))
+    by_depth = list(Counter(pdfa.depth).values()) if pdfa else minauto.states_by_depth(f)
     complexity = sum(by_depth)
     if complexity == 0:
         print("warning: empty language (complexity 0)", file=sys.stderr)

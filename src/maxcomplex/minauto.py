@@ -78,15 +78,16 @@ class Pdfa(Value):
     Special states q_1..q_{c-1} are the depth-n states; a run ends in q_i
     exactly on the words of color i, and dies (or never existed) on color 0.
     `special` holds at index i-1 the id of q_i, or None if color i is unused;
-    `depth` holds the depth of each state.  The dict of transitions makes a
-    Pdfa unhashable.
+    `delta[s * b + sym]` is the state after symbol sym from state s, or None
+    where the run dies, so the depth-n rows are all None; `depth` holds the
+    depth of each state.
     """
 
-    __slots__ = ("b", "n", "c", "state_count", "start", "transitions", "special", "depth")
+    __slots__ = ("b", "n", "c", "state_count", "start", "delta", "special", "depth")
 
     def __init__(self, b: int, n: int, c: int, state_count: int, start: int,
-                 transitions: dict[tuple[int, int], int], special: tuple, depth: tuple):
-        self._set(b, n, c, state_count, start, transitions, special, depth)
+                 delta: tuple, special: tuple, depth: tuple):
+        self._set(b, n, c, state_count, start, delta, special, depth)
 
 
 def minimal_pdfa(f: ColoredFunction) -> Pdfa:
@@ -98,15 +99,14 @@ def minimal_pdfa(f: ColoredFunction) -> Pdfa:
     """
     if is_zero(f):
         raise NoAutomatonError("the zero function has no recognizer")
-    transitions: dict[tuple[int, int], int] = {}
+    delta: list[int | None] = []
     depth_of: list[int] = []
     for depth, (level, children) in enumerate(residual_levels([f.table], f.b, f.n)):
-        base = len(depth_of)
         depth_of.extend([depth] * len(level))
-        for pos, child in enumerate(children):
-            if child is not None:
-                parent, sym = divmod(pos, f.b)
-                transitions[(base + parent, sym)] = base + len(level) + child
+        first = len(depth_of)  # the next level's first id
+        delta += [None if child is None else first + child for child in children]
+    base = len(depth_of) - len(level)
+    delta += [None] * (len(level) * f.b)
     special = [None] * (f.c - 1)
     for k, table in enumerate(level):
         special[table[0] - 1] = base + k
@@ -116,7 +116,7 @@ def minimal_pdfa(f: ColoredFunction) -> Pdfa:
         c=f.c,
         state_count=len(depth_of),
         start=0,
-        transitions=transitions,
+        delta=tuple(delta),
         special=tuple(special),
         depth=tuple(depth_of),
     )
@@ -127,14 +127,13 @@ def run(a: Pdfa, word: WordLike) -> int:
     w = as_word(word)
     if len(w) != a.n:
         raise InputError(f"word length {len(w)} != n = {a.n}")
-    state = a.start
+    b, delta, state = a.b, a.delta, a.start
     for d in w:
-        if not 0 <= d < a.b:
-            raise InputError(f"digit {d} out of range for alphabet size {a.b}")
-        nxt = a.transitions.get((state, d))
-        if nxt is None:
+        if not 0 <= d < b:
+            raise InputError(f"digit {d} out of range for alphabet size {b}")
+        state = delta[state * b + d]
+        if state is None:
             return 0
-        state = nxt
     for i, sid in enumerate(a.special, start=1):
         if sid == state:
             return i
@@ -252,7 +251,8 @@ def mn_class_count(f: ColoredFunction, up_closure: bool = False) -> int:
 
 def export_dot(a: Pdfa) -> str:
     """Deterministic DOT rendering; parallel edges get merged labels.  One pass over
-    the transitions in (source, symbol) order writes each label's symbols sorted."""
+    delta, in (source, symbol) order, writes each label's symbols sorted; an edge's
+    int key src * state_count + dst sorts as the pair (src, dst)."""
     lines = [
         "digraph pdfa {",
         "  rankdir=LR;",
@@ -264,11 +264,13 @@ def export_dot(a: Pdfa) -> str:
     lines += [f'  s{sid} [shape=doublecircle, label="{special_name[sid]}"];'
               if sid in special_name else f'  s{sid} [shape=circle, label="s{sid}"];'
               for sid in range(a.state_count)]
-    labels: dict[tuple[int, int], str] = {}
-    keys = sorted(a.transitions)  # the keys only: no list of (key, dst) pairs
-    for (src, sym), dst in zip(keys, map(a.transitions.__getitem__, keys)):
-        edge = src, dst
-        labels[edge] = f"{labels[edge]},{sym}" if edge in labels else str(sym)
-    lines += [f'  s{edge[0]} -> s{edge[1]} [label="{labels[edge]}"];' for edge in sorted(labels)]
+    b, count, delta = a.b, a.state_count, a.delta
+    symbols = [str(sym) for sym in range(b)] * count  # the symbol of each slot of delta
+    labels: dict[int, str] = {}  # edge src * count + dst -> its symbols, ascending
+    for edge, sym in zip([i // b * count + dst for i, dst in enumerate(delta) if dst is not None],
+                         [sym for sym, dst in zip(symbols, delta) if dst is not None]):
+        labels[edge] = f"{labels[edge]},{sym}" if edge in labels else sym
+    lines += [f'  s{edge // count} -> s{edge % count} [label="{labels[edge]}"];'
+              for edge in sorted(labels)]
     lines.append("}\n")
     return "\n".join(lines)

@@ -47,7 +47,7 @@ def test_minimal_pdfa_singleton_chain():
     a = minimal_pdfa(ColoredFunction.from_language(3, ["111"]))
     assert a.state_count == 4
     assert a.depth == (0, 1, 2, 3)
-    assert a.transitions == {(0, 1): 1, (1, 1): 2, (2, 1): 3}
+    assert a.delta == (None, 1, None, 2, None, 3, None, None)
 
 
 def test_residual_levels_agree_and_number_states():
@@ -69,7 +69,7 @@ def test_residual_levels_agree_and_number_states():
             for r in range(f.b**depth):
                 state = a.start
                 for d in unrank(r, depth, f.b):
-                    state = a.transitions.get((state, d))
+                    state = a.delta[state * f.b + d]
                     if state is None:
                         break
                 else:
@@ -411,6 +411,11 @@ def test_export_dot_deterministic():
     assert export_dot(minimal_pdfa(ASIAN)) == export_dot(minimal_pdfa(ASIAN))
 
 
+def _transitions(a):
+    """The (state, symbol) -> state dict that Pdfa held before its flat delta."""
+    return {divmod(i, a.b): dst for i, dst in enumerate(a.delta) if dst is not None}
+
+
 def _former_export_dot(a):
     """export_dot before its one-pass labels: a sorted generator join per edge."""
     lines = [
@@ -427,7 +432,7 @@ def _former_export_dot(a):
         else:
             lines.append(f'  s{sid} [shape=circle, label="s{sid}"];')
     merged: dict[tuple[int, int], list[int]] = {}
-    for (src, sym), dst in a.transitions.items():
+    for (src, sym), dst in _transitions(a).items():
         merged.setdefault((src, dst), []).append(sym)
     for (src, dst) in sorted(merged):
         label = ",".join(str(sym) for sym in sorted(merged[(src, dst)]))
@@ -454,13 +459,55 @@ def test_export_dot_is_the_former_text(f):
     assert export_dot(a) == _former_export_dot(a)
 
 
-def test_export_dot_sorts_rather_than_trusting_dict_order():
-    a = minimal_pdfa(ColoredFunction(3, 3, 4, bytes(i * 7 % 11 % 4 for i in range(27))))
-    assert any("," in line for line in export_dot(a).splitlines())  # merged labels occur
-    backwards = dict(reversed(list(a.transitions.items())))
-    b = Pdfa(a.b, a.n, a.c, a.state_count, a.start, backwards, a.special, a.depth)
-    assert list(b.transitions) != list(a.transitions)
-    assert export_dot(b) == _former_export_dot(b) == export_dot(a)
+def test_export_dot_orders_edges_by_target_not_symbol():
+    # from s0 and from s1 the targets descend while the symbols ascend; s1 merges "1,2"
+    none = (None,) * 3
+    a = Pdfa(3, 2, 3, 5, 0, (2, 1, None, 4, 3, 3, 3, None, None, *none, *none),
+             (3, 4), (0, 1, 1, 2, 2))
+    assert export_dot(a) == _former_export_dot(a) == """digraph pdfa {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  __start -> s0;
+  s0 [shape=circle, label="s0"];
+  s1 [shape=circle, label="s1"];
+  s2 [shape=circle, label="s2"];
+  s3 [shape=doublecircle, label="q_1"];
+  s4 [shape=doublecircle, label="q_2"];
+  s0 -> s1 [label="1"];
+  s0 -> s2 [label="0"];
+  s1 -> s3 [label="1,2"];
+  s1 -> s4 [label="0"];
+  s2 -> s3 [label="0"];
+}
+"""
+    assert [run(a, w) for w in ("00", "10", "11", "12", "20")] == [1, 2, 1, 1, 0]
+
+
+def _former_minimal_pdfa(f):
+    """minimal_pdfa before its flat delta: (state_count, transitions, special, depth),
+    with one (state, symbol) key per transition in a dict."""
+    transitions = {}
+    depth_of = []
+    for depth, (level, children) in enumerate(minauto.residual_levels([f.table], f.b, f.n)):
+        base = len(depth_of)
+        depth_of.extend([depth] * len(level))
+        for pos, child in enumerate(children):
+            if child is not None:
+                parent, sym = divmod(pos, f.b)
+                transitions[(base + parent, sym)] = base + len(level) + child
+    special = [None] * (f.c - 1)
+    for k, table in enumerate(level):
+        special[table[0] - 1] = base + k
+    return len(depth_of), transitions, tuple(special), tuple(depth_of)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_nonzero_functions())
+def test_minimal_pdfa_delta_is_the_former_dict_and_runs_the_table(f):
+    a = minimal_pdfa(f)
+    assert len(a.delta) == a.state_count * f.b
+    assert (a.state_count, _transitions(a), a.special, a.depth) == _former_minimal_pdfa(f)
+    assert [run(a, unrank(r, f.n, f.b)) for r in range(f.b**f.n)] == list(f.table)
 
 
 def test_colored_special_states():
