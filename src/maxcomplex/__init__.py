@@ -18,7 +18,7 @@ _EXPORTS = {
                    "mn_classes mn_equivalent run state_complexity states_by_depth",
         "bounds": "NeedCsgCountError NeedDedekindError complete_dfa_bound cp_family csg_bound "
                   "family_bound general_bound monotone_bound",
-        "witness": "CrossoverPoint NoWitnessError construct_maximal crossover nonzero_functions",
+        "witness": "NoWitnessError construct_maximal crossover nonzero_functions",
         "counting": "NoMaxError count_max o_i onto_count onto_first_count stirling2",
         "lattice": "AdequacyCertificate AdequacyError LatticeMap Poset SearchOutcome "
                    "build_witness_language check_relation count_monotone enumerate_monotone "

@@ -335,9 +335,12 @@ def cmd_count_max(args) -> int:
         if args.list:
             languages = []
             for code in codes:
-                table = bytes(unrank(code, args.b**args.n, args.c))
-                f = ColoredFunction(args.b, args.n, args.c, table)
-                languages.append("{" + ",".join("".join(map(str, w)) for w in f.support()) + "}")
+                words = []
+                for r, color in enumerate(unrank(code, args.b**args.n, args.c)):
+                    if color:
+                        word = "".join(map(str, unrank(r, args.n, args.b))) or EMPTY_WORD_TOKEN
+                        words.append(word if color == 1 else f"{word}:{color}")
+                languages.append("{" + ",".join(words) + "}")
             if args.json:
                 payload["languages"] = languages
             else:

@@ -312,6 +312,3 @@ class MonotoneFunction(Value):
         if self.n != other.n:
             raise InputError("arity mismatch")
         return self.mask & ~other.mask == 0
-
-    def is_zero(self) -> bool:
-        return self.mask == 0

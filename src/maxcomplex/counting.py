@@ -123,16 +123,15 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
         raise NoMaxError("c=1 admits no nonzero functions")
     if b < 1 or c < 1 or n < 0:
         raise InputError(f"bad parameters b={b}, c={c}, n={n}")
-    words = power_capped(b, n, c - 1)  # b^n, exact when below c - 1
-    if words < c - 1:
+    i = crossover(b, c, n)
+    if i > n:
+        words = b**n  # below c - 1
         _check_work(words, 1, words, c)  # one product of words factors
-        return n + 1, perm(c - 1, words)
-    cross = crossover(b, c, n)  # b^n >= c - 1, so a crossover exists
-    i = cross.i
+        return i, perm(c - 1, words)
     if i == 0:
         # c=2 with a single word: the unique maximal function accepts it
         return 0, 1
-    codomain = c ** (b**cross.k)
+    codomain = c ** (b ** (n - i))
     blocks = b ** (i - 1)
     # each term's product has about b * blocks * log2(codomain) = b^n * log2(c) bits
     _check_work((codomain - 1) * blocks, codomain, b**n, c)

@@ -275,16 +275,16 @@ def is_adequate(funcs: Iterable[MonotoneFunction], strong: bool = False) -> bool
 
 
 class AdequacyCertificate(Value):
-    """Verified embedding data: the map, its substitutions, and the cover."""
+    """Verified embedding data: the map and the cover of its substitutions."""
 
-    __slots__ = ("kind", "i", "j", "map", "substitutions", "covered", "uses_zero")
+    __slots__ = ("kind", "i", "j", "map", "covered", "uses_zero")
 
-    def __init__(self, kind: str, i: int, j: int, map: LatticeMap, substitutions: tuple,
-                 covered: frozenset, uses_zero: bool):
-        # kind is "monotone" or "csg"; substitutions holds, per image element,
-        # the (eps=0, eps=1) masks; covered, the nonzero (j-1)-ary masks they
-        # hit; uses_zero, whether one of them is the zero function
-        self._set(kind, i, j, map, substitutions, covered, uses_zero)
+    def __init__(self, kind: str, i: int, j: int, map: LatticeMap, covered: frozenset,
+                 uses_zero: bool):
+        # kind is "monotone" or "csg"; covered holds the nonzero (j-1)-ary masks
+        # that the (eps=0, eps=1) substitutions of the image elements hit;
+        # uses_zero, whether one of them is the zero function
+        self._set(kind, i, j, map, covered, uses_zero)
 
 
 class LatticeKind(Value):
@@ -349,8 +349,8 @@ def certify(kind: str, i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
         missing = len(needed) - len(covered)
         raise AdequacyError(f"substitutions miss {missing} required functions")
     uses_zero = any(v == 0 for pair in subs for v in pair)
-    return AdequacyCertificate(kind=kind, i=i, j=j, map=m, substitutions=subs,
-                               covered=frozenset(covered), uses_zero=uses_zero)
+    return AdequacyCertificate(kind=kind, i=i, j=j, map=m, covered=frozenset(covered),
+                               uses_zero=uses_zero)
 
 
 def check_relation(i: int, j: int, m: LatticeMap) -> AdequacyCertificate:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .core import (CapacityError, ColoredFunction, InputError, MAX_TABLE_CELLS, Value,
-                   code_tables, table_cells)
+from .core import (CapacityError, ColoredFunction, InputError, MAX_TABLE_CELLS, code_tables,
+                   table_cells)
 from .bounds import _tower_profile, power_capped
 
 
@@ -18,31 +18,18 @@ class NoWitnessError(InputError):
     """No maximal witness exists for these parameters."""
 
 
-class CrossoverPoint(Value):
-    """Least depth i where prefixes outnumber the nonzero deeper functions."""
-
-    __slots__ = ("i", "k")
-
-    def __init__(self, i: int, k: int):  # k = n - i
-        self._set(i, k)
-
-
-def crossover(b: int, c: int, n: int) -> CrossoverPoint:
+def crossover(b: int, c: int, n: int) -> int:
     """The unique depth where min(b^i, c^(b^(n-i)) - 1) switches sides.
 
-    Returns the least i with b^i >= c^(b^(n-i)) - 1.  It is found with the whole
+    Returns the least i with b^i >= c^(b^(n-i)) - 1, or n + 1 when there is none:
+    then the colors outnumber the words (b^n < c - 1).  It is found with the whole
     bound, so a bound of more than DIGIT_LIMIT decimal digits raises CapacityError.
     """
     if c == 1:
         raise NoWitnessError("c=1 admits only the zero function")
     if b < 1 or n < 0:
         raise InputError(f"bad parameters b={b}, n={n}")
-    i = _tower_profile(b, c, n)[0]
-    if i <= n:
-        return CrossoverPoint(i, n - i)
-    raise NoWitnessError(
-        f"no crossover: b^n = {b**n} < c-1 = {c - 1} (colors outnumber words)"
-    )
+    return _tower_profile(b, c, n)[0]
 
 
 def nonzero_functions(b: int, c: int, arity: int) -> list[ColoredFunction]:
@@ -64,16 +51,16 @@ def construct_maximal(b: int, c: int, n: int) -> ColoredFunction:
     if b == 1:
         # single word; any nonzero color yields the full chain of n+1 states
         return ColoredFunction(1, n, c, bytes([c - 1]))
-    if b**n < c - 1:
+    i = crossover(b, c, n)
+    if i > n:
         # colors outnumber words: all-distinct nonzero colors is maximal
         return ColoredFunction(b, n, c, bytes(r + 1 for r in range(b**n)))
-    cross = crossover(b, c, n)
-    if cross.i == 0:
+    if i == 0:
         # only happens for c=2, n=0: accept the empty word
         return ColoredFunction(b, 0, c, bytes([1]))
-    k = cross.k
+    k = n - i
     s = c ** (b**k) - 1  # number of nonzero k-ary functions
-    blocks = b ** (cross.i - 1)
+    blocks = b ** (i - 1)
     parts = list(islice(code_tables(b, c, k), 1, None))
     q, r = divmod(s, b)
     glued = [b"".join(parts[j * b : (j + 1) * b]) for j in range(q)]

@@ -26,7 +26,7 @@ from maxcomplex.bounds import (
     power_capped,
     tower_capped,
 )
-from maxcomplex.witness import NoWitnessError, crossover
+from maxcomplex.witness import crossover
 
 MONOTONE_STATES = (1, 2, 4, 6, 10, 15, 23, 39, 58, 90, 154)
 
@@ -87,11 +87,8 @@ def test_capped_exponents_equal_the_former_evaluation(capsys):
                 assert general_bound_terms(b, c, n) == _former_terms(b, c, n), (b, c, n)
                 if c == 1:
                     continue
-                try:
-                    i = crossover(b, c, n).i
-                except NoWitnessError:
-                    i = None
-                assert i == _former_crossover(b, c, n), (b, c, n)
+                i = crossover(b, c, n)
+                assert (None if i > n else i) == _former_crossover(b, c, n), (b, c, n)
         for n in range(61):
             if b >= 2:
                 assert complete_dfa_bound(b, n) == _former_complete(b, n), (b, n)

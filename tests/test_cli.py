@@ -303,6 +303,11 @@ def test_cmd_count_max_list(capsys):
     assert main(["count-max", "--n", "2", "--verify-brute", "--list"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.count("{") == 6
+    # a word of color k >= 2 is written word:k, and the empty word as "-"
+    for argv, listed in ((["--c", "3", "--n", "1"], ["{0,1:2}", "{0:2,1}"]),
+                         (["--n", "0"], ["{-}"]), (["--c", "3", "--n", "0"], ["{-}", "{-:2}"])):
+        assert main(["count-max", *argv, "--verify-brute", "--list"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[:-1] == [f"  {x}" for x in listed], argv
 
 
 def test_cmd_count_max_list_json_is_one_document(capsys):

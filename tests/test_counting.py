@@ -8,7 +8,7 @@ from maxcomplex import counting, minauto
 from maxcomplex.core import CapacityError, ColoredFunction, InputError, unrank
 from maxcomplex.bounds import general_bound, general_bound_terms
 from maxcomplex.minauto import state_complexity
-from maxcomplex.witness import NoWitnessError, crossover
+from maxcomplex.witness import crossover
 from maxcomplex.counting import (
     NoMaxError,
     brute_max_codes,
@@ -333,14 +333,12 @@ def _former_falling_factorial(x, k):
 def _former_count_max(b, c, n):
     if c < 2:
         raise NoMaxError("c=1 admits no nonzero functions")
-    try:
-        cross = crossover(b, c, n)
-    except NoWitnessError as exc:
-        raise NoMaxError(str(exc)) from None
-    i = cross.i
+    i = crossover(b, c, n)
+    if i > n:
+        raise NoMaxError(f"no crossover: b^n = {b**n} < c-1 = {c - 1} (colors outnumber words)")
     if i == 0:
         return 0, 1
-    codomain = c ** (b**cross.k)
+    codomain = c ** (b ** (n - i))
     s = codomain - 1
     blocks = b ** (i - 1)
     if s * blocks > 10**7:

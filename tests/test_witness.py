@@ -1,9 +1,10 @@
 import hashlib
-from itertools import count
+from itertools import count, product
 
 import pytest
 
-from maxcomplex.bounds import general_bound
+from maxcomplex.bounds import _tower_profile, complete_dfa_bound, general_bound
+from maxcomplex.counting import count_max
 from maxcomplex.core import CapacityError, ColoredFunction, unrank
 from maxcomplex.minauto import state_complexity, states_by_depth
 from maxcomplex.witness import (
@@ -15,23 +16,30 @@ from maxcomplex.witness import (
 
 
 def test_crossover_examples():
-    assert (crossover(2, 2, 3).i, crossover(2, 2, 3).k) == (2, 1)
-    assert crossover(2, 2, 4).i == 3
-    assert crossover(2, 3, 1).i == 1
+    assert crossover(2, 2, 3) == 2
+    assert crossover(2, 2, 4) == 3
+    assert crossover(2, 3, 1) == 1
+    assert crossover(2, 10, 1) == 2  # colors outnumber words: n + 1
 
 
 def test_crossover_is_least_index():
-    for b in (2, 3):
-        for c in (2, 3):
-            for n in range(7):
-                try:
-                    i = crossover(b, c, n).i
-                except NoWitnessError:
-                    assert b**n < c - 1  # colors outnumber words: no switch
-                    continue
-                assert b**i >= c ** (b ** (n - i)) - 1
-                for smaller in range(i):
-                    assert b**smaller < c ** (b ** (n - smaller)) - 1
+    for b, c, n in product(range(1, 6), range(2, 9), range(7)):
+        i = crossover(b, c, n)
+        assert i == _tower_profile(b, c, n)[0], (b, c, n)
+        try:
+            assert i == count_max(b, c, n)[0], (b, c, n)
+        except CapacityError:
+            assert (b, c, n) == (5, 5, 6)  # the one count past the work limit
+        assert (i > n) == (b**n < c - 1), (b, c, n)  # colors outnumber words: n + 1
+        if c == 2 and b >= 2:
+            assert i == complete_dfa_bound(b, n)[0], (b, n)
+        for smaller in range(i):
+            assert b**smaller < c ** (b ** (n - smaller)) - 1
+        if i <= n:
+            assert b**i >= c ** (b ** (n - i)) - 1
+        if b**n <= 2**12:
+            f = construct_maximal(b, c, n)
+            assert state_complexity(f) == general_bound(b, c, n), (b, c, n)
 
 
 def test_crossover_requires_colors():
@@ -127,12 +135,12 @@ def _former_construct_maximal(b, c, n):
         return ColoredFunction(1, n, c, bytes([c - 1]))
     if b**n < c - 1:
         return ColoredFunction(b, n, c, bytes(r + 1 for r in range(b**n)))
-    cross = crossover(b, c, n)
-    if cross.i == 0:
+    i = crossover(b, c, n)
+    if i == 0:
         return ColoredFunction(b, 0, c, bytes([1]))
-    k = cross.k
+    k = n - i
     s = c ** (b**k) - 1
-    blocks = b ** (cross.i - 1)
+    blocks = b ** (i - 1)
     parts = [bytes(unrank(idx, b**k, c)) for idx in range(1, s + 1)]
     q, r = divmod(s, b)
     glued = [b"".join(parts[j * b : (j + 1) * b]) for j in range(q)]
