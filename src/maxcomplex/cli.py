@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections import Counter
@@ -321,8 +322,10 @@ def cmd_count_max(args) -> int:
 
     if args.list and not args.verify_brute:
         raise InputError("--list needs --verify-brute")
+    start = perf_counter()  # elapsed_ms times the closed-form count alone
     i, count = counting.count_max(args.b, args.c, args.n)
-    payload: dict = {"b": args.b, "c": args.c, "n": args.n, "i": i, "count": str(count)}
+    payload: dict = {"b": args.b, "c": args.c, "n": args.n, "i": i, "count": str(count),
+                     "elapsed_ms": round((perf_counter() - start) * 1e3, 3)}
     human = f"crossover {i}, {count} maximal functions"
     if args.verify_brute:
         codes = counting.brute_max_codes(args.b, args.c, args.n)
@@ -561,6 +564,10 @@ def main(argv=None) -> int:
     except MaxcomplexError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:  # the reader of stdout left early, as `| head -1` does
+        # the rest of the output goes nowhere, and the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (OSError, UnicodeDecodeError) as exc:  # unreadable or unwritable user files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

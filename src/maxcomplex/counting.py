@@ -46,6 +46,37 @@ def _covering(s: int, pool: int, ways) -> int:
     return total
 
 
+def _covering_perm(s: int, pool: int, b: int, blocks: int) -> int:
+    """`_covering(s, pool, lambda p: perm(p**b - 1, blocks))`, with each factor run
+    that neighbouring terms share multiplied once (notes/decisions.md).
+
+    Term j is the product of [hi_j - blocks + 1, hi_j], hi_j = (pool - j)^b - 1,
+    and is 0 once hi_j < blocks.  A maximal run u..v of terms whose ranges meet
+    sums to prod[lo_u, hi_v] * S(u, v), and S splits at a midpoint w:
+    S(u, v) = prod[hi_v + 1, hi_w] S(u, w) + prod[lo_(w+1), lo_u - 1] S(w + 1, v).
+    Every range product is a `perm`, which multiplies balanced halves."""
+    his = [hi for p in range(pool, pool - s - 1, -1) if (hi := p**b - 1) >= blocks]
+    his.append(-1)  # a sentinel that no range meets
+
+    def signed(u: int, v: int) -> int:  # S(u, v)
+        if u == v:
+            term = comb(s, u)
+            return -term if u & 1 else term
+        w = (u + v) // 2
+        return (perm(his[w], his[w] - his[v]) * signed(u, w)
+                + perm(his[u] - blocks, his[u] - his[w + 1]) * signed(w + 1, v))
+
+    total = u = 0
+    while u < len(his) - 1:
+        lo = his[u] - blocks + 1
+        v = u
+        while his[v + 1] >= lo:
+            v += 1
+        total += perm(his[v], his[v] - lo + 1) * signed(u, v)
+        u = v + 1
+    return total
+
+
 def stirling2(m: int, n: int) -> int:
     """Stirling number of the second kind S(m, n)."""
     count = onto_count(m, n)
@@ -113,7 +144,9 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
 
     where perm counts the injective block choices.  This is o_i(b, c, n, i)
     with each assignment also required to have injective nonzero blocks; the
-    two agree exactly when N - 1 > b^i - b (notes/decisions.md).
+    two agree exactly when N - 1 > b^i - b (notes/decisions.md).  Neighbouring
+    terms share factors of their falling factorials, and `_covering_perm`
+    multiplies each shared run of factors once.
 
     When the colors outnumber the words (b^n < c - 1), no depth crosses over
     (the crossover is n + 1, as in `bounds._profile`) and a function is maximal
@@ -135,7 +168,7 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
     blocks = b ** (i - 1)
     # each term's product has about b * blocks * log2(codomain) = b^n * log2(c) bits
     _check_work((codomain - 1) * blocks, codomain, b**n, c)
-    return i, _covering(codomain - 1, codomain, lambda p: perm(p**b - 1, blocks))
+    return i, _covering_perm(codomain - 1, codomain, b, blocks)
 
 
 def brute_max_codes(b: int, c: int, n: int) -> list[int]:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -26,6 +29,8 @@ from maxcomplex.bounds import general_bound
 from maxcomplex.core import CapacityError, ColoredFunction, InputError, MaxcomplexError
 from maxcomplex.counting import count_max
 from maxcomplex import bounds, cli, counting, lattice, minauto
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 ASIAN_TEXT = """\
 # exercise outcomes
@@ -288,9 +293,25 @@ def test_cmd_count_max(tmp_path, capsys):
     assert main(["count-max", "--b", "2", "--c", "2", "--n", "3",
                  "--verify-brute", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["b", "c", "n", "i", "count", "brute_count", "brute_checked"]
+    assert list(payload) == ["b", "c", "n", "i", "count", "elapsed_ms", "brute_count",
+                             "brute_checked"]
     assert payload["count"] == payload["brute_count"] == "60"
     assert payload["brute_checked"] == 2**8 - 1
+    assert isinstance(payload["elapsed_ms"], float) and payload["elapsed_ms"] >= 0
+
+
+def test_cmd_count_max_exits_quietly_when_the_reader_leaves():
+    # 15,180 languages, about 440 KB: more than a pipe holds, so the writer is
+    # still printing when the reader closes the pipe after one line
+    argv = ["count-max", "--b", "3", "--c", "3", "--n", "2", "--verify-brute", "--list"]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen([sys.executable, "-m", "maxcomplex.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": path}) as proc:
+        assert proc.stdout.readline().startswith(b"  {")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == EXIT_OK
+        assert proc.stderr.read() == b""
 
 
 def test_cmd_count_max_brute_n4(capsys):

@@ -110,13 +110,13 @@ def test_o_i_refuses_an_oversized_result_before_any_power(monkeypatch):
 
 
 def test_count_max_work_guard_counts_operand_size(monkeypatch):
-    monkeypatch.setattr(counting, "_covering", _covering_must_not_run)
+    monkeypatch.setattr(counting, "_covering_perm", _covering_must_not_run)
     # few multiplications, but each on numbers of up to 2^21 bits (about 12 s at (4, 4, 9))
     for signature in [(4, 4, 9), (4, 3, 9), (5, 2, 9), (2, 6, 15), (10**400, 2, 1)]:
         with pytest.raises(CapacityError, match="count exceeds the configured work limit"):
             count_max(*signature)
     # still admitted: the tests' signatures, the benchmark's up to (2, 2, 14), and (4, 4, 8)
-    monkeypatch.setattr(counting, "_covering", lambda s, pool, ways: "admitted")
+    monkeypatch.setattr(counting, "_covering_perm", lambda s, pool, b, blocks: "admitted")
     for signature in [(2, 2, 14), (2, 2, 15), (4, 4, 7), (4, 4, 8), (3, 2, 10), (3, 3, 5),
                       (2, 3, 9), (3, 5, 6), (5, 5, 5), (4, 5, 5), (3, 4, 6)]:
         assert count_max(*signature)[1] == "admitted", signature
@@ -140,6 +140,53 @@ def test_surjection_counts_refuse_past_the_work_limit(monkeypatch):
 
 def test_count_max_example():
     assert count_max(2, 2, 3) == (2, 60)
+
+
+def _per_term(s, pool, b, blocks):
+    """The sum `count_max` took before neighbouring terms shared their factors:
+    each term's falling factorial multiplied out on its own."""
+    return counting._covering(s, pool, lambda p: perm(p**b - 1, blocks))
+
+
+def test_count_max_equals_the_per_term_sum(monkeypatch):
+    signatures = [*product(range(0, 5), range(0, 5), range(-1, 9)),
+                  *((2, 2, n) for n in range(11, 17)), (5, 3, 5), (3, 5, 6), (4, 3, 5), (2, 3, 9)]
+    shared = {signature: _outcome(count_max, *signature) for signature in signatures}
+    monkeypatch.setattr(counting, "_covering_perm", _per_term)
+    for signature in signatures:
+        assert _outcome(count_max, *signature) == shared[signature], signature
+
+
+def _perm_calls(monkeypatch, *args):
+    calls = []
+
+    def recorded(n, k):
+        calls.append((n, k))
+        return perm(n, k)
+
+    monkeypatch.setattr(counting, "perm", recorded)
+    value = counting._covering_perm(*args)
+    monkeypatch.undo()
+    assert value == _per_term(*args), args
+    return calls
+
+
+@pytest.mark.parametrize("b,c,n", [(3, 5, 6), (4, 3, 5), (5, 3, 5)])
+def test_covering_perm_without_shared_factors_multiplies_each_term_once(monkeypatch, b, c, n):
+    # b >= 3: consecutive ranges lie b * p^(b-1) apart, more than b^(i-1) factors
+    i = crossover(b, c, n)
+    pool, blocks = c ** (b ** (n - i)), b ** (i - 1)
+    calls = _perm_calls(monkeypatch, pool - 1, pool, b, blocks)
+    assert calls == [(p**b - 1, blocks) for p in range(pool, 0, -1) if p**b - 1 >= blocks]
+
+
+def test_covering_perm_with_every_term_in_one_run(monkeypatch):
+    # the 21 ranges [p^2 - 5000, p^2 - 1] for p = 100..80 all contain [5000, 6399]
+    calls = _perm_calls(monkeypatch, 20, 100, 2, 5000)
+    assert calls[0] == (80**2 - 1, 80**2 - 5000)  # the common part [5000, 6399], once
+    assert len(calls) == 2 * 21 - 1  # and two range products per split of the 21 terms
+    # b = 1: the 6 ranges [p - 10, p - 1] for p = 30..25 all contain [20, 24]
+    assert len(_perm_calls(monkeypatch, 5, 30, 1, 10)) == 2 * 6 - 1
 
 
 def _former_nonzero_table(index, b, c, arity):
