@@ -164,17 +164,21 @@ def cp_family(seed: Iterable[ColoredFunction]) -> list[int]:
 
     Level k holds every function obtained from a seed member by fixing its
     first k inputs; zero functions are discarded.  All seeds must share the
-    same signature (b, n, c).
+    same signature (b, n, c).  One member's levels are the depth counts that
+    it keeps (`minauto.states_by_depth`), all 0 if it is zero; a larger seed
+    takes one residual pass over the union.  Every call returns a new list.
     """
-    from .minauto import residual_levels  # here: evaluating a bound needs no minauto
+    from . import minauto  # here: evaluating a bound needs no minauto
 
     funcs = list(seed)
     if not funcs:
         raise InputError("empty seed")
+    if len(funcs) == 1:
+        return list(minauto._depth_counts(funcs[0]))
     b, n, c = funcs[0].b, funcs[0].n, funcs[0].c
     if any((f.b, f.n, f.c) != (b, n, c) for f in funcs):
         raise InputError("seed members have mixed signatures")
-    return [len(level) for level, _ in residual_levels((f.table for f in funcs), b, n)]
+    return [len(level) for level, _ in minauto.residual_levels((f.table for f in funcs), b, n)]
 
 
 def _dedekind_reaches(k: int, e: int) -> bool:

@@ -11,7 +11,6 @@ import json
 import os
 import re
 import sys
-from collections import Counter
 from itertools import compress, product, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -245,10 +244,9 @@ def cmd_complexity(args) -> int:
     f = parse_language_file(Path(args.file).read_text())
     if args.mn_crosscheck and len(f.table) > MAX_CROSSCHECK_CELLS:
         raise CapacityError(f"--mn-crosscheck takes at most {MAX_CROSSCHECK_CELLS} cells")
-    # with --dot, one residual pass builds the automaton, and its states give the counts:
-    # depth runs 0..n without a gap and never falls, so the Counter is in depth order
+    # with --dot the automaton comes first: its one residual pass leaves the counts on f
     pdfa = minauto.minimal_pdfa(f) if args.dot and not is_zero(f) else None
-    by_depth = list(Counter(pdfa.depth).values()) if pdfa else minauto.states_by_depth(f)
+    by_depth = minauto.states_by_depth(f)
     complexity = sum(by_depth)
     if complexity == 0:
         print("warning: empty language (complexity 0)", file=sys.stderr)

@@ -35,9 +35,14 @@ class Value:
     fields and `_key`, the tuple of the fields in slot order, through `_set`.
     Equality is same type and same `_key`, the hash is that of `_key`, and
     fields can be neither assigned nor deleted.  Why the classes are written
-    out: notes/decisions.md, "Value classes are written out"."""
+    out: notes/decisions.md, "Value classes are written out".
 
-    __slots__ = ("_key",)
+    `_memo` is no field: a module may keep there, with `object.__setattr__`,
+    what it derived from the fields (`minauto` keeps a function's depth counts
+    and automaton).  `_key`, equality, hash, `repr`, copies and pickles leave it
+    out, so it lives and dies with the one object."""
+
+    __slots__ = ("_key", "_memo")
 
     def _set(self, *values):
         """Set the fields, given in slot order, and `_key`.  The two hot

@@ -56,11 +56,32 @@ def residual_levels(tables: Iterable[bytes], b: int, n: int
     yield level, []
 
 
+def _memo(f: ColoredFunction) -> dict:
+    """What f keeps of its residual passes: "counts", its depth counts, and
+    "pdfa", its automaton (notes/decisions.md, "A function keeps its depth
+    counts and its automaton")."""
+    memo = getattr(f, "_memo", None)
+    if memo is None:
+        object.__setattr__(f, "_memo", memo := {})
+    return memo
+
+
+def _depth_counts(f: ColoredFunction) -> tuple[int, ...]:
+    """Distinct nonzero residuals of f at each depth 0..n, all 0 when f is zero;
+    a counts-only pass on the first call, unless `minimal_pdfa(f)` came first."""
+    memo = _memo(f)
+    if "counts" not in memo:
+        memo["counts"] = tuple(len(level) for level, _ in residual_levels([f.table], f.b, f.n))
+    return memo["counts"]
+
+
 def states_by_depth(f: ColoredFunction) -> list[int]:
-    """Number of distinct nonzero residuals at each prefix length 0..n."""
-    if is_zero(f):
-        return []
-    return [len(level) for level, _ in residual_levels([f.table], f.b, f.n)]
+    """Number of distinct nonzero residuals at each prefix length 0..n; [] for
+    the zero function.  f keeps the counts, so only its first call (or its
+    first `minimal_pdfa`) makes a residual pass, and this one builds no
+    automaton.  Every call returns a new list."""
+    counts = _depth_counts(f)
+    return list(counts) if counts[0] else []
 
 
 def state_complexity(f: ColoredFunction) -> int:
@@ -95,13 +116,19 @@ def minimal_pdfa(f: ColoredFunction) -> Pdfa:
 
     State ids are assigned breadth-first; within a depth, states are numbered
     by the lexicographically least prefix reaching them, so output is
-    deterministic.
+    deterministic.  f keeps the automaton, and the level sizes of the one
+    residual pass that built it as its depth counts (`states_by_depth`).
     """
+    memo = _memo(f)
+    if "pdfa" in memo:
+        return memo["pdfa"]
     if is_zero(f):
         raise NoAutomatonError("the zero function has no recognizer")
     delta: list[int | None] = []
     depth_of: list[int] = []
+    counts: list[int] = []
     for depth, (level, children) in enumerate(residual_levels([f.table], f.b, f.n)):
+        counts.append(len(level))
         depth_of.extend([depth] * len(level))
         first = len(depth_of)  # the next level's first id
         delta += [None if child is None else first + child for child in children]
@@ -110,7 +137,8 @@ def minimal_pdfa(f: ColoredFunction) -> Pdfa:
     special = [None] * (f.c - 1)
     for k, table in enumerate(level):
         special[table[0] - 1] = base + k
-    return Pdfa(
+    memo["counts"] = tuple(counts)
+    memo["pdfa"] = pdfa = Pdfa(
         b=f.b,
         n=f.n,
         c=f.c,
@@ -120,6 +148,7 @@ def minimal_pdfa(f: ColoredFunction) -> Pdfa:
         special=tuple(special),
         depth=tuple(depth_of),
     )
+    return pdfa
 
 
 def run(a: Pdfa, word: WordLike) -> int:

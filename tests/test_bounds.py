@@ -11,6 +11,7 @@ from maxcomplex.cli import _decimal, main
 from maxcomplex.csg import csg_witness_chain
 from maxcomplex.core import CapacityError, ColoredFunction, InputError
 from maxcomplex.counting import count_max
+from maxcomplex.minauto import states_by_depth
 from maxcomplex.bounds import (
     CSG_COUNTS,
     DEDEKIND,
@@ -379,6 +380,24 @@ def test_cp_family_monotone_n3():
 def test_cp_family_singleton():
     f = ColoredFunction.from_language(3, ["011"])
     assert cp_family([f])[0] == 1
+
+
+def test_cp_family_of_one_member_is_its_depth_counts():
+    # every table with b <= 3, c <= 3 and b^n <= 9; the union pass of [f, f] is
+    # the former evaluation, and g, a fresh equal function, keeps its own counts
+    for b, c, n in product(range(1, 4), range(1, 4), range(4)):
+        if b**n > 9:
+            continue
+        for values in product(range(c), repeat=b**n):
+            f, g = (ColoredFunction(b, n, c, bytes(values)) for _ in range(2))
+            family = cp_family([f])
+            assert family == cp_family([f, f])
+            if any(values):
+                assert family == states_by_depth(g)
+            else:
+                assert family == [0] * (n + 1) and states_by_depth(g) == []
+            family[0] = -1  # the caller's list, not the kept counts
+            assert cp_family([f]) == cp_family([g]) == cp_family([f, g])
 
 
 def test_cp_family_all_binary_n2():

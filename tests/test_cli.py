@@ -133,6 +133,18 @@ def test_cmd_complexity_dot_makes_one_residual_pass(tmp_path, capsys, monkeypatc
     assert payload["complexity"] == 6 and payload["dot"] == dot
 
 
+def test_cmd_complexity_dot_changes_only_the_dot_key(tmp_path, capsys):
+    rows = [f"{w:06b} {w % 3}" for w in range(0, 64, 5)]
+    for text in (ASIAN_TEXT, "b=2 c=3 n=6\n" + "\n".join(rows) + "\n"):
+        path = write(tmp_path, "f.lang", text)
+        dot = str(tmp_path / "f.dot")
+        assert main(["complexity", path, "--json"]) == EXIT_OK
+        plain = json.loads(capsys.readouterr().out)
+        assert main(["complexity", path, "--json", "--dot", dot]) == EXIT_OK
+        drawn = json.loads(capsys.readouterr().out)
+        assert drawn.pop("dot") == dot and drawn == plain and plain["complexity"] > 0
+
+
 def test_cmd_complexity_crosscheck_mismatch(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "asian.lang", ASIAN_TEXT)
     monkeypatch.setattr(minauto, "mn_class_count", lambda f: 99)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -362,9 +364,62 @@ def test_mn_oracle_does_not_use_the_residual_engine(monkeypatch):
 
     monkeypatch.setattr(minauto, "residual_levels", engine_must_not_run)
     with pytest.raises(AssertionError):
-        state_complexity(f)  # the patch is in effect
+        state_complexity(ColoredFunction(f.b, f.n, f.c, f.table))  # the patch is in effect;
+        # a fresh object, since f keeps the counts of its first call
     assert mn_class_count(f) == expected == 58
     assert mn_classes(f, up_closure=True).class_count > 0
+
+
+def test_a_function_keeps_its_depth_counts_and_its_automaton(monkeypatch):
+    passes, levels = [], minauto.residual_levels
+    monkeypatch.setattr(minauto, "residual_levels", lambda *a: passes.append(1) or levels(*a))
+    f = ColoredFunction(3, 4, 3, bytes(random.Random(5).randrange(3) for _ in range(81)))
+    # the order of a task of the benchmark's languages workload: counts, then automaton
+    complexity, by_depth = state_complexity(f), states_by_depth(f)
+    pdfa, family = minimal_pdfa(f), cp_family([f])
+    assert len(passes) == 2
+    assert by_depth == family == [pdfa.depth.count(d) for d in range(f.n + 1)]
+    assert complexity == sum(by_depth) == pdfa.state_count
+    by_depth[-1] += 1  # the caller's lists, not the kept counts
+    family.clear()
+    assert states_by_depth(f) == cp_family([f]) == [pdfa.depth.count(d) for d in range(f.n + 1)]
+    assert minimal_pdfa(f) is pdfa and len(passes) == 2
+    # the automaton first: its pass leaves the counts
+    passes.clear()
+    g = ColoredFunction(f.b, f.n, f.c, f.table)
+    assert minimal_pdfa(g) == pdfa
+    assert (state_complexity(g), states_by_depth(g), cp_family([g])) == (
+        complexity, states_by_depth(f), states_by_depth(f))
+    assert len(passes) == 1
+    # the kept results are no part of the value: equal copies start without them
+    for h in (ColoredFunction(f.b, f.n, f.c, f.table), copy.copy(f), pickle.loads(pickle.dumps(f))):
+        passes.clear()
+        assert h == f and hash(h) == hash(f) and repr(h) == repr(f) and h._key == f._key
+        assert states_by_depth(h) == states_by_depth(f) and minimal_pdfa(h) == pdfa
+        assert len(passes) == 2
+
+
+def test_counts_alone_build_no_automaton(monkeypatch):
+    def automaton_must_not_be_built(*args, **kwargs):
+        raise AssertionError("a counts-only call built a Pdfa")
+
+    monkeypatch.setattr(minauto, "Pdfa", automaton_must_not_be_built)
+    for f in (ASIAN, MAJORITY, ColoredFunction.from_language(3, [])):
+        g = ColoredFunction(f.b, f.n, f.c, f.table)
+        assert states_by_depth(g) == states_by_depth(f)
+        assert state_complexity(g) == sum(states_by_depth(f))
+        assert cp_family([g]) == cp_family([f])
+    with pytest.raises(AssertionError):
+        minimal_pdfa(ColoredFunction(g.b, g.n, g.c, MAJORITY.table))  # the patch is in effect
+
+
+def test_the_zero_function_keeps_refusing_an_automaton():
+    zero = ColoredFunction.from_language(3, [])
+    for _ in range(2):
+        assert states_by_depth(zero) == [] and state_complexity(zero) == 0
+        assert cp_family([zero]) == [0, 0, 0, 0]
+        with pytest.raises(NoAutomatonError):
+            minimal_pdfa(zero)
 
 
 def test_per_depth_cap_n3():
