@@ -410,7 +410,7 @@ def test_counts_alone_build_no_automaton(monkeypatch):
         assert state_complexity(g) == sum(states_by_depth(f))
         assert cp_family([g]) == cp_family([f])
     with pytest.raises(AssertionError):
-        minimal_pdfa(ColoredFunction(g.b, g.n, g.c, MAJORITY.table))  # the patch is in effect
+        minimal_pdfa(ColoredFunction(2, 3, 2, MAJORITY.table))  # the patch is in effect
 
 
 def test_the_zero_function_keeps_refusing_an_automaton():
