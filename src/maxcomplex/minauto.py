@@ -56,29 +56,22 @@ def residual_levels(tables: Iterable[bytes], b: int, n: int
     yield level, []
 
 
-def _memo(f: ColoredFunction) -> dict:
-    """What f keeps of its residual passes: "counts", its depth counts, and
-    "pdfa", its automaton (notes/decisions.md, "A function keeps its depth
-    counts and its automaton")."""
-    memo = getattr(f, "_memo", None)
-    if memo is None:
-        object.__setattr__(f, "_memo", memo := {})
-    return memo
-
-
 def _depth_counts(f: ColoredFunction) -> tuple[int, ...]:
-    """Distinct nonzero residuals of f at each depth 0..n, all 0 when f is zero;
-    a counts-only pass on the first call, unless `minimal_pdfa(f)` came first."""
-    memo = _memo(f)
-    if "counts" not in memo:
-        memo["counts"] = tuple(len(level) for level, _ in residual_levels([f.table], f.b, f.n))
-    return memo["counts"]
+    """Distinct nonzero residuals of f at each depth 0..n, all 0 when f is zero.
+    f keeps them (notes/decisions.md, "A function keeps its depth counts"), so
+    only the first call makes a counts-only pass, none if `minimal_pdfa(f)`
+    came first."""
+    counts = getattr(f, "_memo", None)
+    if counts is None:
+        counts = tuple(len(level) for level, _ in residual_levels([f.table], f.b, f.n))
+        object.__setattr__(f, "_memo", counts)
+    return counts
 
 
 def states_by_depth(f: ColoredFunction) -> list[int]:
     """Number of distinct nonzero residuals at each prefix length 0..n; [] for
-    the zero function.  f keeps the counts, so only its first call (or its
-    first `minimal_pdfa`) makes a residual pass, and this one builds no
+    the zero function.  Reads the counts that f keeps, so only its first call
+    (or its first `minimal_pdfa`) makes a residual pass, and this one builds no
     automaton.  Every call returns a new list."""
     counts = _depth_counts(f)
     return list(counts) if counts[0] else []
@@ -116,12 +109,9 @@ def minimal_pdfa(f: ColoredFunction) -> Pdfa:
 
     State ids are assigned breadth-first; within a depth, states are numbered
     by the lexicographically least prefix reaching them, so output is
-    deterministic.  f keeps the automaton, and the level sizes of the one
-    residual pass that built it as its depth counts (`states_by_depth`).
+    deterministic.  Every call builds a new automaton; f keeps the level sizes
+    of its residual pass as its depth counts (`states_by_depth`).
     """
-    memo = _memo(f)
-    if "pdfa" in memo:
-        return memo["pdfa"]
     if is_zero(f):
         raise NoAutomatonError("the zero function has no recognizer")
     delta: list[int | None] = []
@@ -137,8 +127,8 @@ def minimal_pdfa(f: ColoredFunction) -> Pdfa:
     special = [None] * (f.c - 1)
     for k, table in enumerate(level):
         special[table[0] - 1] = base + k
-    memo["counts"] = tuple(counts)
-    memo["pdfa"] = pdfa = Pdfa(
+    object.__setattr__(f, "_memo", tuple(counts))
+    return Pdfa(
         b=f.b,
         n=f.n,
         c=f.c,
@@ -148,7 +138,6 @@ def minimal_pdfa(f: ColoredFunction) -> Pdfa:
         special=tuple(special),
         depth=tuple(depth_of),
     )
-    return pdfa
 
 
 def run(a: Pdfa, word: WordLike) -> int:
