@@ -173,7 +173,7 @@ def cp_family(seed: Iterable[ColoredFunction]) -> list[int]:
     funcs = list(seed)
     if not funcs:
         raise InputError("empty seed")
-    if len(funcs) == 1:  # the kept counts: states_by_depth would count as minauto work in perfbench
+    if len(funcs) == 1:  # kept counts; perfbench counts states_by_depth calls as minauto work
         return list(minauto._depth_counts(funcs[0]))
     b, n, c = funcs[0].b, funcs[0].n, funcs[0].c
     if any((f.b, f.n, f.c) != (b, n, c) for f in funcs):

@@ -38,8 +38,8 @@ class Value:
     out: notes/decisions.md, "Value classes are written out".
 
     `_memo` is no field: a module may keep there, with `object.__setattr__`,
-    what it derived from the fields (`minauto` keeps a function's depth counts
-    and automaton).  `_key`, equality, hash, `repr`, copies and pickles leave it
+    what it derived from the fields (`minauto` keeps a function's depth
+    counts).  `_key`, equality, hash, `repr`, copies and pickles leave it
     out, so it lives and dies with the one object."""
 
     __slots__ = ("_key", "_memo")

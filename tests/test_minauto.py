@@ -391,7 +391,7 @@ def test_a_function_keeps_its_depth_counts(monkeypatch):
     assert (state_complexity(g), states_by_depth(g), cp_family([g])) == (
         complexity, states_by_depth(f), states_by_depth(f))
     assert len(passes) == 1
-    # the kept results are no part of the value: equal copies start without them
+    # the kept counts are no part of the value: equal copies start without them
     for h in (ColoredFunction(f.b, f.n, f.c, f.table), copy.copy(f), pickle.loads(pickle.dumps(f))):
         passes.clear()
         assert h == f and hash(h) == hash(f) and repr(h) == repr(f) and h._key == f._key
