@@ -531,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10**8)
     p.add_argument("--resume", help="verify a previously saved certificate instead")
     p.add_argument("--out", help="write the certificate here instead of the cache")
-    p.add_argument("--cache", help="cache directory (default ./.maxcomplex-cache)")
+    p.add_argument("--cache",
+                   help="cache directory (default $MAXCOMPLEX_CACHE, else ./.maxcomplex-cache)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lattice_search)
 

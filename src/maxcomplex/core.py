@@ -165,6 +165,8 @@ def table_cells(b: int, n: int, c: int) -> int:
         raise InputError(f"bad signature b={b}, n={n}, c={c}")
     if c > MAX_COLORS:
         raise CapacityError(f"at most {MAX_COLORS} colors supported")
+    if n > MAX_TABLE_CELLS:  # one cell still means n-digit words and n + 1 residual levels
+        raise CapacityError(f"arity {n} exceeds capacity {MAX_TABLE_CELLS}")
     if (b > 1 and n > MAX_TABLE_CELLS.bit_length()) or b**n > MAX_TABLE_CELLS:
         raise CapacityError(f"table of {b}^{n} cells exceeds capacity")
     return b**n
@@ -268,17 +270,21 @@ def is_early(f: ColoredFunction) -> bool:
     return _mask_is_early(f.n, f.mask)
 
 
-def _mask_is_monotone(n: int, mask: int) -> bool:
-    full = (1 << (1 << n)) - 1
+def _full_mask(n: int, mask: int) -> int:
+    """The 2^n-bit all-ones mask, once n passes `table_cells` and mask lies inside it."""
+    full = (1 << table_cells(2, n, 2)) - 1
     if not 0 <= mask <= full:
         raise InputError("mask out of range")
+    return full
+
+
+def _mask_is_monotone(n: int, mask: int) -> bool:
+    _full_mask(n, mask)
     return upward_closure_mask(n, mask) == mask
 
 
 def _mask_is_early(n: int, mask: int) -> bool:
-    full = (1 << (1 << n)) - 1
-    if not 0 <= mask <= full:
-        raise InputError("mask out of range")
+    full = _full_mask(n, mask)
     for i in range(n):
         for j in range(i + 1, n):
             sel = var_mask(n, j) & ~var_mask(n, i)  # digit i = 0, digit j = 1

@@ -13,7 +13,7 @@ from itertools import product
 from math import comb, factorial, log2, log10, perm
 
 from .bounds import general_bound_terms, power_capped, tower_capped
-from .core import DIGIT_LIMIT, CapacityError, InputError, code_tables
+from .core import DIGIT_LIMIT, CapacityError, InputError, code_tables, table_cells
 from .witness import crossover
 
 # Keep the inclusion-exclusion loop responsive: at most this many big-int
@@ -189,6 +189,7 @@ def brute_max_codes(b: int, c: int, n: int) -> list[int]:
     if space > 1 << 20:
         size = space if space < 1 << 64 else "at least 2^64"
         raise CapacityError(f"brute force over {size} functions refused")
+    table_cells(b, n, c)  # the colors and the arity, which the space leaves unchecked
     if c == 1:
         return []  # only the zero function
     if n == 0:

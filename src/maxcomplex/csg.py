@@ -3,8 +3,8 @@
 A binary function is early when moving a single 1 to an earlier free
 position never destroys acceptance; early-plus-monotone functions are the
 complete simple games, equivalently the up-sets of the binary majorization
-lattice (prefix-sum domination).  Earliness constrains words of equal
-weight only, so early functions factor over weight classes.
+lattice (prefix-sum domination).  Both families are listed from pairs of
+functions one arity down, by the pair rule `lattice._pairs`.
 """
 
 from __future__ import annotations
@@ -73,36 +73,20 @@ def majorization_poset(n: int) -> Poset:
     return Poset([_stairs(n, r) for r in range(1 << n)], labels=range(1 << n))
 
 
-def _dominance_up_sets(n: int, weight: int) -> list[int]:
-    """All up-closed subsets of one weight class W, as language masks: the
-    submasks sub of W with rows[r] & W & ~sub == 0 for every member r of sub."""
-    rows = majorization_poset(n).rows
-    members = [r for r in range(1 << n) if r.bit_count() == weight]
-    whole = sum(1 << r for r in members)
-    out, sub = [], 0
-    while True:  # the submasks of whole, ascending
-        if not any(sub >> r & 1 and rows[r] & whole & ~sub for r in members):
-            out.append(sub)
-        sub = (sub - whole) & whole
-        if not sub:
-            return out
-
-
 def enumerate_early(n: int) -> list[int]:
     """All early functions of n variables as ascending masks.
 
-    Earliness binds words of equal weight only, so the functions are exactly
-    the products of independent up-set choices per weight class.
+    The rule of `enumerate_csg` without g <= h: f is early iff g = f|x0=0 and
+    h = f|x0=1 are and shadow(g) lies inside h, since the only new conditions are
+    between the first position and each later one.  Distinct g may share a shadow.
     """
     if n < 0:
         raise InputError("n must be >= 0")
     if n > MAX_EARLY_ARITY:
         raise CapacityError(f"early enumeration beyond n={MAX_EARLY_ARITY} is not desk-feasible")
-    combos = [0]
-    for weight in range(n + 1):
-        class_masks = _dominance_up_sets(n, weight)
-        combos = [base | extra for base in combos for extra in class_masks]
-    return sorted(combos)
+    if n == 0:
+        return [0, 1]
+    return list(_pairs(enumerate_early(n - 1), 1 << (n - 1), lambda g: shadow_mask(n - 1, g)))
 
 
 def is_csg_mask(n: int, mask: int) -> bool:

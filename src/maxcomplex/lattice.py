@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache, reduce
-from itertools import accumulate, compress, product
+from itertools import accumulate, chain, compress, product
 from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -26,6 +26,7 @@ from .core import (
     InputError,
     MonotoneFunction,
     Value,
+    _FROM_DIGITS,
     var_mask,
 )
 
@@ -41,9 +42,28 @@ _LANE32 = array("I", array("Q", [1 << 32]).tobytes()).index(1)
 def _pairs(prev: Sequence[int], shift: int,
            key: Callable[[int], int] | None = None) -> Iterator[int]:
     """The masks (h << shift) | g for h in prev, then g in prev, kept iff key(g), or g
-    itself without a key, lies inside h.  They come out ascending when prev is."""
-    closed = [(g if key is None else key(g), g) for g in prev]
-    return ((h << shift) | g for h in prev for need, g in closed if need & ~h == 0)
+    itself without a key, lies inside h.  They come out ascending when prev is.  The
+    g of one h are `_below` h over the bit columns of the keys, which may repeat."""
+    cols, every, _ = _transpose(prev if key is None else [*map(key, prev)])
+    fits = (bin(_below(cols, every, h))[:1:-1].encode().translate(_FROM_DIGITS) for h in prev)
+    return chain.from_iterable(map((h << shift).__or__, compress(prev, flags))
+                               for h, flags in zip(prev, fits))
+
+
+def _transpose(masks: Sequence[int]) -> tuple[list[int], int, bytes]:
+    """Bit columns (bit a of column r is set iff masks[a], which may repeat, has bit r),
+    every index as a bitset, and flags (byte a * w + r is 1 iff masks[a] has bit r)."""
+    # the masks as w binary digits each, the last first: digit w - 1 - r of a block
+    # is bit r, so the digits at that offset, read as one number, are column r
+    w = max(masks, default=0).bit_length()
+    text = "".join([format(mask, f"0{w}b") for mask in reversed(masks)]) if w else ""
+    cols = [int(text[w - 1 - r::w], 2) for r in range(w)]
+    return cols, (1 << len(masks)) - 1, text[::-1].encode().translate(_FROM_DIGITS)
+
+
+def _below(cols: list[int], every: int, mask: int) -> int:
+    """The indices in every that are in no bit column of a bit that mask lacks."""
+    return every & ~reduce(or_, [col for r, col in enumerate(cols) if not mask >> r & 1], 0)
 
 
 def _f6() -> array:
@@ -148,17 +168,14 @@ class Poset:
     def __init__(self, masks: Iterable[int], labels: Iterable | None = None):
         masks = self.masks = tuple(masks)
         self.labels = masks if labels is None else tuple(labels)
+        if len(self.labels) != len(masks):
+            raise InputError(f"{len(masks)} poset masks but {len(self.labels)} labels")
         if len(set(masks)) != len(masks) or len(set(self.labels)) != len(masks):
             raise InputError("duplicate poset elements")
         if min(masks, default=0) < 0:
             raise InputError("poset masks must be >= 0")
-        # the masks as w binary digits each, the last first: digit w - 1 - r of a block
-        # is bit r, so the digits at that offset, read as one number, are column r
-        w, self._every = max(masks, default=0).bit_length(), (1 << len(masks)) - 1
-        text = "".join([format(mask, f"0{w}b") for mask in reversed(masks)]) if w else ""
-        self._cols = [int(text[w - 1 - r::w], 2) for r in range(w)]
-        # byte a * w + r is 1 iff masks[a] has bit r
-        flags = text[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+        self._cols, self._every, flags = _transpose(masks)
+        w = len(self._cols)
         self.rows = [reduce(and_, compress(self._cols, flags[a * w:a * w + w]), self._every)
                      for a in range(len(masks))]
         self._index = {label: i for i, label in enumerate(self.labels)}
@@ -173,8 +190,7 @@ class Poset:
     def below(self, mask: int) -> int:
         """The elements whose masks lie inside mask, as a bitset of indices: every
         element but those in the bit columns of the bits that mask lacks."""
-        outside = [col for r, col in enumerate(self._cols) if not mask >> r & 1]
-        return self._every & ~reduce(or_, outside, 0)
+        return _below(self._cols, self._every, mask)
 
     def __len__(self):
         return len(self.labels)

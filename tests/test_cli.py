@@ -392,6 +392,34 @@ def test_cmd_count_max_colors_outnumber_words(capsys):
     assert payload["brute_checked"] == 6**4 - 1
 
 
+def test_signatures_past_capacity_exit_3(tmp_path, capsys):
+    """Once a ValueError traceback, a MemoryError traceback and two hangs."""
+    header = tmp_path / "long.lang"
+    header.write_text("b=1 c=2 n=99999999999\n")
+    for argv, message in (
+            (["count-max", "--b", "2", "--c", "300", "--n", "1", "--verify-brute"],
+             "at most 256 colors supported"),
+            (["count-max", "--b", "1", "--c", "2", "--n", "100000000000", "--verify-brute"],
+             "arity 100000000000 exceeds capacity"),
+            (["construct", "--b", "1", "--c", "2", "--n", "100000000000",
+              "--out", str(tmp_path / "w.lang")], "arity 100000000000 exceeds capacity"),
+            (["complexity", str(header)], "arity 99999999999 exceeds capacity")):
+        assert main(argv) == EXIT_CAPACITY, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"capacity: {message}"), argv
+    assert not (tmp_path / "w.lang").exists()
+    # the closed forms for b = 1 need no table
+    assert main(["count-max", "--b", "1", "--c", "2", "--n", "100000000000"]) == EXIT_OK
+    assert main(["bound", "--b", "1", "--c", "2", "--n", "100000000000"]) == EXIT_OK
+    assert capsys.readouterr().out == ("crossover 0, 1 maximal functions\n"
+                                       "general bound 100000000001\n")
+
+
+def test_lattice_search_cache_help_names_the_environment_variable(capsys):
+    assert main(["lattice", "search", "--help"]) == EXIT_OK
+    assert "cache directory (default $MAXCOMPLEX_CACHE, else" in capsys.readouterr().out
+
+
 def test_cmd_count_max_brute_edges(monkeypatch, capsys):
     assert main(["count-max", "--b", "1", "--c", "2", "--n", "3000",
                  "--verify-brute", "--json"]) == EXIT_OK

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from maxcomplex.core import (
+    MAX_TABLE_CELLS,
     CapacityError,
     ColoredFunction,
     InputError,
@@ -16,6 +17,7 @@ from maxcomplex.core import (
     is_zero,
     rank,
     residual,
+    table_cells,
     unrank,
     upward_closure_mask,
 )
@@ -170,6 +172,24 @@ def test_monotone_function_validates():
     MonotoneFunction(3, MAJORITY.mask)
     with pytest.raises(InputError):
         MonotoneFunction(3, 1 << rank("001", 2))
+
+
+def test_mask_predicates_check_the_arity_first():
+    # -1 once raised a bare "negative shift count", 40 a MemoryError from 2^(2^40)
+    for check in (MonotoneFunction, _mask_is_monotone, _mask_is_early):
+        with pytest.raises(InputError, match="bad signature"):
+            check(-1, 0)
+        with pytest.raises(CapacityError, match="cells exceeds capacity"):
+            check(40, 0)
+
+
+def test_table_cells_caps_the_arity_of_a_one_letter_alphabet():
+    # one cell, yet an n-digit word and n + 1 residual levels
+    assert table_cells(1, MAX_TABLE_CELLS, 2) == 1
+    with pytest.raises(CapacityError, match=f"^arity {MAX_TABLE_CELLS + 1} exceeds capacity"):
+        table_cells(1, MAX_TABLE_CELLS + 1, 2)
+    with pytest.raises(CapacityError, match="^arity 100000000000 exceeds capacity"):
+        ColoredFunction(1, 10**11, 2, b"\1")
 
 
 def test_monotone_substitution_and_leq():

@@ -325,6 +325,18 @@ def test_brute_max_codes_refuse_more_than_2_20_functions(monkeypatch):
     assert calls == []
 
 
+def test_brute_max_codes_check_the_signature_after_the_space(monkeypatch):
+    calls = []
+    monkeypatch.setattr(minauto, "residual_levels", lambda *args: calls.append(args))
+    # 300^2 functions pass the space check, but 300 colors do not fit a table byte
+    with pytest.raises(CapacityError, match="^at most 256 colors supported$"):
+        brute_max_codes(2, 300, 1)
+    # two functions, but 10^11 residual levels each: this was a MemoryError
+    with pytest.raises(CapacityError, match="^arity 100000000000 exceeds capacity"):
+        brute_max_codes(1, 2, 10**11)
+    assert calls == []
+
+
 # The counts as they were computed before one inclusion-exclusion served them
 # all: a Stirling recurrence, a sum over the exempt element's preimage, and an
 # alternating loop over a falling factorial.

@@ -12,8 +12,8 @@ from maxcomplex.witness import NoWitnessError
 from maxcomplex.lattice import (
     AdequacyError, LatticeMap, enumerate_monotone, named_embedding, sub_masks,
 )
+from maxcomplex import csg
 from maxcomplex.csg import (
-    _dominance_up_sets,
     _stairs,
     build_csg_witness,
     check_csg_relation,
@@ -156,10 +156,30 @@ def _former_dominance_up_sets(n, weight):
     return out
 
 
-def test_dominance_up_sets_equal_the_former_loop():
+def test_early_functions_equal_the_former_weight_class_product():
+    """enumerate_early listed the products of one up set per weight class, sorted."""
     for n in range(6):
+        combos = [0]
         for weight in range(n + 1):
-            assert _dominance_up_sets(n, weight) == _former_dominance_up_sets(n, weight)
+            combos = [base | extra for base in combos
+                      for extra in _former_dominance_up_sets(n, weight)]
+        assert enumerate_early(n) == sorted(combos), n
+
+
+def test_listing_early_functions_builds_no_majorization_poset(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"majorization_poset({n}) was built")
+
+    monkeypatch.setattr(csg, "majorization_poset", refuse)
+    masks = enumerate_early(5)
+    assert type(masks) is list and len(masks) == 36864
+
+
+def test_is_csg_mask_checks_the_arity_first():
+    with pytest.raises(CapacityError, match="cells exceeds capacity"):
+        is_csg_mask(40, 0)
+    with pytest.raises(InputError, match="bad signature"):
+        is_csg_mask(-1, 0)
 
 
 def _early_monotone_filter_numpy(n, masks):

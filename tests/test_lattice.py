@@ -34,6 +34,7 @@ from maxcomplex.lattice import (
     AdequacyError,
     LatticeMap,
     Poset,
+    _pairs,
     boolean_cube,
     build_witness_language,
     check_relation,
@@ -265,6 +266,32 @@ def test_poset_rejects_duplicate_masks_and_labels():
         Poset([1, 3, 1])
     with pytest.raises(InputError, match="duplicate"):
         Poset([1, 3, 7], labels=["a", "b", "a"])
+
+
+def test_poset_rejects_labels_of_the_wrong_length():
+    with pytest.raises(InputError, match=r"^2 poset masks but 1 labels$"):
+        Poset([1, 2], labels=[5])
+    with pytest.raises(InputError, match=r"^1 poset masks but 2 labels$"):
+        Poset([1], labels=[5, 6])
+
+
+def _scanned_pairs(prev, shift, key):
+    """The pair rule as a test of every pair (h, g)."""
+    return [(h << shift) | g for h in prev for g in prev if key(g) & ~h == 0]
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 255), unique=True, max_size=30).map(sorted),
+       st.integers(0, 255), st.integers(0, 1))
+@example([0, 1, 2, 3], 0b01, 0)  # keys 0, 1, 0, 1
+@example([0, 1, 2, 3], 0, 0)  # every key 0: every pair is kept
+@example([0, 1, 2, 3], 0b10, 1)  # keys 0, 0, 4, 4: no h has bit 2
+def test_pairs_with_repeated_keys_equal_a_scan_of_every_pair(prev, cut, up):
+    def key(g):
+        return (g & cut) << up
+
+    assert list(_pairs(prev, 8, key)) == _scanned_pairs(prev, 8, key)
+    assert list(_pairs(prev, 8)) == _scanned_pairs(prev, 8, lambda g: g)
 
 
 def _is_partial_order(rows):
