@@ -152,10 +152,16 @@ def code_tables(b: int, c: int, length: int) -> Iterator[bytes]:
 def var_mask(n: int, position: int) -> int:
     """Bitmask over [2]^n ranks: bit r set iff digit `position` of word r is 1.
 
-    Position 0 is the first (leftmost, most significant) symbol.
+    Position 0 is the first (leftmost, most significant) symbol.  The mask is
+    blocks of `place` zeros then `place` ones, repeated: one block pair, doubled.
     """
+    cells = table_cells(2, n, 2)
     place = 1 << (n - 1 - position)
-    return sum(1 << r for r in range(1 << n) if r & place)
+    mask, width = ((1 << place) - 1) << place, 2 * place
+    while width < cells:
+        mask |= mask << width
+        width *= 2
+    return mask
 
 
 def table_cells(b: int, n: int, c: int) -> int:

@@ -18,8 +18,9 @@ from .witness import crossover
 
 # Keep the inclusion-exclusion loop responsive: at most this many big-int
 # multiplications (terms x blocks), and at most this much work by operand size,
-# terms x bits^1.5 with the bits of one term's product, about how the cost of
-# big-int products grows with their size (2*10^10 is 2-3 s on a 2-core Xeon VM).
+# bits^1.5 summed over the products that are made (for `count_max`, one per run
+# of shared factors), about how the cost of big-int products grows with their
+# size (2*10^10 is 2-3 s on a 2-core Xeon VM).
 MAX_COUNT_WORK = 10**7
 MAX_COUNT_BIT_WORK = 2 * 10**10
 
@@ -54,9 +55,25 @@ def _covering_perm(s: int, pool: int, b: int, blocks: int) -> int:
     and is 0 once hi_j < blocks.  A maximal run u..v of terms whose ranges meet
     sums to prod[lo_u, hi_v] * S(u, v), and S splits at a midpoint w:
     S(u, v) = prod[hi_v + 1, hi_w] S(u, w) + prod[lo_(w+1), lo_u - 1] S(w + 1, v).
-    Every range product is a `perm`, which multiplies balanced halves."""
+    Every range product is a `perm`, which multiplies balanced halves.  Before the
+    first, the runs are priced as if each were one product of its ranges' union,
+    by bits^1.5 as in `_check_work`, and refused past MAX_COUNT_BIT_WORK."""
     his = [hi for p in range(pool, pool - s - 1, -1) if (hi := p**b - 1) >= blocks]
     his.append(-1)  # a sentinel that no range meets
+    runs = []
+    u = 0
+    while u < len(his) - 1:
+        lo, v = his[u] - blocks + 1, u
+        while his[v + 1] >= lo:
+            v += 1
+        runs.append((u, v))
+        u = v + 1
+    # a run's union has fewer than 2 * blocks factors, none above his[0]; past that
+    # coarse price, each run is priced by its own union
+    if runs and len(runs) * (2 * blocks * log2(his[0] + 1)) ** 1.5 > MAX_COUNT_BIT_WORK:
+        if sum(((his[u] - his[v] + blocks) * log2(his[u] + 1)) ** 1.5
+               for u, v in runs) > MAX_COUNT_BIT_WORK:
+            raise CapacityError("count exceeds the configured work limit")
 
     def signed(u: int, v: int) -> int:  # S(u, v)
         if u == v:
@@ -66,15 +83,7 @@ def _covering_perm(s: int, pool: int, b: int, blocks: int) -> int:
         return (perm(his[w], his[w] - his[v]) * signed(u, w)
                 + perm(his[u] - blocks, his[u] - his[w + 1]) * signed(w + 1, v))
 
-    total = u = 0
-    while u < len(his) - 1:
-        lo = his[u] - blocks + 1
-        v = u
-        while his[v + 1] >= lo:
-            v += 1
-        total += perm(his[v], his[v] - lo + 1) * signed(u, v)
-        u = v + 1
-    return total
+    return sum(perm(his[v], his[v] - his[u] + blocks) * signed(u, v) for u, v in runs)
 
 
 def stirling2(m: int, n: int) -> int:
@@ -166,8 +175,9 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
         return 0, 1
     codomain = c ** (b ** (n - i))
     blocks = b ** (i - 1)
-    # each term's product has about b * blocks * log2(codomain) = b^n * log2(c) bits
-    _check_work((codomain - 1) * blocks, codomain, b**n, c)
+    # at most blocks factors per term, and each term's power p^b of b^(n-i+1) * log2(c)
+    # bits; `_covering_perm` prices its products by the runs of shared factors
+    _check_work((codomain - 1) * blocks, codomain, b ** (n - i + 1), c)
     return i, _covering_perm(codomain - 1, codomain, b, blocks)
 
 

@@ -24,6 +24,7 @@ from .core import (
     var_mask,
 )
 from .lattice import (
+    MAX_CUBE_ARITY,
     AdequacyCertificate,
     LatticeMap,
     Poset,
@@ -70,6 +71,8 @@ def majorization_poset(n: int) -> Poset:
     """{0,1}^n under prefix-sum domination, elements labeled by rank."""
     if n < 0:
         raise InputError(f"n must be >= 0, got {n}")
+    if n > MAX_CUBE_ARITY:
+        raise CapacityError(f"majorization cubes beyond n={MAX_CUBE_ARITY} are too large")
     return Poset([_stairs(n, r) for r in range(1 << n)], labels=range(1 << n))
 
 

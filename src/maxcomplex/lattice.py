@@ -33,6 +33,9 @@ from .core import (
 MAX_MONOTONE_ARITY = 6
 # F_6^- has 7,828,353 elements: its order matrix alone would take about 7.7 TB.
 MAX_MONOTONE_POSET_ARITY = 5
+# The order rows of a 14-cube would take 32 MB; sources of 2^13 or more elements
+# exceed every target (|F_5^-| = 7,579), so no search or certificate needs one.
+MAX_CUBE_ARITY = 13
 
 # the lanes of a Q record, as indices into its H and I views: bits 16-31 and 32-63
 _LANE16 = array("H", array("Q", [1 << 16]).tobytes()).index(1)
@@ -216,6 +219,8 @@ def boolean_cube(i: int) -> Poset:
     """{0,1}^i under the pointwise product order, elements labeled by rank."""
     if i < 0:
         raise InputError(f"i must be >= 0, got {i}")
+    if i > MAX_CUBE_ARITY:
+        raise CapacityError(f"cubes beyond i={MAX_CUBE_ARITY} are too large")
     return Poset(range(1 << i))
 
 

@@ -8,6 +8,7 @@ automaton is leveled: transitions go from depth d to depth d+1.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .core import (
@@ -201,11 +202,16 @@ def _equivalent(table: bytes, b: int, n: int, rs: int, ls: int, rt: int, lt: int
 
 
 def _live_prefixes(f: ColoredFunction, depth: int) -> list[int]:
-    """Ranks of depth-length prefixes whose residual is not identically zero."""
-    span = f.b ** (f.n - depth)
-    dead = bytes(span)
-    return [r for r in range(f.b**depth)
-            if f.table[r * span : (r + 1) * span] != dead]
+    """Ranks of depth-length prefixes whose residual is not identically zero.  Cell r
+    of `live` is nonzero iff some extension of prefix r has a nonzero color: one
+    depth up, it is the OR of the b byte columns live[sym::b], each read as an int."""
+    b, live = f.b, f.table
+    for _ in range(f.n - depth):
+        merged = 0
+        for sym in range(b):
+            merged |= int.from_bytes(live[sym::b], "big")
+        live = merged.to_bytes(len(live) // b, "big")
+    return list(compress(range(b**depth), live))
 
 
 class EquivClasses(Value):
@@ -234,21 +240,24 @@ def _classes(f: ColoredFunction, up_closure: bool) -> list[list[list[int]]]:
     length n - d, so the test is one comparison of their b^(n-d)-cell slices.
     Each prefix joins the first class whose first member's slice equals its
     own: `firsts.index` tests the classes in order and stops at the first
-    equal one, in C.  A quadratic grouping, nothing hashed.
+    equal one, in C.  The last slot of `firsts` holds the slice under test, so
+    a new class is found there by identity, with no further == (notes/decisions.md).
+    A quadratic grouping, nothing hashed.
     """
     table = _oracle_table(f, up_closure)
     by_depth = []
     for depth in range(f.n + 1):
         width = f.b ** (f.n - depth)
         groups: list[list[int]] = []
-        firsts: list[bytes] = []
+        firsts: list[bytes | None] = [None]  # each class's first slice, then the slot
         for r in _live_prefixes(f, depth):
-            piece = table[r * width : (r + 1) * width]
-            try:
-                groups[firsts.index(piece)].append(r)
-            except ValueError:  # no class yet has this slice
+            firsts[-1] = piece = table[r * width : (r + 1) * width]
+            k = firsts.index(piece)
+            if k < len(groups):
+                groups[k].append(r)
+            else:  # the slice itself: it opens a class, and a new slot follows
                 groups.append([r])
-                firsts.append(piece)
+                firsts.append(None)
         by_depth.append(groups)
     return by_depth
 
@@ -268,7 +277,9 @@ def mn_class_count(f: ColoredFunction, up_closure: bool = False) -> int:
 
 
 def export_dot(a: Pdfa) -> str:
-    """Deterministic DOT rendering; parallel edges get merged labels.  One pass over
+    """Deterministic DOT rendering; parallel edges get merged labels, and edges come
+    sorted by (source, target).  Two letters give each state at most two edges, written
+    in target order as they are read (notes/decisions.md).  Otherwise one pass over
     delta, in (source, symbol) order, writes each label's symbols sorted; an edge's
     int key src * state_count + dst sorts as the pair (src, dst)."""
     lines = [
@@ -277,18 +288,33 @@ def export_dot(a: Pdfa) -> str:
         '  __start [shape=point, label=""];',
         f"  __start -> s{a.start};",
     ]
-    special_name = {sid: f"q_{i}" for i, sid in enumerate(a.special, start=1)
-                    if sid is not None}
-    lines += [f'  s{sid} [shape=doublecircle, label="{special_name[sid]}"];'
-              if sid in special_name else f'  s{sid} [shape=circle, label="s{sid}"];'
-              for sid in range(a.state_count)]
     b, count, delta = a.b, a.state_count, a.delta
-    symbols = [str(sym) for sym in range(b)] * count  # the symbol of each slot of delta
-    labels: dict[int, str] = {}  # edge src * count + dst -> its symbols, ascending
-    for edge, sym in zip([i // b * count + dst for i, dst in enumerate(delta) if dst is not None],
-                         [sym for sym, dst in zip(symbols, delta) if dst is not None]):
-        labels[edge] = f"{labels[edge]},{sym}" if edge in labels else sym
-    lines += [f'  s{edge // count} -> s{edge % count} [label="{labels[edge]}"];'
-              for edge in sorted(labels)]
+    nodes = [f'  s{sid} [shape=circle, label="s{sid}"];' for sid in range(count)]
+    for i, sid in enumerate(a.special, start=1):
+        if sid is not None:
+            nodes[sid] = f'  s{sid} [shape=doublecircle, label="q_{i}"];'
+    lines += nodes
+    if b == 2:
+        pairs = iter(delta)
+        for src, (zero, one) in enumerate(zip(pairs, pairs)):
+            if zero is None:
+                if one is not None:
+                    lines.append(f'  s{src} -> s{one} [label="1"];')
+            elif one is None:
+                lines.append(f'  s{src} -> s{zero} [label="0"];')
+            elif zero < one:
+                lines += f'  s{src} -> s{zero} [label="0"];', f'  s{src} -> s{one} [label="1"];'
+            elif zero > one:
+                lines += f'  s{src} -> s{one} [label="1"];', f'  s{src} -> s{zero} [label="0"];'
+            else:
+                lines.append(f'  s{src} -> s{zero} [label="0,1"];')
+    else:
+        symbols = [str(sym) for sym in range(b)] * count  # the symbol of each slot of delta
+        labels: dict[int, str] = {}  # edge src * count + dst -> its symbols, ascending
+        edges = [i // b * count + dst for i, dst in enumerate(delta) if dst is not None]
+        for edge, sym in zip(edges, [sym for sym, dst in zip(symbols, delta) if dst is not None]):
+            labels[edge] = f"{labels[edge]},{sym}" if edge in labels else sym
+        lines += [f'  s{edge // count} -> s{edge % count} [label="{labels[edge]}"];'
+                  for edge in sorted(labels)]
     lines.append("}\n")
     return "\n".join(lines)

@@ -20,6 +20,7 @@ from maxcomplex.core import (
     table_cells,
     unrank,
     upward_closure_mask,
+    var_mask,
 )
 from maxcomplex.lattice import sub_masks
 
@@ -181,6 +182,16 @@ def test_mask_predicates_check_the_arity_first():
             check(-1, 0)
         with pytest.raises(CapacityError, match="cells exceeds capacity"):
             check(40, 0)
+
+
+def test_var_mask_is_the_former_sum_and_checks_the_arity():
+    for n in range(13):
+        for pos in range(n):
+            place = 1 << (n - 1 - pos)
+            assert var_mask(n, pos) == sum(1 << r for r in range(1 << n) if r & place), (n, pos)
+    assert var_mask(22, 21).bit_count() == 1 << 21  # blocks doubled, not 2^22 terms summed
+    with pytest.raises(CapacityError, match="cells exceeds capacity"):
+        var_mask(40, 0)  # once a sum over 2^40 ranks
 
 
 def test_table_cells_caps_the_arity_of_a_one_letter_alphabet():

@@ -110,16 +110,29 @@ def test_o_i_refuses_an_oversized_result_before_any_power(monkeypatch):
 
 
 def test_count_max_work_guard_counts_operand_size(monkeypatch):
-    monkeypatch.setattr(counting, "_covering_perm", _covering_must_not_run)
-    # few multiplications, but each on numbers of up to 2^21 bits (about 12 s at (4, 4, 9))
-    for signature in [(4, 4, 9), (4, 3, 9), (5, 2, 9), (2, 6, 15), (10**400, 2, 1)]:
+    monkeypatch.setattr(counting, "perm", _covering_must_not_run)  # no range product
+    # few multiplications, but each on numbers of up to 2^21 bits: about 12 s at (4, 4, 9),
+    # 9 s at (5, 2, 9), 4.5 s at (3, 2, 11) and 24 s at (3, 2, 12); (2, 2, 20) has 65,355
+    # terms that share no factor
+    for signature in [(4, 4, 9), (5, 2, 9), (3, 2, 11), (3, 2, 12), (2, 2, 20), (10**400, 2, 1)]:
+        start = time.perf_counter()
         with pytest.raises(CapacityError, match="count exceeds the configured work limit"):
             count_max(*signature)
-    # still admitted: the tests' signatures, the benchmark's up to (2, 2, 14), and (4, 4, 8)
-    monkeypatch.setattr(counting, "_covering_perm", lambda s, pool, b, blocks: "admitted")
+        assert time.perf_counter() - start < 1, signature
+    # still admitted: the tests' signatures, the benchmark's up to (2, 2, 14), (4, 4, 8),
+    # and, priced by their runs of shared factors, (2, 2, 18) and (2, 2, 19) at about
+    # 0.2 s and (4, 3, 9) and (2, 6, 15) at about 2 s
+    monkeypatch.setattr(counting, "perm", lambda n, k: 1)  # each range product, made free
     for signature in [(2, 2, 14), (2, 2, 15), (4, 4, 7), (4, 4, 8), (3, 2, 10), (3, 3, 5),
-                      (2, 3, 9), (3, 5, 6), (5, 5, 5), (4, 5, 5), (3, 4, 6)]:
-        assert count_max(*signature)[1] == "admitted", signature
+                      (2, 3, 9), (3, 5, 6), (5, 5, 5), (4, 5, 5), (3, 4, 6), (2, 2, 18),
+                      (2, 2, 19), (4, 3, 9), (2, 6, 15)]:
+        count_max(*signature)
+
+
+def test_count_max_admits_2_2_18_and_equals_the_per_term_sum():
+    # 128 terms of 2^18-bit products in 3 runs: refused while each term was priced alone
+    i, count = count_max(2, 2, 18)
+    assert i == 15 and count == _per_term(255, 256, 2, 2**14)
 
 
 def test_surjection_counts_refuse_past_the_work_limit(monkeypatch):

@@ -341,6 +341,30 @@ def test_mn_classes_make_the_former_pair_tests_and_hash_nothing(monkeypatch):
     assert sum(tests for _, tests in expected) > 10**4
 
 
+def _former_live_prefixes(f, depth):
+    """_live_prefixes before its ORed byte columns: one slice per prefix, against zero."""
+    span = f.b ** (f.n - depth)
+    return [r for r in range(f.b**depth)
+            if f.table[r * span : (r + 1) * span] != bytes(span)]
+
+
+def test_live_prefixes_equal_the_slice_definition():
+    rng = random.Random(35)
+    funcs = [ColoredFunction(b, n, c, bytes(rng.randrange(1, c) if rng.random() < p else 0
+                                            for _ in range(b**n)))
+             for b in range(1, 6) for n in range(6) if b**n <= 1024
+             for c in (2, 3, 256) for p in (0.0, 2**-6, 0.3, 1.0)]
+    funcs += _oracle_cases()
+    assert any(f.n == 0 for f in funcs) and any(not any(f.table) for f in funcs)
+    for f in funcs:
+        for depth in range(f.n + 1):
+            assert minauto._live_prefixes(f, depth) == _former_live_prefixes(f, depth), (f, depth)
+    assert minauto._live_prefixes(ColoredFunction(3, 0, 2, b"\1"), 0) == [0]
+    assert minauto._live_prefixes(ColoredFunction(3, 0, 2, b"\0"), 0) == []
+    # colors whose bits differ must not cancel: 1 | 2 is nonzero, and 255 survives
+    assert minauto._live_prefixes(ColoredFunction(2, 2, 256, bytes([1, 2, 0, 255])), 1) == [0, 1]
+
+
 def test_mn_class_count_decodes_no_words(monkeypatch):
     funcs = _oracle_cases()
     expected = [state_complexity(f) for f in funcs]
@@ -536,6 +560,60 @@ def test_export_dot_orders_edges_by_target_not_symbol():
 }
 """
     assert [run(a, w) for w in ("00", "10", "11", "12", "20")] == [1, 2, 1, 1, 0]
+
+
+def _two_letter_pdfa(rows):
+    """A b = 2 automaton with the given (target of 0, target of 1) row per state; the
+    last two states are q_1 and q_2."""
+    count = len(rows)
+    delta = tuple(dst for row in rows for dst in row)
+    return Pdfa(2, 1, 3, count, 0, delta, (count - 2, count - 1), (0,) * count)
+
+
+@pytest.mark.parametrize("rows", [
+    [(None, None), (None, None), (None, None)],  # no edge
+    [(1, None), (2, None), (None, None), (None, None)],  # one edge, on 0
+    [(None, 1), (None, 3), (None, None), (None, None)],  # one edge, on 1
+    [(1, 1), (2, 2), (None, None), (None, None)],  # both symbols to one target: "0,1"
+    [(1, 2), (2, 3), (3, 3), (None, None)],  # ascending targets
+    [(2, 1), (3, 2), (3, None), (None, None)],  # descending targets
+    [(0, 0), (2, 1), (1, 3), (None, 0), (2, None)],  # loops and back edges: any rows
+])
+def test_two_letter_dot_rows_are_the_former_text(rows):
+    a = _two_letter_pdfa(rows)
+    assert export_dot(a) == _former_export_dot(a)
+
+
+def test_two_letter_dot_rows_of_every_shape():
+    # each state of the first six has one row shape; s6 and s7 are q_1 and q_2
+    a = _two_letter_pdfa([(None, None), (2, None), (None, 3), (4, 4), (5, 6), (7, 6),
+                          (None, None), (None, None)])
+    dot = export_dot(a)
+    assert dot == _former_export_dot(a)
+    assert dot.splitlines()[12:-1] == [
+        '  s1 -> s2 [label="0"];',
+        '  s2 -> s3 [label="1"];',
+        '  s3 -> s4 [label="0,1"];',
+        '  s4 -> s5 [label="0"];',
+        '  s4 -> s6 [label="1"];',
+        '  s5 -> s6 [label="1"];',
+        '  s5 -> s7 [label="0"];',
+    ]
+
+
+def test_only_alphabets_past_two_letters_sort_edge_keys(monkeypatch):
+    sorts = []
+
+    def recorded(keys):
+        sorts.append(len(keys))
+        return sorted(keys)
+
+    two = minimal_pdfa(ColoredFunction(2, 6, 3, bytes(i % 3 for i in range(64))))
+    three = minimal_pdfa(ColoredFunction(3, 4, 3, bytes(i % 3 for i in range(81))))
+    expected = [_former_export_dot(two), _former_export_dot(three)]
+    monkeypatch.setattr(minauto, "sorted", recorded, raising=False)
+    assert export_dot(two) == expected[0] and sorts == []
+    assert export_dot(three) == expected[1] and len(sorts) == 1 and sorts[0] > 0
 
 
 def _former_minimal_pdfa(f):
