@@ -68,12 +68,10 @@ def _covering_perm(s: int, pool: int, b: int, blocks: int) -> int:
             v += 1
         runs.append((u, v))
         u = v + 1
-    # a run's union has fewer than 2 * blocks factors, none above his[0]; past that
-    # coarse price, each run is priced by its own union
-    if runs and len(runs) * (2 * blocks * log2(his[0] + 1)) ** 1.5 > MAX_COUNT_BIT_WORK:
-        if sum(((his[u] - his[v] + blocks) * log2(his[u] + 1)) ** 1.5
-               for u, v in runs) > MAX_COUNT_BIT_WORK:
-            raise CapacityError("count exceeds the configured work limit")
+    # run u..v multiplies the his[u] - his[v] + blocks factors of its ranges' union
+    if sum(((his[u] - his[v] + blocks) * log2(his[u] + 1)) ** 1.5
+           for u, v in runs) > MAX_COUNT_BIT_WORK:
+        raise CapacityError("count exceeds the configured work limit")
 
     def signed(u: int, v: int) -> int:  # S(u, v)
         if u == v:

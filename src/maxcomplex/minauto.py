@@ -291,7 +291,7 @@ def export_dot(a: Pdfa) -> str:
     b, count, delta = a.b, a.state_count, a.delta
     nodes = [f'  s{sid} [shape=circle, label="s{sid}"];' for sid in range(count)]
     for i, sid in enumerate(a.special, start=1):
-        if sid is not None:
+        if sid is not None and 0 <= sid < count:  # an id that names no state draws nothing
             nodes[sid] = f'  s{sid} [shape=doublecircle, label="q_{i}"];'
     lines += nodes
     if b == 2:

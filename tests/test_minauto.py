@@ -601,6 +601,21 @@ def test_two_letter_dot_rows_of_every_shape():
     ]
 
 
+@pytest.mark.parametrize("b", [2, 3])
+def test_dot_draws_no_node_for_a_special_id_outside_the_states(b):
+    # -1 and 4 name no state of four: neither is drawn, nor replaces s3's line
+    delta = (1,) + (None,) * (b - 1) + (2,) + (None,) * (b - 1) + (None,) * (2 * b)
+    a = Pdfa(b, 1, 5, 4, 0, delta, (-1, 4, 2, None), (0, 1, 2, 2))
+    dot = export_dot(a)
+    assert dot == _former_export_dot(a)
+    assert dot.splitlines()[4:8] == [
+        '  s0 [shape=circle, label="s0"];',
+        '  s1 [shape=circle, label="s1"];',
+        '  s2 [shape=doublecircle, label="q_3"];',
+        '  s3 [shape=circle, label="s3"];',
+    ]
+
+
 def test_only_alphabets_past_two_letters_sort_edge_keys(monkeypatch):
     sorts = []
 
