@@ -14,8 +14,8 @@ _EXPORTS = {
     for module, names in {
         "core": "CapacityError ColoredFunction InputError MonotoneFunction Word is_early "
                 "is_monotone is_zero rank residual unrank",
-        "minauto": "EquivClasses NoAutomatonError Pdfa export_dot minimal_pdfa mn_class_count "
-                   "mn_classes mn_equivalent run state_complexity states_by_depth",
+        "minauto": "NoAutomatonError Pdfa export_dot minimal_pdfa mn_class_count mn_classes "
+                   "mn_equivalent run state_complexity states_by_depth",
         "bounds": "NeedCsgCountError NeedDedekindError complete_dfa_bound cp_family csg_bound "
                   "family_bound general_bound monotone_bound",
         "witness": "NoWitnessError construct_maximal crossover nonzero_functions",

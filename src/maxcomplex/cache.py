@@ -19,10 +19,6 @@ DEFAULT_DIR = ".maxcomplex-cache"
 _HEADER = "maxcomplex-cache"
 
 
-def cache_dir(explicit: str | None = None) -> Path:
-    return Path(explicit or os.environ.get(ENV_VAR) or DEFAULT_DIR)
-
-
 def content_hash(kind: str, params: str) -> str:
     return _digest(f"{__version__}|{kind}|{params}")
 
@@ -32,12 +28,13 @@ def _digest(text: str) -> str:
 
 
 class DiskCache:
-    """Entries under one directory.  `event` is the outcome of the last `load`:
-    hit, miss, stale (the header names another content hash) or corrupt (the
-    body's hash is wrong, or the file is unreadable or not UTF-8)."""
+    """Entries under $MAXCOMPLEX_CACHE, else ./.maxcomplex-cache.  `event` is the
+    outcome of the last `load`: hit, miss, stale (the header names another
+    content hash) or corrupt (the body's hash is wrong, or the file is
+    unreadable or not UTF-8)."""
 
-    def __init__(self, root: "Path | str | None" = None):
-        self.root = cache_dir(str(root) if root is not None else None)
+    def __init__(self):
+        self.root = Path(os.environ.get(ENV_VAR) or DEFAULT_DIR)
         self.event: str | None = None
 
     def _path(self, kind: str, params: str) -> Path:

@@ -25,6 +25,7 @@ from .core import (
     InputError,
     MaxcomplexError,
     MismatchError,
+    SEARCH_BUDGET,
     is_zero,
     rank,
     table_cells,
@@ -396,7 +397,7 @@ def cmd_lattice_search(args) -> int:
     else:
         from .cache import DiskCache
 
-        cache, params = DiskCache(args.cache), f"{kind}-i{args.i}-j{args.j}"
+        cache, params = DiskCache(), f"{kind}-i{args.i}-j{args.j}"
         text = cache.load("certificate", params)
         payload.update(status="cached", certificate=str(cache._path("certificate", params)),
                        cache=cache.event)
@@ -437,7 +438,7 @@ def cmd_lattice_witness(args) -> int:
     if args.csg:
         from . import csg
 
-        budget = 10**8 if args.budget is None else args.budget
+        budget = SEARCH_BUDGET if args.budget is None else args.budget
         w = csg.build_csg_witness(args.n, budget=budget)[0]
         bound, kind = bounds.csg_bound(args.n), "csg"
     else:
@@ -473,82 +474,68 @@ def build_parser() -> argparse.ArgumentParser:
                      description="State complexity of bounded-length colored languages")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+    signature = argparse.ArgumentParser(add_help=False, parents=[json_flag])
+    signature.add_argument("--b", type=int, default=2)
+    signature.add_argument("--c", type=int, default=2)
+    signature.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("complexity", help="exact minimal automaton size of a language file")
+    def command(group, name, func, help, shared=json_flag):
+        """A command that runs func and takes the options of `shared`, then its own."""
+        p = group.add_parser(name, parents=[shared], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(sub, "complexity", cmd_complexity,
+                "exact minimal automaton size of a language file")
     p.add_argument("file")
     p.add_argument("--dot", help="write the minimal automaton in DOT format")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--mn-crosscheck", action="store_true",
                    help="also run the pairwise-equivalence oracle")
-    p.set_defaults(func=cmd_complexity)
 
-    p = sub.add_parser("bound", help="evaluate an upper-bound formula exactly")
+    p = command(sub, "bound", cmd_bound, "evaluate an upper-bound formula exactly", signature)
     p.add_argument("--kind", choices=("general", "complete", "monotone", "csg"),
                    default="general")
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--c", type=int, default=2)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("construct", help="write a maximal-complexity witness language")
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--c", type=int, default=2)
-    p.add_argument("--n", type=int, required=True)
+    p = command(sub, "construct", cmd_construct, "write a maximal-complexity witness language",
+                signature)
     p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("count-max", help="count the maximal-complexity functions")
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--c", type=int, default=2)
-    p.add_argument("--n", type=int, required=True)
+    p = command(sub, "count-max", cmd_count_max, "count the maximal-complexity functions",
+                signature)
     p.add_argument("--verify-brute", action="store_true",
                    help="cross-check by scanning every function (small spaces only)")
     p.add_argument("--list", action="store_true",
                    help="print each maximal language (needs --verify-brute)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_count_max)
 
     lat = sub.add_parser("lattice", help="monotone and game lattice tooling")
     lsub = lat.add_subparsers(dest="subcommand", required=True)
 
-    p = lsub.add_parser("enumerate", help="count monotone functions or games")
+    p = command(lsub, "enumerate", cmd_lattice_enumerate, "count monotone functions or games")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--csg", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_lattice_enumerate)
 
-    p = lsub.add_parser("verify-embedding", help="re-check a built-in embedding")
+    p = command(lsub, "verify-embedding", cmd_lattice_verify, "re-check a built-in embedding")
     p.add_argument("--name", required=True, choices=EMBEDDING_NAMES)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_lattice_verify)
 
-    p = lsub.add_parser("search", help="search for an adequate embedding")
+    p = command(lsub, "search", cmd_lattice_search, "search for an adequate embedding")
     p.add_argument("--i", type=int, help="required without --resume")
     p.add_argument("--j", type=int, help="required without --resume")
     p.add_argument("--csg", action="store_true")
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
     p.add_argument("--resume", help="verify a previously saved certificate instead")
-    p.add_argument("--out", help="write the certificate here instead of the cache")
-    p.add_argument("--cache",
-                   help="cache directory (default $MAXCOMPLEX_CACHE, else ./.maxcomplex-cache)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_lattice_search)
+    p.add_argument("--out", help="write the certificate here instead of the cache "
+                                 "($MAXCOMPLEX_CACHE, else ./.maxcomplex-cache)")
 
-    p = lsub.add_parser("witness", help="write a bound-attaining witness language")
+    p = command(lsub, "witness", cmd_lattice_witness, "write a bound-attaining witness language")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--csg", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--budget", type=int,
                    help="game witness search budget (needs --csg; default 10^8)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_lattice_witness)
 
-    p = lsub.add_parser("lemma-les", help="exhaustively re-check the pair-order lemma")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_lattice_lemma)
-
+    command(lsub, "lemma-les", cmd_lattice_lemma, "exhaustively re-check the pair-order lemma")
     return parser
 
 

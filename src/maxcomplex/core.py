@@ -22,6 +22,8 @@ MAX_TABLE_CELLS = 1 << 22
 MAX_COLORS = 256
 # The most decimal digits of a bound (`bounds._profile`) or a count (`counting.o_i`).
 DIGIT_LIMIT = 10**6
+# The default node budget of every embedding search, and of `lattice search`.
+SEARCH_BUDGET = 10**8
 # The built-in embedding catalog of `lattice.named_embedding`, listed here so
 # that the CLI can offer the names without importing `lattice`.
 EMBEDDING_NAMES = ("post_alh", "fig39", "both_restricted", "alh", "small", "friday")
@@ -133,8 +135,10 @@ def rank(word: WordLike, b: int) -> int:
 
 
 def unrank(index: int, length: int, b: int) -> Word:
-    """Inverse of rank for words of the given length."""
-    if not 0 <= index < b**length:
+    """Inverse of rank for words of the given length.  For b >= 2, an index shorter
+    than length bits is in range, so b**length is formed only for a shorter length."""
+    if b < 1 or length < 0 or index < 0 or (
+            (b == 1 or length < index.bit_length()) and index >= b**length):
         raise InputError(f"index {index} out of range for length {length}, b={b}")
     digits = [0] * length
     for pos in range(length - 1, -1, -1):

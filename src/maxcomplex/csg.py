@@ -16,6 +16,7 @@ from .core import (
     ExhaustedError,
     InputError,
     MonotoneFunction,
+    SEARCH_BUDGET,
     WordLike,
     _mask_is_early,
     _mask_is_monotone,
@@ -153,7 +154,7 @@ def check_csg_relation(i: int, j: int, m: LatticeMap) -> AdequacyCertificate:
     return certify("csg", i, j, m)
 
 
-def search_csg_relation(i: int, j: int, budget: int = 10**8) -> SearchOutcome:
+def search_csg_relation(i: int, j: int, budget: int = SEARCH_BUDGET) -> SearchOutcome:
     """Search for an adequate majorization-ordered embedding E_i -> C_j^-."""
     return search_embedding("csg", i, j, budget)
 
@@ -175,7 +176,7 @@ def csg_witness_chain(n: int) -> tuple[int, int]:
     return i, n - i
 
 
-def build_csg_witness(n: int = 8, budget: int = 10**8, require_early: bool = False
+def build_csg_witness(n: int = 8, budget: int = SEARCH_BUDGET, require_early: bool = False
                       ) -> tuple[MonotoneFunction, AdequacyCertificate]:
     """A language attaining the game bound, plus its chain certificate.
 

@@ -25,6 +25,7 @@ from .core import (
     EMBEDDING_NAMES,
     InputError,
     MonotoneFunction,
+    SEARCH_BUDGET,
     Value,
     _FROM_DIGITS,
     var_mask,
@@ -501,7 +502,7 @@ class SearchOutcome(Value):
         self._set(status, map, nodes, prunes, deepest)
 
 
-def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
+def search_embedding(kind: str, i: int, j: int, budget: int = SEARCH_BUDGET,
                      shadow: "Callable[[int], int] | None" = None) -> SearchOutcome:
     """Look for an injective isotone map from the kind's i-cube into its
     nonzero j-ary lattice whose substitutions cover the nonzero (j-1)-ary one.
@@ -625,7 +626,7 @@ def search_embedding(kind: str, i: int, j: int, budget: int = 10**8,
     return SearchOutcome("exhausted" if exhausted else "none", None, nodes, prunes, reached)
 
 
-def search_relation(i: int, j: int, budget: int = 10**8) -> SearchOutcome:
+def search_relation(i: int, j: int, budget: int = SEARCH_BUDGET) -> SearchOutcome:
     """Look for an embedding 2^i -> F_j^- adequate onto F_{j-1}^-."""
     return search_embedding("monotone", i, j, budget)
 

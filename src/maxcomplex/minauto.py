@@ -95,13 +95,27 @@ class Pdfa(Value):
     `special` holds at index i-1 the id of q_i, or None if color i is unused;
     `delta[s * b + sym]` is the state after symbol sym from state s, or None
     where the run dies, so the depth-n rows are all None; `depth` holds the
-    depth of each state.
+    depth of each state.  Fields of the wrong length, and a start, target or
+    special id that names no state, raise InputError; any transitions are legal.
     """
 
     __slots__ = ("b", "n", "c", "state_count", "start", "delta", "special", "depth")
 
     def __init__(self, b: int, n: int, c: int, state_count: int, start: int,
                  delta: tuple, special: tuple, depth: tuple):
+        for name, size, want in (("delta", len(delta), b * state_count),
+                                 ("depth", len(depth), state_count),
+                                 ("special", len(special), c - 1)):
+            if size != want:
+                raise InputError(f"{name} has length {size}, not {want}")
+        ids = set(delta)  # one pass in C, cheaper than min and max over delta
+        ids.update(special)
+        ids.discard(None)
+        ids.add(start)
+        low, high = min(ids), max(ids)
+        if low < 0 or high >= state_count:
+            raise InputError(f"state id {low if low < 0 else high} names none of "
+                             f"{state_count} states")
         self._set(b, n, c, state_count, start, delta, special, depth)
 
 
@@ -214,25 +228,6 @@ def _live_prefixes(f: ColoredFunction, depth: int) -> list[int]:
     return list(compress(range(b**depth), live))
 
 
-class EquivClasses(Value):
-    """Live prefixes grouped into classes of equivalent behavior, per depth.
-
-    Two prefixes share a class exactly when no bounded extension separates
-    them; live prefixes of different lengths never do (their extensions
-    cannot both reach length n), so the grouping is per depth.  `by_depth`
-    holds, per depth, a tuple of classes, each a tuple of Words.
-    """
-
-    __slots__ = ("b", "n", "by_depth")
-
-    def __init__(self, b: int, n: int, by_depth: tuple):
-        self._set(b, n, by_depth)
-
-    @property
-    def class_count(self) -> int:
-        return sum(len(classes) for classes in self.by_depth)
-
-
 def _classes(f: ColoredFunction, up_closure: bool) -> list[list[list[int]]]:
     """Per depth, the live prefix ranks grouped by the pairwise test.
 
@@ -262,11 +257,14 @@ def _classes(f: ColoredFunction, up_closure: bool) -> list[list[list[int]]]:
     return by_depth
 
 
-def mn_classes(f: ColoredFunction, up_closure: bool = False) -> EquivClasses:
-    """Group all live prefixes by the pairwise bounded-equivalence test."""
-    by_depth = tuple(tuple(tuple(unrank(r, depth, f.b) for r in g) for g in groups)
-                     for depth, groups in enumerate(_classes(f, up_closure)))
-    return EquivClasses(f.b, f.n, by_depth)
+def mn_classes(f: ColoredFunction, up_closure: bool = False) -> tuple:
+    """Group all live prefixes by the pairwise bounded-equivalence test: per depth
+    0..n, a tuple of classes, each a tuple of Words.  Two prefixes share a class
+    exactly when no bounded extension separates them; live prefixes of different
+    lengths never do (their extensions cannot both reach length n), so the
+    grouping is per depth."""
+    return tuple(tuple(tuple(unrank(r, depth, f.b) for r in g) for g in groups)
+                 for depth, groups in enumerate(_classes(f, up_closure)))
 
 
 def mn_class_count(f: ColoredFunction, up_closure: bool = False) -> int:
@@ -291,7 +289,7 @@ def export_dot(a: Pdfa) -> str:
     b, count, delta = a.b, a.state_count, a.delta
     nodes = [f'  s{sid} [shape=circle, label="s{sid}"];' for sid in range(count)]
     for i, sid in enumerate(a.special, start=1):
-        if sid is not None and 0 <= sid < count:  # an id that names no state draws nothing
+        if sid is not None:
             nodes[sid] = f'  s{sid} [shape=doublecircle, label="q_{i}"];'
     lines += nodes
     if b == 2:

@@ -33,10 +33,9 @@ def crossover(b: int, c: int, n: int) -> int:
 
 
 def nonzero_functions(b: int, c: int, arity: int) -> list[ColoredFunction]:
-    """All nonzero functions [b]^arity -> [c] in canonical ascending order."""
-    if arity < 0:
-        raise InputError("arity must be >= 0")
-    total = power_capped(c, b**arity, MAX_TABLE_CELLS + 2)
+    """All nonzero functions [b]^arity -> [c] in canonical ascending order.  The
+    signature is checked before b**arity is formed."""
+    total = power_capped(c, table_cells(b, arity, c), MAX_TABLE_CELLS + 2)
     if total > MAX_TABLE_CELLS:
         raise CapacityError(f"{total - 1} functions exceed capacity")
     return [ColoredFunction(b, arity, c, t) for t in islice(code_tables(b, c, arity), 1, None)]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from maxcomplex.cache import DEFAULT_DIR, DiskCache, cache_dir
+from maxcomplex.cache import DEFAULT_DIR, DiskCache
 from maxcomplex.cli import (
     EXIT_CAPACITY,
     EXIT_EXHAUSTED,
@@ -417,7 +417,9 @@ def test_signatures_past_capacity_exit_3(tmp_path, capsys):
 
 def test_lattice_search_cache_help_names_the_environment_variable(capsys):
     assert main(["lattice", "search", "--help"]) == EXIT_OK
-    assert "cache directory (default $MAXCOMPLEX_CACHE, else" in capsys.readouterr().out
+    text = " ".join(capsys.readouterr().out.split())  # as argparse wraps it at any width
+    assert "the cache ($MAXCOMPLEX_CACHE, else ./.maxcomplex-cache)" in text
+    assert "--cache" not in text
 
 
 def test_cmd_count_max_brute_edges(monkeypatch, capsys):
@@ -481,7 +483,7 @@ def test_cmd_lattice_enumerate_keeps_no_cache(tmp_path, capsys, monkeypatch):
 
 
 def test_suite_runs_without_the_working_directory_cache():
-    assert cache_dir() != Path(DEFAULT_DIR) and DiskCache().root == cache_dir()
+    assert DiskCache().root == Path(os.environ["MAXCOMPLEX_CACHE"]) != Path(DEFAULT_DIR)
 
 
 def test_cmd_lattice_verify_embedding(capsys):
@@ -620,18 +622,22 @@ def test_cmd_lattice_search_rejects_j0(flag, capsys):
     assert "j must be >= 1" in capsys.readouterr().err
 
 
-def test_cmd_lattice_search_cache(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    argv = ["lattice", "search", "--i", "1", "--j", "2", "--csg",
-            "--cache", cache, "--json"]
+def test_cmd_lattice_search_cache(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("MAXCOMPLEX_CACHE", str(cache))
+    argv = ["lattice", "search", "--i", "1", "--j", "2", "--csg", "--json"]
     assert main(argv) == EXIT_OK
     first = json.loads(capsys.readouterr().out)
     assert first["status"] == "found"
+    assert first["certificate"] == str(cache / "certificate-csg-i1-j2.txt")
+    assert [p.name for p in cache.iterdir()] == ["certificate-csg-i1-j2.txt"]
     assert main(argv) == EXIT_OK
     second = json.loads(capsys.readouterr().out)
     assert second["status"] == "cached"
     assert (first["cache"], second["cache"]) == ("miss", "hit")
     assert list(second) == list(first)
+    assert main(argv[:-1] + ["--cache", str(cache)]) == EXIT_USAGE  # the variable alone
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
 
 
 def test_cmd_lattice_search_exhausted(capsys):
@@ -703,8 +709,9 @@ def test_empty_language_warns(tmp_path, capsys):
     assert "empty language" in captured.err
 
 
-def test_disk_cache_stale_entry(tmp_path, capsys):
-    cache = DiskCache(tmp_path / "cache")
+def test_disk_cache_stale_entry(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MAXCOMPLEX_CACHE", str(tmp_path / "cache"))
+    cache = DiskCache()
     cache.store("certificate", "demo", "payload")
     assert cache.load("certificate", "demo") == "payload" and cache.event == "hit"
     path = cache._path("certificate", "demo")
@@ -712,8 +719,7 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
     assert cache.load("certificate", "demo") is None  # stale hash forces regeneration
     assert cache.event == "stale"
     # a body that does not match the header's hash is regenerated as well
-    argv = ["lattice", "search", "--i", "2", "--j", "3", "--cache", str(tmp_path / "cache"),
-            "--json"]
+    argv = ["lattice", "search", "--i", "2", "--j", "3", "--json"]
     assert main(argv) == EXIT_OK
     found = json.loads(capsys.readouterr().out)
     del found["elapsed_ms"]  # wall time, different on every run
@@ -733,7 +739,8 @@ def test_disk_cache_stale_entry(tmp_path, capsys):
 def test_disk_cache_version_bump_is_stale_and_overwritten(tmp_path, monkeypatch):
     from maxcomplex import cache as cache_module
 
-    cache = DiskCache(tmp_path / "cache")
+    monkeypatch.setenv("MAXCOMPLEX_CACHE", str(tmp_path / "cache"))
+    cache = DiskCache()
     cache.store("enumeration", "monotone-n3", "old body")
     monkeypatch.setattr(cache_module, "__version__", "0.0.0-other")
     assert cache.load("enumeration", "monotone-n3") is None
@@ -754,8 +761,7 @@ def test_disk_cache_version_bump_is_stale_and_overwritten(tmp_path, monkeypatch)
     (["bound", "--kind", "monotone", "--n", "42"], EXIT_CAPACITY),  # NeedDedekindError
     (["lattice", "search", "--i", "-1", "--j", "3"], EXIT_USAGE),
     (["lattice", "search", "--i", "-1", "--j", "3", "--csg"], EXIT_USAGE),
-    (["lattice", "search", "--i", "3", "--j", "3", "--budget", "-1", "--cache", "{dir}"],
-     EXIT_USAGE),
+    (["lattice", "search", "--i", "3", "--j", "3", "--budget", "-1"], EXIT_USAGE),
     (["lattice", "witness", "--csg", "--n", "8", "--budget", "-1", "--out", "{out}"], EXIT_USAGE),
     (["lattice", "witness", "--n", "9", "--budget", "5", "--out", "{out}"], EXIT_USAGE),
     (["lattice", "search", "--i", "1", "--j", "6"], EXIT_CAPACITY),  # monotone poset guard

@@ -133,7 +133,7 @@ def test_mn_classes_group_by_equal_residuals():
     for mask in (0b10110001, 0b11101000, 0b01111110):
         f = ColoredFunction.from_mask(3, mask)
         grouping = mn_classes(f)
-        for depth, classes in enumerate(grouping.by_depth):
+        for depth, classes in enumerate(grouping):
             assert len(classes) <= min(2**depth, 2 ** (2 ** (3 - depth)) - 1)
             residuals = [residual(f, cls[0]) for cls in classes]
             # same class iff equal residuals; distinct classes differ
@@ -217,13 +217,13 @@ def test_mn_classes_match_word_level_definition():
                     rng.randrange(1, c) if rng.random() < density else 0
                     for _ in range(b**n))))
     for f in funcs:
-        assert mn_classes(f).by_depth == _word_level_classes(f), f
+        assert mn_classes(f) == _word_level_classes(f), f
     for n in range(5):
         for _ in range(6):
             f = ColoredFunction(2, n, 2, bytes(int(rng.random() < 0.3) for _ in range(2**n)))
-            assert mn_classes(f, up_closure=True).by_depth == _word_level_classes(f, True), f
+            assert mn_classes(f, up_closure=True) == _word_level_classes(f, True), f
     f = build_witness_language(5).as_colored()
-    assert mn_classes(f, up_closure=True).by_depth == _word_level_classes(f, True)
+    assert mn_classes(f, up_closure=True) == _word_level_classes(f, True)
 
 
 def _former_mn_classes(f, up_closure=False):
@@ -272,7 +272,7 @@ def test_mn_classes_equal_the_former_pairwise_loop():
     assert any(f.n == 0 for f in funcs) and any(not any(f.table) for f in funcs)
     for f in funcs:
         former = _former_mn_classes(f)
-        assert mn_classes(f).by_depth == former, f
+        assert mn_classes(f) == former, f
         assert mn_class_count(f) == sum(map(len, former)) == state_complexity(f), f
     rng = random.Random(61)
     binary = [f for f in funcs if f.b == 2 and f.c == 2]
@@ -280,7 +280,7 @@ def test_mn_classes_equal_the_former_pairwise_loop():
                for n in range(11) for p in (0.02, 0.2, 0.7)]
     for f in binary:
         former = _former_mn_classes(f, up_closure=True)
-        assert mn_classes(f, up_closure=True).by_depth == former, f
+        assert mn_classes(f, up_closure=True) == former, f
         assert mn_class_count(f, up_closure=True) == (sum(map(len, former)) if any(f.table) else 0)
 
 
@@ -336,7 +336,7 @@ def test_mn_classes_make_the_former_pair_tests_and_hash_nothing(monkeypatch):
                         lambda f, up_closure: _CountedTable(oracle_table(f, up_closure)))
     for (f, up), (classes, tests) in zip(cases, expected):
         _CountedSlice.tests = 0
-        assert mn_classes(f, up_closure=up).by_depth == classes, (f, up)
+        assert mn_classes(f, up_closure=up) == classes, (f, up)
         assert _CountedSlice.tests == tests, (f, up)
     assert sum(tests for _, tests in expected) > 10**4
 
@@ -391,7 +391,7 @@ def test_mn_oracle_does_not_use_the_residual_engine(monkeypatch):
         state_complexity(ColoredFunction(f.b, f.n, f.c, f.table))  # the patch is in effect;
         # a fresh object, since f keeps the counts of its first call
     assert mn_class_count(f) == expected == 58
-    assert mn_classes(f, up_closure=True).class_count > 0
+    assert sum(map(len, mn_classes(f, up_closure=True))) > 0
 
 
 def test_a_function_keeps_its_depth_counts(monkeypatch):
@@ -602,10 +602,13 @@ def test_two_letter_dot_rows_of_every_shape():
 
 
 @pytest.mark.parametrize("b", [2, 3])
-def test_dot_draws_no_node_for_a_special_id_outside_the_states(b):
-    # -1 and 4 name no state of four: neither is drawn, nor replaces s3's line
+def test_pdfa_refuses_a_special_id_outside_the_states(b):
+    # -1 and 4 name no state of four: a DOT line for either would name no node
     delta = (1,) + (None,) * (b - 1) + (2,) + (None,) * (b - 1) + (None,) * (2 * b)
-    a = Pdfa(b, 1, 5, 4, 0, delta, (-1, 4, 2, None), (0, 1, 2, 2))
+    for special, bad in (((-1, None, 2, None), -1), ((None, 4, 2, None), 4)):
+        with pytest.raises(InputError, match=f"state id {bad} names none of 4 states"):
+            Pdfa(b, 1, 5, 4, 0, delta, special, (0, 1, 2, 2))
+    a = Pdfa(b, 1, 5, 4, 0, delta, (None, None, 2, None), (0, 1, 2, 2))
     dot = export_dot(a)
     assert dot == _former_export_dot(a)
     assert dot.splitlines()[4:8] == [
@@ -614,6 +617,25 @@ def test_dot_draws_no_node_for_a_special_id_outside_the_states(b):
         '  s2 [shape=doublecircle, label="q_3"];',
         '  s3 [shape=circle, label="s3"];',
     ]
+
+
+@pytest.mark.parametrize("args,message", [
+    # a target 7 among 2 states was drawn as s0 -> s7 with two letters, and as the
+    # wrong edge s3 -> s1 with three; `run` gave 0 on the word "0"
+    ((2, 1, 2, 2, 0, (7, None, None, None), (1,), (0, 1)), "state id 7 names none of 2"),
+    ((3, 1, 2, 2, 0, (7,) + (None,) * 5, (1,), (0, 1)), "state id 7 names none of 2"),
+    ((2, 1, 2, 2, 0, (-1, None, None, None), (1,), (0, 1)), "state id -1 names none of 2"),
+    ((2, 1, 2, 2, 2, (1, None, None, None), (1,), (0, 1)), "state id 2 names none of 2"),
+    # two special ids for c = 2 drew a q_2 node
+    ((2, 1, 2, 2, 0, (1, None, None, None), (None, 1), (0, 1)), "special has length 2, not 1"),
+    ((2, 1, 2, 2, 0, (1, None, None), (1,), (0, 1)), "delta has length 3, not 4"),
+    ((2, 1, 2, 2, 0, (1, None, None, None), (1,), (0,)), "depth has length 1, not 2"),
+], ids=["target-b2", "target-b3", "negative-target", "start", "special-length",
+        "delta-length", "depth-length"])
+def test_pdfa_refuses_values_it_cannot_draw(args, message):
+    with pytest.raises(InputError, match=message):
+        Pdfa(*args)
+    Pdfa(2, 1, 2, 2, 0, (1, 0, None, 1), (1,), (0, 1))  # loops and back edges stay legal
 
 
 def test_only_alphabets_past_two_letters_sort_edge_keys(monkeypatch):

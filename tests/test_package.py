@@ -95,9 +95,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert loaded_by("lattice", "enumerate", "--n", "6") == {"maxcomplex", "cli", "core",
                                                             "lattice"}
     assert not {"cache", "hashlib"} & loaded_by("lattice", "enumerate", "--n", "6", "--csg")
-    cache, out = str(tmp_path / "cache"), str(tmp_path / "out")
-    assert {"cache", "hashlib"} <= loaded_by("lattice", "search", "--i", "2", "--j", "3",
-                                             "--cache", cache)
+    out = str(tmp_path / "out")
+    assert {"cache", "hashlib"} <= loaded_by("lattice", "search", "--i", "2", "--j", "3")
     for argv in (["complexity", str(lang), "--dot", out, "--mn-crosscheck"],
                  ["bound", "--kind", "csg", "--n", "5"],
                  ["construct", "--n", "3", "--out", out],
