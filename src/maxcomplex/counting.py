@@ -163,6 +163,14 @@ def count_max(b: int, c: int, n: int) -> tuple[int, int]:
         raise NoMaxError("c=1 admits no nonzero functions")
     if b < 1 or c < 1 or n < 0:
         raise InputError(f"bad parameters b={b}, c={c}, n={n}")
+    # Priced before the crossover, whose bound may have 10^5 digits: i >= n - k, for
+    # k the largest with b^k <= n * bitlen(b) + 1, as 2^(b^(n-i)) <= b^i + 1 when
+    # i <= n.  Both branches below make at least b^(n-k-1) products.
+    k, bits = 0, n * b.bit_length() + 1
+    while b > 1 and b ** (k + 1) <= bits:
+        k += 1
+    if power_capped(b, max(n - k - 1, 0), MAX_COUNT_WORK + 1) > MAX_COUNT_WORK:
+        raise CapacityError("count exceeds the configured work limit")
     i = crossover(b, c, n)
     if i > n:
         words = b**n  # below c - 1

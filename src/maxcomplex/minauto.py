@@ -9,6 +9,8 @@ automaton is leveled: transitions go from depth d to depth d+1.
 from __future__ import annotations
 
 from itertools import compress
+from operator import itemgetter
+from struct import iter_unpack
 from typing import Iterable, Iterator
 
 from .core import (
@@ -29,30 +31,25 @@ class NoAutomatonError(InputError):
 
 
 def residual_levels(tables: Iterable[bytes], b: int, n: int
-                    ) -> Iterator[tuple[list[bytes], list[int | None]]]:
-    """Distinct nonzero residuals at each depth 0..n, with their child links.
+                    ) -> Iterator[tuple[list[bytes], list[bytes]]]:
+    """Distinct nonzero residuals at each depth 0..n, with every child slice.
 
-    Yields one (level, children) pair per depth d.  level holds the distinct
+    Yields one (level, pieces) pair per depth d.  level holds the distinct
     nonzero residual tables of the length-d prefixes, in first-reached order:
     depth 0 keeps the order of `tables`, a deeper level is scanned parent by
-    parent and symbol by symbol.  children[k*b + sym] is the index in the next
-    level of the residual after symbol sym from level[k], or None when that
-    residual is zero; it is empty at depth n.  All tables must have b^n cells.
+    parent and symbol by symbol.  pieces[k*b + sym] is the residual after symbol
+    sym from level[k], zero or repeated ones included, all cut in C from the
+    joined level; it is empty at depth n.  All tables must have b^n cells.
     """
     span = b**n
     dead = bytes(span)
     level = list(dict.fromkeys(t for t in tables if t != dead))
     for _ in range(n):
         span //= b
-        dead = bytes(span)
-        starts = range(0, span * b, span)
-        index: dict[bytes, int] = {}
-        children: list[int | None] = []
-        for table in level:
-            for i in starts:
-                piece = table[i : i + span]
-                children.append(None if piece == dead else index.setdefault(piece, len(index)))
-        yield level, children
+        pieces = list(map(itemgetter(0), iter_unpack(f"{span}s", b"".join(level))))
+        yield level, pieces
+        index = dict.fromkeys(pieces)  # first-reached: parent by parent, symbol by symbol
+        index.pop(bytes(span), None)
         level = list(index)
     yield level, []
 
@@ -95,8 +92,9 @@ class Pdfa(Value):
     `special` holds at index i-1 the id of q_i, or None if color i is unused;
     `delta[s * b + sym]` is the state after symbol sym from state s, or None
     where the run dies, so the depth-n rows are all None; `depth` holds the
-    depth of each state.  Fields of the wrong length, and a start, target or
-    special id that names no state, raise InputError; any transitions are legal.
+    depth of each state.  Fields of the wrong length, a start, target or special
+    id that names no state, and a state named twice in `special` (a state ends
+    the runs of one color only) raise InputError; any transitions are legal.
     """
 
     __slots__ = ("b", "n", "c", "state_count", "start", "delta", "special", "depth")
@@ -116,6 +114,9 @@ class Pdfa(Value):
         if low < 0 or high >= state_count:
             raise InputError(f"state id {low if low < 0 else high} names none of "
                              f"{state_count} states")
+        named = [sid for sid in special if sid is not None]
+        if len(set(named)) < len(named):
+            raise InputError(f"state {max(named, key=named.count)} is named twice in special")
         self._set(b, n, c, state_count, start, delta, special, depth)
 
 
@@ -132,16 +133,18 @@ def minimal_pdfa(f: ColoredFunction) -> Pdfa:
     delta: list[int | None] = []
     depth_of: list[int] = []
     counts: list[int] = []
-    for depth, (level, children) in enumerate(residual_levels([f.table], f.b, f.n)):
+    pieces: list[bytes] = []  # the child slices of the depth above
+    for depth, (level, cut) in enumerate(residual_levels([f.table], f.b, f.n)):
+        ids = dict(zip(level, range(len(depth_of), len(depth_of) + len(level))))
+        ids[bytes(f.b ** (f.n - depth))] = None  # a zero slice leads nowhere
+        delta += map(ids.__getitem__, pieces)
         counts.append(len(level))
         depth_of.extend([depth] * len(level))
-        first = len(depth_of)  # the next level's first id
-        delta += [None if child is None else first + child for child in children]
-    base = len(depth_of) - len(level)
+        pieces = cut
     delta += [None] * (len(level) * f.b)
     special = [None] * (f.c - 1)
-    for k, table in enumerate(level):
-        special[table[0] - 1] = base + k
+    for table in level:
+        special[table[0] - 1] = ids[table]
     object.__setattr__(f, "_memo", tuple(counts))
     return Pdfa(
         b=f.b,
@@ -215,17 +218,17 @@ def _equivalent(table: bytes, b: int, n: int, rs: int, ls: int, rt: int, lt: int
     return True
 
 
-def _live_prefixes(f: ColoredFunction, depth: int) -> list[int]:
-    """Ranks of depth-length prefixes whose residual is not identically zero.  Cell r
-    of `live` is nonzero iff some extension of prefix r has a nonzero color: one
-    depth up, it is the OR of the b byte columns live[sym::b], each read as an int."""
-    b, live = f.b, f.table
-    for _ in range(f.n - depth):
-        merged = 0
+def _live_levels(f: ColoredFunction) -> list[list[int]]:
+    """Per depth 0..n, the ranks of the prefixes whose residual is not identically zero.
+    Cell r of `live` is nonzero iff some extension of prefix r has a nonzero color:
+    one depth up, it is the OR of the b byte columns live[sym::b], each read as an int."""
+    b, levels = f.b, [f.table]
+    for _ in range(f.n):
+        live, merged = levels[-1], 0
         for sym in range(b):
             merged |= int.from_bytes(live[sym::b], "big")
-        live = merged.to_bytes(len(live) // b, "big")
-    return list(compress(range(b**depth), live))
+        levels.append(merged.to_bytes(len(live) // b, "big"))
+    return [list(compress(range(len(live)), live)) for live in reversed(levels)]
 
 
 def _classes(f: ColoredFunction, up_closure: bool) -> list[list[list[int]]]:
@@ -241,11 +244,11 @@ def _classes(f: ColoredFunction, up_closure: bool) -> list[list[list[int]]]:
     """
     table = _oracle_table(f, up_closure)
     by_depth = []
-    for depth in range(f.n + 1):
+    for depth, live in enumerate(_live_levels(f)):
         width = f.b ** (f.n - depth)
         groups: list[list[int]] = []
         firsts: list[bytes | None] = [None]  # each class's first slice, then the slot
-        for r in _live_prefixes(f, depth):
+        for r in live:
             firsts[-1] = piece = table[r * width : (r + 1) * width]
             k = firsts.index(piece)
             if k < len(groups):

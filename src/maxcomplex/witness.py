@@ -34,10 +34,12 @@ def crossover(b: int, c: int, n: int) -> int:
 
 def nonzero_functions(b: int, c: int, arity: int) -> list[ColoredFunction]:
     """All nonzero functions [b]^arity -> [c] in canonical ascending order.  The
-    signature is checked before b**arity is formed."""
-    total = power_capped(c, table_cells(b, arity, c), MAX_TABLE_CELLS + 2)
-    if total > MAX_TABLE_CELLS:
-        raise CapacityError(f"{total - 1} functions exceed capacity")
+    signature is checked before b**arity is formed, and more than MAX_TABLE_CELLS
+    cells over all the functions are refused before any is built."""
+    cells = table_cells(b, arity, c)
+    total = power_capped(c, cells, MAX_TABLE_CELLS + 2)
+    if (total - 1) * cells > MAX_TABLE_CELLS:
+        raise CapacityError(f"{total - 1} functions of {cells} cells exceed capacity")
     return [ColoredFunction(b, arity, c, t) for t in islice(code_tables(b, c, arity), 1, None)]
 
 

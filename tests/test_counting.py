@@ -4,7 +4,7 @@ from math import comb, factorial, log10, perm
 
 import pytest
 
-from maxcomplex import counting, minauto
+from maxcomplex import bounds, counting, minauto
 from maxcomplex.core import CapacityError, ColoredFunction, InputError, unrank
 from maxcomplex.bounds import general_bound, general_bound_terms
 from maxcomplex.minauto import state_complexity
@@ -125,6 +125,20 @@ def test_count_max_work_guard_counts_operand_size(monkeypatch):
                       (2, 3, 9), (3, 5, 6), (5, 5, 5), (4, 5, 5), (3, 4, 6), (2, 2, 18),
                       (2, 2, 19), (4, 3, 9), (2, 6, 15)]:
         count_max(*signature)
+
+
+def test_count_max_refuses_a_huge_signature_before_its_crossover(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("the crossover's bound was evaluated")
+
+    # the crossover's bound at (3, 2, 10^6) has about 477,000 digits, and its
+    # codomain and blocks had to be built before the work was priced
+    monkeypatch.setattr(bounds, "_profile", must_not_run)
+    for b, c, n in product((2, 3, 300), (2, 3, 40, 300), (10**6, 10**9)):
+        with pytest.raises(CapacityError, match="^count exceeds the configured work limit$"):
+            count_max(b, c, n)
+    with pytest.raises(AssertionError):
+        count_max(3, 2, 12)  # the patch is in effect: a signature priced as cheap reaches it
 
 
 def test_count_max_admits_2_2_18_and_equals_the_per_term_sum():

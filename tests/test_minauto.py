@@ -234,7 +234,7 @@ def _former_mn_classes(f, up_closure=False):
     by_depth = []
     for depth in range(f.n + 1):
         groups = []
-        for r in minauto._live_prefixes(f, depth):
+        for r in _former_live_prefixes(f, depth):
             for group in groups:
                 if minauto._equivalent(table, f.b, f.n, r, depth, group[0], depth):
                     group.append(r)
@@ -313,7 +313,7 @@ def _former_slice_tests(f, up_closure=False):
     for depth in range(f.n + 1):
         width = f.b ** (f.n - depth)
         firsts = []
-        for r in minauto._live_prefixes(f, depth):
+        for r in _former_live_prefixes(f, depth):
             piece = table[r * width : (r + 1) * width]
             for first in firsts:
                 tests += 1
@@ -342,13 +342,14 @@ def test_mn_classes_make_the_former_pair_tests_and_hash_nothing(monkeypatch):
 
 
 def _former_live_prefixes(f, depth):
-    """_live_prefixes before its ORed byte columns: one slice per prefix, against zero."""
+    """Live prefixes of one depth by their definition, with no ORed byte columns: one
+    slice per prefix, compared with zero."""
     span = f.b ** (f.n - depth)
     return [r for r in range(f.b**depth)
             if f.table[r * span : (r + 1) * span] != bytes(span)]
 
 
-def test_live_prefixes_equal_the_slice_definition():
+def test_live_levels_equal_the_slice_definition():
     rng = random.Random(35)
     funcs = [ColoredFunction(b, n, c, bytes(rng.randrange(1, c) if rng.random() < p else 0
                                             for _ in range(b**n)))
@@ -357,12 +358,13 @@ def test_live_prefixes_equal_the_slice_definition():
     funcs += _oracle_cases()
     assert any(f.n == 0 for f in funcs) and any(not any(f.table) for f in funcs)
     for f in funcs:
-        for depth in range(f.n + 1):
-            assert minauto._live_prefixes(f, depth) == _former_live_prefixes(f, depth), (f, depth)
-    assert minauto._live_prefixes(ColoredFunction(3, 0, 2, b"\1"), 0) == [0]
-    assert minauto._live_prefixes(ColoredFunction(3, 0, 2, b"\0"), 0) == []
+        expected = [_former_live_prefixes(f, depth) for depth in range(f.n + 1)]
+        assert minauto._live_levels(f) == expected, f
+    assert minauto._live_levels(ColoredFunction(3, 0, 2, b"\1")) == [[0]]
+    assert minauto._live_levels(ColoredFunction(3, 0, 2, b"\0")) == [[]]
     # colors whose bits differ must not cancel: 1 | 2 is nonzero, and 255 survives
-    assert minauto._live_prefixes(ColoredFunction(2, 2, 256, bytes([1, 2, 0, 255])), 1) == [0, 1]
+    assert minauto._live_levels(ColoredFunction(2, 2, 256, bytes([1, 2, 0, 255]))) == [
+        [0], [0, 1], [0, 1, 3]]
 
 
 def test_mn_class_count_decodes_no_words(monkeypatch):
@@ -628,14 +630,17 @@ def test_pdfa_refuses_a_special_id_outside_the_states(b):
     ((2, 1, 2, 2, 2, (1, None, None, None), (1,), (0, 1)), "state id 2 names none of 2"),
     # two special ids for c = 2 drew a q_2 node
     ((2, 1, 2, 2, 0, (1, None, None, None), (None, 1), (0, 1)), "special has length 2, not 1"),
+    # one state as q_1 and q_2 was drawn as q_2 only, while `run` ended "0" in q_1
+    ((2, 1, 3, 2, 0, (1, None, None, None), (1, 1), (0, 1)), "state 1 is named twice in special"),
     ((2, 1, 2, 2, 0, (1, None, None), (1,), (0, 1)), "delta has length 3, not 4"),
     ((2, 1, 2, 2, 0, (1, None, None, None), (1,), (0,)), "depth has length 1, not 2"),
 ], ids=["target-b2", "target-b3", "negative-target", "start", "special-length",
-        "delta-length", "depth-length"])
+        "special-twice", "delta-length", "depth-length"])
 def test_pdfa_refuses_values_it_cannot_draw(args, message):
     with pytest.raises(InputError, match=message):
         Pdfa(*args)
     Pdfa(2, 1, 2, 2, 0, (1, 0, None, 1), (1,), (0, 1))  # loops and back edges stay legal
+    Pdfa(2, 1, 4, 2, 0, (1, None, None, None), (None, 1, None), (0, 1))  # unused colors
 
 
 def test_only_alphabets_past_two_letters_sort_edge_keys(monkeypatch):
@@ -653,12 +658,71 @@ def test_only_alphabets_past_two_letters_sort_edge_keys(monkeypatch):
     assert export_dot(three) == expected[1] and len(sorts) == 1 and sorts[0] > 0
 
 
+def _former_residual_levels(tables, b, n):
+    """residual_levels before its slices were cut in C: one Python step per child
+    slice, and (level, children) per depth, where children[k*b + sym] is the index in
+    the next level of the residual after sym from level[k], or None if it is zero."""
+    span = b**n
+    dead = bytes(span)
+    level = list(dict.fromkeys(t for t in tables if t != dead))
+    for _ in range(n):
+        span //= b
+        dead = bytes(span)
+        index, children = {}, []
+        for table in level:
+            for i in range(0, span * b, span):
+                piece = table[i : i + span]
+                children.append(None if piece == dead else index.setdefault(piece, len(index)))
+        yield level, children
+        level = list(index)
+    yield level, []
+
+
+def _seed_cases():
+    """(b, n, c, tables): `cp_family` seeds with repeated and zero members."""
+    rng = random.Random(38)
+    cases = []
+    for b, n, c in ((2, 5, 2), (3, 3, 3), (2, 4, 256)):
+        seed = [bytes(rng.randrange(c) if rng.random() < 0.5 else 0 for _ in range(b**n))
+                for _ in range(4)]
+        cases.append((b, n, c, [seed[0], bytes(b**n), seed[1], seed[0], *seed[2:], seed[1]]))
+    return cases
+
+
+def _level_cases():
+    """(tables, b, n): the oracle corpus, b = 1, n = 0, zero tables, c = 256, and
+    the `cp_family` seeds."""
+    rng = random.Random(37)
+    cases = [([f.table], f.b, f.n) for f in _oracle_cases()]
+    cases += [([bytes([c - 1])], 1, n) for n in (0, 1, 5, 40) for c in (2, 256)]
+    cases += [([bytes(b**n)], b, n) for b, n in ((1, 3), (2, 0), (2, 5), (3, 3))]
+    cases += [([bytes(rng.randrange(256) for _ in range(b**n))], b, n)
+              for b, n in ((2, 6), (3, 4), (5, 2)) for _ in range(3)]
+    return cases + [(tables, b, n) for b, n, _, tables in _seed_cases()]
+
+
+def test_residual_levels_are_the_former_levels_and_links():
+    cases = _level_cases()
+    assert any(b == 1 for _, b, _ in cases) and any(n == 0 for _, _, n in cases)
+    for tables, b, n in cases:
+        levels = list(minauto.residual_levels(tables, b, n))
+        former = list(_former_residual_levels(tables, b, n))
+        assert [level for level, _ in levels] == [level for level, _ in former], (tables, b, n)
+        assert levels[-1][1] == [] and len(levels) == n + 1
+        for (level, pieces), (_, children), (below, _) in zip(levels, former, levels[1:]):
+            assert len(pieces) == len(level) * b
+            assert [None if not any(p) else below.index(p) for p in pieces] == children
+    for b, n, c, tables in _seed_cases():
+        family = cp_family(ColoredFunction(b, n, c, t) for t in tables)
+        assert family == [len(level) for level, _ in _former_residual_levels(tables, b, n)]
+
+
 def _former_minimal_pdfa(f):
     """minimal_pdfa before its flat delta: (state_count, transitions, special, depth),
     with one (state, symbol) key per transition in a dict."""
     transitions = {}
     depth_of = []
-    for depth, (level, children) in enumerate(minauto.residual_levels([f.table], f.b, f.n)):
+    for depth, (level, children) in enumerate(_former_residual_levels([f.table], f.b, f.n)):
         base = len(depth_of)
         depth_of.extend([depth] * len(level))
         for pos, child in enumerate(children):

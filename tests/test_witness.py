@@ -3,6 +3,7 @@ from itertools import count, product
 
 import pytest
 
+from maxcomplex import witness
 from maxcomplex.bounds import _tower_profile, complete_dfa_bound, general_bound
 from maxcomplex.counting import count_max
 from maxcomplex.core import CapacityError, ColoredFunction, unrank
@@ -61,6 +62,19 @@ def test_nonzero_functions_are_distinct_and_ordered():
         codes = [sum(v * c ** (len(f.table) - 1 - i) for i, v in enumerate(f.table))
                  for f in fs]
         assert codes == list(range(1, c ** (b**arity))), (b, c, arity)
+
+
+def test_nonzero_functions_cap_their_cells_before_building(monkeypatch):
+    def must_not_build(*args):
+        raise AssertionError("nonzero_functions built a table")
+
+    monkeypatch.setattr(witness, "code_tables", must_not_build)
+    # 2,559,999 functions of 4 cells, and 1,185,920 of 4: past 2^22 cells
+    for c, count in ((40, 2559999), (33, 1185920)):
+        with pytest.raises(CapacityError, match=f"^{count} functions of 4 cells exceed capacity$"):
+            nonzero_functions(2, c, 2)
+    monkeypatch.setattr(witness, "code_tables", lambda b, c, arity: iter([bytes(4)]))
+    assert nonzero_functions(2, 32, 2) == []  # 1,048,575 functions of 4 cells fit
 
 
 @pytest.mark.parametrize("b,c", [(2, 2), (2, 3), (3, 2)])
