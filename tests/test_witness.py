@@ -70,8 +70,9 @@ def test_nonzero_functions_cap_their_cells_before_building(monkeypatch):
 
     monkeypatch.setattr(witness, "code_tables", must_not_build)
     # 2,559,999 functions of 4 cells, and 1,185,920 of 4: past 2^22 cells
-    for c, count in ((40, 2559999), (33, 1185920)):
-        with pytest.raises(CapacityError, match=f"^{count} functions of 4 cells exceed capacity$"):
+    for c, functions in ((40, 2559999), (33, 1185920)):
+        refused = f"^{functions} functions of 4 cells exceed capacity$"
+        with pytest.raises(CapacityError, match=refused):
             nonzero_functions(2, c, 2)
     monkeypatch.setattr(witness, "code_tables", lambda b, c, arity: iter([bytes(4)]))
     assert nonzero_functions(2, 32, 2) == []  # 1,048,575 functions of 4 cells fit
