@@ -69,7 +69,7 @@ def _profile(b: int, n: int, count: Callable[[int, int], int],
     min(N(k), cap) and is only asked with cap = b^i + 2, so no larger N is built.
     above(k, e) is True only if N(k) >= 2^e and count(k, 2^e) returns 2^e: while
     it holds for 2^e > b^i + 2, depth i is below r and b^i is not built.  N does not
-    fall as k grows, so it holds for a prefix of the depths: gallop, then bisect.
+    fall as k grows, so it holds for a prefix of the depths, whose end one bisection finds.
     A total of more than DIGIT_LIMIT decimal digits raises CapacityError, before b^i
     is built when the depths below i already pass the limit."""
     step = b.bit_length()  # b^i < 2^(i * step)
@@ -77,10 +77,7 @@ def _profile(b: int, n: int, count: Callable[[int, int], int],
     def beyond(i: int) -> bool:  # past the depths that above puts below r
         return i > n or not above(n - i, i * step + 2)
 
-    end = 0
-    while not beyond(end):
-        end = 2 * end + 1
-    i = bisect_left(range(end), True, (end + 1) // 2, key=beyond)
+    i = bisect_left(range(n + 2), True, key=beyond)
     # the total is at least b^(i-1), past 10^L (L = DIGIT_LIMIT) from 2^ceil(10 L / 3) on,
     # as 10^3 < 2^10; in bits, b^m >= 2^(m * w / 64) for w the bit length of b^64 less one
     if (i - 1) * ((b**64).bit_length() - 1) >= 64 * -(-10 * DIGIT_LIMIT // 3):

@@ -433,13 +433,10 @@ def cmd_lattice_search(args) -> int:
 def cmd_lattice_witness(args) -> int:
     from . import bounds
 
-    if args.budget is not None and not args.csg:
-        raise InputError("--budget needs --csg")
     if args.csg:
         from . import csg
 
-        budget = SEARCH_BUDGET if args.budget is None else args.budget
-        w = csg.build_csg_witness(args.n, budget=budget)[0]
+        w = csg.build_csg_witness(args.n)[0]
         bound, kind = bounds.csg_bound(args.n), "csg"
     else:
         from . import lattice
@@ -532,8 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--csg", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--budget", type=int,
-                   help="game witness search budget (needs --csg; default 10^8)")
 
     command(lsub, "lemma-les", cmd_lattice_lemma, "exhaustively re-check the pair-order lemma")
     return parser

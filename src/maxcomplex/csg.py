@@ -176,7 +176,7 @@ def csg_witness_chain(n: int) -> tuple[int, int]:
     return i, n - i
 
 
-def build_csg_witness(n: int = 8, budget: int = SEARCH_BUDGET, require_early: bool = False
+def build_csg_witness(n: int = 8, require_early: bool = False
                       ) -> tuple[MonotoneFunction, AdequacyCertificate]:
     """A language attaining the game bound, plus its chain certificate.
 
@@ -192,7 +192,7 @@ def build_csg_witness(n: int = 8, budget: int = SEARCH_BUDGET, require_early: bo
 
     i, j = csg_witness_chain(n)
     shadow = (lambda mask: shadow_mask(j, mask)) if require_early else None
-    outcome = search_embedding("csg", i, j, budget, shadow)
+    outcome = search_embedding("csg", i, j, shadow=shadow)
     if outcome.status == "exhausted":
         raise ExhaustedError(f"witness search exhausted after {outcome.nodes} nodes")
     if outcome.status != "found":

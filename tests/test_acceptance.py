@@ -188,7 +188,7 @@ def test_criterion_09_monotone_witnesses():
 def test_criterion_10_csg_chain():
     outcome = csg.search_csg_relation(4, 4, budget=10**7)
     cert = csg.check_csg_relation(4, 4, outcome.map) if outcome.status == "found" else None
-    witness, _ = csg.build_csg_witness(8, budget=10**7)
+    witness, _ = csg.build_csg_witness(8)
     f = witness.as_colored()
     complexity = state_complexity(f)
     ok = (

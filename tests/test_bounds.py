@@ -256,7 +256,7 @@ def test_profile_calls_above_logarithmically_often(monkeypatch):
     monkeypatch.setattr(bounds, "_profile", counted)
     with pytest.raises(NeedDedekindError, match=r"need dedekind\(22\) "):
         monotone_bound(10**6)
-    assert 0 < len(depths) <= 2 * (10**6).bit_length() + 2
+    assert 0 < len(depths) <= (10**6).bit_length() + 1  # one bisection over 0..n + 1
 
 
 def test_monotone_bound_reaches_a_missing_count_without_binomials(monkeypatch):

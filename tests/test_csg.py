@@ -10,7 +10,7 @@ from maxcomplex.bounds import CSG_COUNTS, csg_bound
 from maxcomplex.minauto import state_complexity, states_by_depth
 from maxcomplex.witness import NoWitnessError
 from maxcomplex.lattice import (
-    AdequacyError, LatticeMap, enumerate_monotone, named_embedding, sub_masks,
+    AdequacyError, LatticeMap, enumerate_monotone, named_embedding, search_embedding, sub_masks,
 )
 from maxcomplex import csg
 from maxcomplex.csg import (
@@ -350,8 +350,30 @@ def test_witness_chain_shape():
     assert csg_witness_chain(2) == (1, 1)
 
 
+# (status, nodes) of the game witness search at n = 1..8, without and with the
+# earliness conditions: each ends far below the default budget of 10^8, so
+# build_csg_witness takes none
+WITNESS_SEARCHES = {
+    False: [("found", 1), ("found", 2), ("found", 2), ("found", 4),
+            ("found", 4), ("found", 8), ("found", 21), ("found", 16)],
+    True: [("found", 1), ("found", 2), ("found", 2), ("none", 6),
+           ("found", 6), ("none", 17), ("none", 412), ("none", 147)],
+}
+
+
+@pytest.mark.parametrize("require_early", [False, True])
+def test_witness_searches_end_in_few_nodes(require_early):
+    got = []
+    for n in range(1, 9):
+        i, j = csg_witness_chain(n)
+        shadow = (lambda mask: shadow_mask(j, mask)) if require_early else None
+        out = search_embedding("csg", i, j, shadow=shadow)
+        got.append((out.status, out.nodes))
+    assert got == WITNESS_SEARCHES[require_early]
+
+
 def test_csg_witness_n8_attains_bound():
-    w, cert = build_csg_witness(8, budget=10**6)
+    w, cert = build_csg_witness(8)
     f = w.as_colored()
     assert state_complexity(f) == csg_bound(8) == 47
     assert states_by_depth(f) == [1, 2, 4, 8, 16, 9, 4, 2, 1]
@@ -359,7 +381,7 @@ def test_csg_witness_n8_attains_bound():
 
 
 def test_csg_witness_early_variant_n5():
-    w, _ = build_csg_witness(5, budget=10**6, require_early=True)
+    w, _ = build_csg_witness(5, require_early=True)
     f = w.as_colored()
     assert state_complexity(f) == csg_bound(5) == 14
     assert is_csg_mask(5, w.mask)
@@ -369,12 +391,12 @@ def test_no_early_witness_for_n8():
     # the chain profile cannot be realized by an early function at n=8: the
     # cross-boundary earliness constraints are exhaustively refutable
     with pytest.raises(NoWitnessError):
-        build_csg_witness(8, budget=10**7, require_early=True)
+        build_csg_witness(8, require_early=True)
 
 
 def test_no_early_witness_for_n4_matches_brute_force():
     with pytest.raises(NoWitnessError):
-        build_csg_witness(4, budget=10**6, require_early=True)
+        build_csg_witness(4, require_early=True)
     best = max(
         state_complexity(ColoredFunction.from_mask(4, m))
         for m in enumerate_csg(4) if m
