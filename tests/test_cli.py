@@ -747,7 +747,8 @@ def test_disk_cache_version_bump_is_stale_and_overwritten(tmp_path, monkeypatch)
     (["lattice", "search", "--i", "-1", "--j", "3"], EXIT_USAGE),
     (["lattice", "search", "--i", "-1", "--j", "3", "--csg"], EXIT_USAGE),
     (["lattice", "search", "--i", "3", "--j", "3", "--budget", "-1"], EXIT_USAGE),
-    (["lattice", "witness", "--csg", "--n", "8", "--budget", "3", "--out", "{out}"], EXIT_USAGE),
+    (["lattice", "witness", "--csg", "--n", "8", "--budget", "-1", "--out", "{out}"], EXIT_USAGE),
+    (["lattice", "witness", "--n", "9", "--budget", "5", "--out", "{out}"], EXIT_USAGE),
     (["lattice", "search", "--i", "1", "--j", "6"], EXIT_CAPACITY),  # monotone poset guard
     (["lattice", "search", "--i", "1", "--j", "7", "--csg"], EXIT_CAPACITY),  # game poset guard
     (["complexity", "{dir}"], EXIT_USAGE),  # IsADirectoryError
@@ -769,7 +770,7 @@ def test_disk_cache_version_bump_is_stale_and_overwritten(tmp_path, monkeypatch)
 ], ids=["complexity-empty-dot", "construct-c1", "count-max-c1", "count-max-4-4-9",
         "resume-tampered",
         "bound-csg-24", "bound-monotone-42", "search-negative-i", "search-csg-negative-i",
-        "search-negative-budget", "witness-budget-unrecognized",
+        "search-negative-budget", "witness-csg-negative-budget", "witness-budget-without-csg",
         "search-monotone-j6", "search-csg-j7", "complexity-directory", "complexity-binary",
         "construct-out-directory", "resume-binary", "resume-truncated",
         "unicode-digit-word", "unicode-digit-color", "unicode-digit-header",
@@ -797,8 +798,9 @@ def test_library_errors_exit_with_documented_code(tmp_path, capsys, argv, code):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("error:" if code == EXIT_USAGE else "capacity:")
-    if argv[:2] == ["lattice", "witness"]:  # its search takes no budget
-        assert "unrecognized arguments: --budget 3" in err
+    if argv[:2] == ["lattice", "witness"]:  # its search takes no budget, with or without --csg
+        assert "unrecognized arguments: --budget " in err
+        assert not os.path.exists(paths["out"])
 
 
 def test_table_capacity_checked_before_allocation():
