@@ -12,7 +12,7 @@ import os
 import re
 import sys
 from itertools import compress, product, repeat
-from operator import itemgetter
+from operator import getitem, itemgetter
 from pathlib import Path
 from time import perf_counter
 
@@ -191,10 +191,12 @@ def _parse_lines(text: str) -> ColoredFunction:
 
 def format_language_file(f: ColoredFunction, comment: str = "") -> str:
     """A header, then one line per nonzero cell in rank order.  A word is a head of
-    n - n//2 digits and a tail of n//2: the tails are built once, the heads one by
-    one, and each head's block of cells is filtered to its nonzero cells in C.  A word
-    that uses a symbol >= 10 has no one-digit-per-symbol spelling, and a comment
-    that str.splitlines would cut is not one line: InputError."""
+    n - n//2 digits and a tail of n//2.  A head's block of cells is one str.join of
+    its nonzero cells' tails, with "\n" + head as the separator, so no string is made
+    per word; a color k >= 2 takes its tails from a list of tail + " k", made once
+    per call for each color that occurs.  A word that uses a symbol >= 10 has no
+    one-digit-per-symbol spelling, and a comment that str.splitlines would cut is
+    not one line: InputError."""
     if comment and comment.splitlines() != [comment]:
         raise InputError(f"comment {comment!r} is not one line")
     if f.b > 10:
@@ -202,19 +204,29 @@ def format_language_file(f: ColoredFunction, comment: str = "") -> str:
             if max(word := unrank(r, f.n, f.b), default=0) >= 10:
                 raise InputError(f"word {word} has a symbol >= 10, which a language file "
                                  f"cannot spell (one digit per symbol)")
-    lines = [f"# {comment}"] if comment else []
-    lines.append(f"b={f.b} c={f.c} n={f.n}")
+    parts = [f"# {comment}\n"] if comment else []
+    parts.append(f"b={f.b} c={f.c} n={f.n}")
     digits = [str(d) for d in range(f.b)]
     low = f.n // 2
-    tails = list(map("".join, product(digits, repeat=low)))
+    tails = list(map("".join, product(digits, repeat=low))) if f.n else [EMPTY_WORD_TOKEN]
     heads = map("".join, product(digits, repeat=f.n - low))
-    for start, head in zip(range(0, len(f.table), len(tails)), heads):
-        block = f.table[start : start + len(tails)]
-        for tail, color in zip(compress(tails, block), block.replace(b"\0", b"")):
-            token = head + tail or EMPTY_WORD_TOKEN
-            lines.append(token if color == 1 else f"{token} {color}")
-    lines[-1] += "\n"  # the last line ends the text, with no copy of the whole
-    return "\n".join(lines)
+    by_color = [None, tails]  # color k -> the tails of its lines, if k occurs
+    by_color += ([f"{tail} {k}" for tail in tails] if k in f.table else None for k in range(2, f.c))
+    colored = any(by_color[2:])
+    width, zero = len(tails), bytes(len(tails))
+    for start, head in zip(range(0, len(f.table), width), heads):
+        block = f.table[start : start + width]
+        if block == zero:
+            continue
+        if colored:
+            tails_of = map(by_color.__getitem__, block.translate(None, b"\0"))
+            cells = map(getitem, tails_of, compress(range(width), block))
+        else:
+            cells = compress(tails, block)
+        sep = "\n" + head
+        parts += sep, sep.join(cells)
+    parts.append("\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Iterator, Sequence, Union
 
 Word = tuple[int, ...]
@@ -183,15 +183,21 @@ def table_cells(b: int, n: int, c: int) -> int:
 
 
 class ColoredFunction(Value):
-    """Total map [b]^n -> [c], stored as a dense rank-indexed table."""
+    """Total map [b]^n -> [c], stored as a dense rank-indexed `bytes` table, one
+    cell per word; b, n and c are ints."""
 
     __slots__ = ("b", "n", "c", "table")
 
     def __init__(self, b: int, n: int, c: int, table: bytes):
+        if not (isinstance(b, int) and isinstance(n, int) and isinstance(c, int)):
+            raise InputError(f"b, n and c must be ints, got b={b!r}, n={n!r}, c={c!r}")
+        if not isinstance(table, bytes):
+            raise InputError(f"table must be bytes, not {type(table).__name__}")
         cells = table_cells(b, n, c)
         if len(table) != cells:
             raise InputError(f"table length {len(table)} != b^n = {cells}")
-        if max(table) >= c:
+        # empty, and no copy, iff every cell is below c; every byte is a color at c = 256
+        if c < MAX_COLORS and table.strip(bytes(range(c))):
             raise InputError(f"table entry out of color range [{c}]")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "n", n)
@@ -243,7 +249,7 @@ class ColoredFunction(Value):
 
     def support(self) -> list[Word]:
         """All words with nonzero color, in rank order."""
-        return [unrank(r, self.n, self.b) for r, v in enumerate(self.table) if v]
+        return [unrank(r, self.n, self.b) for r in compress(range(len(self.table)), self.table)]
 
 
 def is_zero(f: ColoredFunction) -> bool:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -855,6 +856,81 @@ def test_a_comment_with_a_line_break_is_refused():
         with pytest.raises(InputError, match="is not one line"):
             format_language_file(f, comment)
     assert format_language_file(f, "run 1 # 01") == "# run 1 # 01\nb=2 c=2 n=2\n01\n"
+
+
+def _former_format_language_file(f, comment=""):
+    """The writer before each block became one join: a string per word, one line
+    each, head + tail or "-", and " <color>" for a color >= 2."""
+    from itertools import compress, product
+
+    if comment and comment.splitlines() != [comment]:
+        raise InputError(f"comment {comment!r} is not one line")
+    lines = [f"# {comment}"] if comment else []
+    lines.append(f"b={f.b} c={f.c} n={f.n}")
+    digits = [str(d) for d in range(f.b)]
+    low = f.n // 2
+    tails = list(map("".join, product(digits, repeat=low)))
+    heads = map("".join, product(digits, repeat=f.n - low))
+    for start, head in zip(range(0, len(f.table), len(tails)), heads):
+        block = f.table[start : start + len(tails)]
+        for tail, color in zip(compress(tails, block), block.replace(b"\0", b"")):
+            token = head + tail or "-"
+            lines.append(token if color == 1 else f"{token} {color}")
+    lines[-1] += "\n"
+    return "\n".join(lines)
+
+
+@PROPERTY
+@given(_signatures_and_tables(), st.sampled_from(["", "run 1 # 01"]))
+def test_writer_is_the_former_writer(drawn, comment):
+    (b, c, n), table = drawn
+    f = ColoredFunction(b, n, c, table)
+    assert format_language_file(f, comment) == _former_format_language_file(f, comment)
+
+
+WRITER_CASES = {
+    "n-0": ColoredFunction(2, 0, 2, b"\1"),
+    "n-0-colored": ColoredFunction(3, 0, 4, b"\3"),
+    "n-0-zero": ColoredFunction(2, 0, 3, b"\0"),
+    "n-1": ColoredFunction(3, 1, 3, b"\2\0\1"),
+    "zero": ColoredFunction(2, 5, 2, bytes(32)),
+    "zero-head-blocks": ColoredFunction(2, 5, 3, bytes(8) + b"\1\0\2\0" + bytes(12) + b"\2" * 8),
+    "only-last-cell": ColoredFunction(3, 4, 2, bytes(80) + b"\1"),
+    "b-10": ColoredFunction(10, 3, 2, bytes(r % 3 == 0 for r in range(1000))),
+    "c-10": ColoredFunction(2, 7, 10, bytes(r % 10 for r in range(128))),
+    "c-256": ColoredFunction(2, 4, 256, bytes([255, 0, 1, 128] * 4)),
+    "b-1": ColoredFunction(1, 3, 2, b"\1"),
+}
+
+
+@pytest.mark.parametrize("f", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+def test_writer_is_the_former_writer_on_fixed_cases(f):
+    for comment in ["", "a comment"]:
+        assert format_language_file(f, comment) == _former_format_language_file(f, comment)
+    assert parse_language_file(format_language_file(f)) == f
+
+
+def test_writer_spells_the_empty_word_and_colors():
+    assert format_language_file(WRITER_CASES["n-0"]) == "b=2 c=2 n=0\n-\n"
+    assert format_language_file(WRITER_CASES["n-0-colored"], "x") == "# x\nb=3 c=4 n=0\n- 3\n"
+    assert format_language_file(WRITER_CASES["zero"]) == "b=2 c=2 n=5\n"
+    assert format_language_file(WRITER_CASES["c-256"]).startswith(
+        "b=2 c=256 n=4\n0000 255\n0010\n0011 128\n0100 255\n")
+
+
+@pytest.mark.parametrize("b,c,n", [(2, 2, 16), (2, 3, 16), (4, 5, 8)])
+def test_writer_peaks_below_three_times_its_text(b, c, n):
+    """Writing makes no string per word: a 2^16-cell table peaks below 3x its text
+    (the per-line writer peaked at 5-7x)."""
+    rng = random.Random(b * 100 + c)
+    f = ColoredFunction(b, n, c, bytes(rng.randrange(c) for _ in range(b**n)))
+    tracemalloc.start()
+    try:
+        text = format_language_file(f, "peak")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
 
 
 LANGUAGE_TEXT = st.one_of(

@@ -254,6 +254,33 @@ def test_from_mask_rejects_masks_out_of_range():
         ColoredFunction(3, 1, 2, bytes(3)).mask
 
 
+@pytest.mark.parametrize("b,n,c,table", [
+    (2, 3, 2, b"\2" + bytes(7)),  # first cell
+    (2, 3, 2, bytes(3) + b"\5" + bytes(4)),  # middle
+    (2, 3, 2, b"\1" * 7 + b"\xff"),  # last cell
+    (3, 2, 3, b"\0\1\2\3\2\1\0\1\2"),  # the one color past range, mid-table
+    (2, 2, 1, b"\0\0\1\0"),  # c = 1: only color 0
+])
+def test_color_check_finds_a_cell_out_of_range_anywhere(b, n, c, table):
+    with pytest.raises(InputError, match=rf"table entry out of color range \[{c}\]"):
+        ColoredFunction(b, n, c, table)
+
+
+def test_color_check_admits_every_color_below_c():
+    assert ColoredFunction(2, 2, 1, bytes(4)).table == bytes(4)
+    assert ColoredFunction(2, 8, 256, bytes(range(256))).table == bytes(range(256))
+    assert ColoredFunction(2, 8, 255, bytes(range(255)) + b"\0").c == 255
+    with pytest.raises(InputError, match=r"out of color range \[255\]"):
+        ColoredFunction(2, 8, 255, bytes(range(256)))
+
+
+def test_support_lists_the_nonzero_cells_in_rank_order():
+    f = ColoredFunction(3, 2, 4, b"\0\3\0\0\1\0\0\0\2")
+    assert f.support() == [(0, 1), (1, 1), (2, 2)]
+    assert ColoredFunction(2, 4, 2, bytes(16)).support() == []
+    assert ColoredFunction(2, 0, 2, b"\1").support() == [()]
+
+
 def test_n0_language_is_legal():
     f = ColoredFunction.from_words(2, 0, 2, {(): 1})
     assert f.value(()) == 1
@@ -296,7 +323,15 @@ def test_value_classes_keep_their_checks():
 
     for args, message in [((2, 2, 2, bytes(3)), r"table length 3 != b\^n = 4"),
                           ((2, 1, 2, bytes([0, 2])), r"table entry out of color range \[2\]"),
-                          ((0, 1, 2, bytes(1)), "bad signature b=0, n=1, c=2")]:
+                          ((0, 1, 2, bytes(1)), "bad signature b=0, n=1, c=2"),
+                          ((2, 1, 2, [0, 1]), "table must be bytes, not list"),
+                          ((2, 1, 2, bytearray(2)), "table must be bytes, not bytearray"),
+                          ((2, 1, 2, (0, 1)), "table must be bytes, not tuple"),
+                          ((2, 1, 2, memoryview(b"\0\1")), "table must be bytes, not memoryview"),
+                          ((2, 1, 2, "01"), "table must be bytes, not str"),
+                          ((2.0, 1, 2, b"\0\1"), r"b, n and c must be ints, got b=2\.0, n=1, c=2"),
+                          ((2, 1.0, 2, b"\0\1"), r"must be ints, got b=2, n=1\.0, c=2"),
+                          ((2, 1, "2", b"\0\1"), "must be ints, got b=2, n=1, c='2'")]:
         with pytest.raises(InputError, match=message):
             ColoredFunction(*args)
     with pytest.raises(CapacityError):
