@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import compress, product
 from pathlib import Path
 
 import pytest
@@ -861,8 +862,6 @@ def test_a_comment_with_a_line_break_is_refused():
 def _former_format_language_file(f, comment=""):
     """The writer before each block became one join: a string per word, one line
     each, head + tail or "-", and " <color>" for a color >= 2."""
-    from itertools import compress, product
-
     if comment and comment.splitlines() != [comment]:
         raise InputError(f"comment {comment!r} is not one line")
     lines = [f"# {comment}"] if comment else []
