@@ -552,22 +552,19 @@ def search_embedding(kind: str, i: int, j: int, budget: int = SEARCH_BUDGET,
     for a, b in source.covers():
         lower_covers[b].append(a)
     bit_preds = [[s & ~(1 << b) for b in _bits(s)] for s in range(size)]
-    every = (1 << len(labels)) - 1
-    assignment, counts = [0] * size, [0] * len(needed)
-    free, nodes, missing, exhausted = every, 0, len(needed), 0
-    # the targets whose low (high) substitution is a needed value still uncovered
-    lo_open, hi_open = reduce(or_, low_hits, 0), reduce(or_, high_hits, 0)
-    cover_prunes, room_prunes, deepest = 0, 0, -1
+    assignment = [0] * size
+    nodes, cover_prunes, room_prunes, deepest = 0, 0, 0, -1
 
     @lru_cache(maxsize=None)
     def above_shadow(t: int) -> int:  # the targets containing shadow(labels[t])
         return target.above(shadow(labels[t]))
 
-    def extend(s: int) -> bool:
-        nonlocal free, nodes, missing, exhausted, lo_open, hi_open
-        nonlocal cover_prunes, room_prunes, deepest
+    def extend(s: int, free: int, uncovered: int, lo_open: int, hi_open: int) -> bool:
+        # free: the unused targets; uncovered: the needed values not yet covered, by
+        # index; lo_open (hi_open): the targets whose low (high) substitution is one
+        nonlocal nodes, cover_prunes, room_prunes, deepest
         if s == size:
-            return missing == 0
+            return not uncovered
         candidates = free
         for c in lower_covers[s]:
             candidates &= rows[assignment[c]]
@@ -577,7 +574,7 @@ def search_embedding(kind: str, i: int, j: int, budget: int = SEARCH_BUDGET,
         useful, room = candidates & (lo_open | hi_open), above[s]
         # the cover count: t must newly cover need values, at most 2 since s passed
         # it at its parent; keep holds the targets that do
-        need = missing - 2 * (size - s - 1) if s + 1 < size else 0
+        need = uncovered.bit_count() - 2 * (size - s - 1) if s + 1 < size else 0
         keep = -1 if need <= 0 else useful if need == 1 else lo_open & hi_open & two
         for group in (useful, candidates ^ useful):
             while group:
@@ -585,7 +582,6 @@ def search_embedding(kind: str, i: int, j: int, budget: int = SEARCH_BUDGET,
                 group ^= bit
                 nodes += 1
                 if nodes > budget:
-                    exhausted = 1
                     return False
                 t = bit.bit_length() - 1
                 if (rows[t] & free).bit_count() < room:
@@ -597,33 +593,26 @@ def search_embedding(kind: str, i: int, j: int, budget: int = SEARCH_BUDGET,
                 if not bit & keep:
                     cover_prunes += 1
                     continue
-                free ^= bit
+                left, lo, hi = uncovered, lo_open, hi_open
                 for v in contrib[t]:
-                    if counts[v] == 0:
-                        missing -= 1
-                        lo_open ^= low_hits[v]
-                        hi_open ^= high_hits[v]
-                    counts[v] += 1
-                if extend(s + 1):
+                    if left >> v & 1:
+                        left ^= 1 << v
+                        lo ^= low_hits[v]
+                        hi ^= high_hits[v]
+                if extend(s + 1, free ^ bit, left, lo, hi):
                     return True
-                for v in contrib[t]:
-                    counts[v] -= 1
-                    if counts[v] == 0:
-                        missing += 1
-                        lo_open ^= low_hits[v]
-                        hi_open ^= high_hits[v]
-                free |= bit
-                if exhausted:
+                if nodes > budget:
                     return False
         return False
 
-    found = extend(0)
+    found = extend(0, (1 << len(labels)) - 1, (1 << len(needed)) - 1,
+                   reduce(or_, low_hits, 0), reduce(or_, high_hits, 0))
     prunes = (("cover", cover_prunes), ("room", room_prunes))
     reached = deepest if deepest >= 0 else None
     if found:
         image = LatticeMap(source, target, tuple(assignment))
         return SearchOutcome("found", image, nodes, prunes, reached)
-    return SearchOutcome("exhausted" if exhausted else "none", None, nodes, prunes, reached)
+    return SearchOutcome("exhausted" if nodes > budget else "none", None, nodes, prunes, reached)
 
 
 def search_relation(i: int, j: int, budget: int = SEARCH_BUDGET) -> SearchOutcome:

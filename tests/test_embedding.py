@@ -182,6 +182,127 @@ def test_bitset_engine_matches_the_former_engine(shape, with_shadow, budget):
         assert status == "none" and out.nodes <= nodes
 
 
+def _undo_search(kind, i, j, budget, shadow=None):
+    """The engine before each child got its cover state passed down, kept as an
+    oracle: one shared state (free targets, a cover count per needed value, the
+    missing count, the open bitsets and an exhausted flag) that each child
+    updates and undoes on return.  Returns the full SearchOutcome."""
+    family = lattice_kind(kind)
+    needed = {v: k for k, v in enumerate(family.nonzero(j - 1))}
+    if i >= len(family.nonzero(j)).bit_length() or len(needed) > 2 << i:
+        return lattice.SearchOutcome("none", None, 0, (("cover", 0), ("room", 0)), None)
+    source, target, size = family.source(i), family.target(j), 1 << i
+    labels, rows = target.labels, target.rows
+    contrib = [tuple({needed[v] for v in lattice.sub_masks(j, t) if v in needed}) for t in labels]
+    low_hits, high_hits = [0] * len(needed), [0] * len(needed)
+    for t, label in enumerate(labels):
+        for hits, v in zip((low_hits, high_hits), lattice.sub_masks(j, label)):
+            if v in needed:
+                hits[needed[v]] |= 1 << t
+    two = sum(1 << t for t, vs in enumerate(contrib) if len(vs) == 2)
+    above = [row.bit_count() for row in source.rows]
+    lower_covers = [[] for _ in range(size)]
+    for a, b in source.covers():
+        lower_covers[b].append(a)
+    bit_preds = [[s & ~(1 << b) for b in lattice._bits(s)] for s in range(size)]
+    every = (1 << len(labels)) - 1
+    assignment, counts = [0] * size, [0] * len(needed)
+    free, nodes, missing, exhausted = every, 0, len(needed), 0
+    lo_open, hi_open = sum(low_hits), sum(high_hits)  # disjoint bitsets
+    cover_prunes, room_prunes, deepest = 0, 0, -1
+
+    def extend(s):
+        nonlocal free, nodes, missing, exhausted, lo_open, hi_open
+        nonlocal cover_prunes, room_prunes, deepest
+        if s == size:
+            return missing == 0
+        candidates = free
+        for c in lower_covers[s]:
+            candidates &= rows[assignment[c]]
+        if shadow is not None:
+            for p in bit_preds[s]:
+                candidates &= target.above(shadow(labels[assignment[p]]))
+        useful, room = candidates & (lo_open | hi_open), above[s]
+        need = missing - 2 * (size - s - 1) if s + 1 < size else 0
+        keep = -1 if need <= 0 else useful if need == 1 else lo_open & hi_open & two
+        for group in (useful, candidates ^ useful):
+            while group:
+                bit = group & -group
+                group ^= bit
+                nodes += 1
+                if nodes > budget:
+                    exhausted = 1
+                    return False
+                t = bit.bit_length() - 1
+                if (rows[t] & free).bit_count() < room:
+                    room_prunes += 1
+                    continue
+                assignment[s] = t
+                if s > deepest:
+                    deepest = s
+                if not bit & keep:
+                    cover_prunes += 1
+                    continue
+                free ^= bit
+                for v in contrib[t]:
+                    if counts[v] == 0:
+                        missing -= 1
+                        lo_open ^= low_hits[v]
+                        hi_open ^= high_hits[v]
+                    counts[v] += 1
+                if extend(s + 1):
+                    return True
+                for v in contrib[t]:
+                    counts[v] -= 1
+                    if counts[v] == 0:
+                        missing += 1
+                        lo_open ^= low_hits[v]
+                        hi_open ^= high_hits[v]
+                free |= bit
+                if exhausted:
+                    return False
+        return False
+
+    found = extend(0)
+    prunes = (("cover", cover_prunes), ("room", room_prunes))
+    reached = deepest if deepest >= 0 else None
+    if found:
+        image = LatticeMap(source, target, tuple(assignment))
+        return lattice.SearchOutcome("found", image, nodes, prunes, reached)
+    return lattice.SearchOutcome("exhausted" if exhausted else "none", None, nodes, prunes,
+                                 reached)
+
+
+UNDO_BUDGETS = (0, 1, 2, 7, 40, 300, 3000, 30000)
+
+
+@pytest.mark.parametrize("kind,with_shadow,top_j", [
+    ("monotone", False, 5), ("csg", False, 6), ("csg", True, 6)])
+def test_engine_is_the_undo_engine_on_a_grid(kind, with_shadow, top_j):
+    # i <= 6, every j and eight budgets: 952 searches over the three rows
+    for i in range(7):
+        for j in range(1, top_j + 1):
+            shadow = _early_shadow(j) if with_shadow else None
+            for budget in UNDO_BUDGETS:
+                assert search_embedding(kind, i, j, budget, shadow) == \
+                    _undo_search(kind, i, j, budget, shadow), (i, j, budget)
+
+
+@pytest.mark.parametrize("kind,i,j,nodes", [row[:4] for row in PINNED],
+                         ids=[f"{k}-{i},{j}" for k, i, j, _, _ in PINNED])
+def test_engine_is_the_undo_engine_at_the_pinned_budget_edge(kind, i, j, nodes):
+    for budget in (nodes - 1, nodes):
+        out = search_embedding(kind, i, j, budget)
+        assert out == _undo_search(kind, i, j, budget)
+        assert (out.status, out.nodes) == (("exhausted", nodes) if budget < nodes
+                                           else ("found", nodes))
+
+
+@pytest.mark.parametrize("kind,i,j", [("monotone", 6, 4), ("csg", 4, 5)])
+def test_engine_is_the_undo_engine_on_long_searches(kind, i, j):
+    assert search_embedding(kind, i, j, 10**4) == _undo_search(kind, i, j, 10**4)
+
+
 def test_search_finds_every_catalog_shape():
     nodes = {}
     for name, (i, j, masks) in lattice._embedding_tables().items():
