@@ -949,8 +949,10 @@ def _written_or_refused(write, f):
 
 
 def _former_written_or_refused(f):
-    return _written_or_refused(lambda f: _former_spelling_check(f) or
-                               _former_format_language_file(f), f)
+    def write(f):
+        _former_spelling_check(f)
+        return _former_format_language_file(f)
+    return _written_or_refused(write, f)
 
 
 def _words(b, n, *words, c=2):
