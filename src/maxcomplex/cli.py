@@ -196,26 +196,18 @@ def format_language_file(f: ColoredFunction, comment: str = "") -> str:
     per word; a color k >= 2 takes its tails from a list of tail + " k", made once
     per call for each color that occurs.  A word that uses a symbol >= 10 has no
     one-digit-per-symbol spelling, and a comment that str.splitlines would cut is
-    not one line: InputError, naming the first such word in rank order.  A word has
-    such a symbol exactly when its head or its tail has one, so each head and each
-    tail is tested once, and a block's nonzero cells at once, as the bytes of an int."""
+    not one line: InputError."""
     if comment and comment.splitlines() != [comment]:
         raise InputError(f"comment {comment!r} is not one line")
-    low = f.n // 2
     if f.b > 10:
-        symbols = range(f.b)
-        width = f.b**low
-        bad_tails = int.from_bytes(bytes(255 * (max(tail, default=0) >= 10)
-                                         for tail in product(symbols, repeat=low)), "little")
-        for start, head in zip(range(0, len(f.table), width), product(symbols, repeat=f.n - low)):
-            bad = -1 if max(head, default=0) >= 10 else bad_tails
-            if hits := int.from_bytes(f.table[start : start + width], "little") & bad:
-                word = unrank(start + ((hits & -hits).bit_length() - 1) // 8, f.n, f.b)
+        for r in compress(range(len(f.table)), f.table):
+            if max(word := unrank(r, f.n, f.b), default=0) >= 10:
                 raise InputError(f"word {word} has a symbol >= 10, which a language file "
                                  f"cannot spell (one digit per symbol)")
     parts = [f"# {comment}\n"] if comment else []
     parts.append(f"b={f.b} c={f.c} n={f.n}")
     digits = [str(d) for d in range(f.b)]
+    low = f.n // 2
     tails = list(map("".join, product(digits, repeat=low))) if f.n else [EMPTY_WORD_TOKEN]
     heads = map("".join, product(digits, repeat=f.n - low))
     by_color = [None, tails]  # color k -> the tails of its lines, if k occurs

@@ -28,7 +28,7 @@ from maxcomplex.cli import (
     parse_language_file,
 )
 from maxcomplex.bounds import general_bound
-from maxcomplex.core import CapacityError, ColoredFunction, InputError, MaxcomplexError, unrank
+from maxcomplex.core import CapacityError, ColoredFunction, InputError, MaxcomplexError
 from maxcomplex.counting import count_max
 from maxcomplex import bounds, cli, counting, lattice, minauto
 
@@ -930,81 +930,6 @@ def test_writer_peaks_below_three_times_its_text(b, c, n):
     finally:
         tracemalloc.stop()
     assert peak < 3 * len(text)
-
-
-def _former_spelling_check(f):
-    """The writer's refusal before each head and tail was tested once: every
-    nonzero cell is unranked, and the first word with a symbol >= 10 is named."""
-    for r in compress(range(len(f.table)), f.table):
-        if max(word := unrank(r, f.n, f.b), default=0) >= 10:
-            raise InputError(f"word {word} has a symbol >= 10, which a language file "
-                             f"cannot spell (one digit per symbol)")
-
-
-def _written_or_refused(write, f):
-    try:
-        return write(f)
-    except InputError as exc:
-        return str(exc)
-
-
-def _former_written_or_refused(f):
-    def write(f):
-        _former_spelling_check(f)
-        return _former_format_language_file(f)
-    return _written_or_refused(write, f)
-
-
-def _words(b, n, *words, c=2):
-    return ColoredFunction.from_words(b, n, c, {w: 1 + k % (c - 1) for k, w in enumerate(words)})
-
-
-SPELLING_CASES = {  # the refused word, or None where every word has a spelling
-    "head": (_words(11, 4, (0, 0, 1, 2), (10, 3, 0, 0), (10, 3, 5, 5), (10, 10, 9, 9)),
-             (10, 3, 0, 0)),
-    "tail": (_words(11, 4, (0, 0, 0, 1), (2, 3, 4, 10), (2, 3, 10, 0), (9, 9, 9, 9)),
-             (2, 3, 4, 10)),
-    "tail-before-head": (_words(13, 5, (1, 0, 0, 0, 12), (1, 11, 0, 0, 0)), (1, 0, 0, 0, 12)),
-    "head-before-tail": (_words(13, 5, (0, 11, 0, 0, 0), (1, 0, 0, 0, 12)), (0, 11, 0, 0, 0)),
-    "first-cell": (_words(12, 3, (0, 0, 11), (0, 1, 1), (11, 0, 0), c=3), (0, 0, 11)),
-    "last-cell": (_words(11, 5, (0, 0, 0, 0, 0), (9, 9, 9, 9, 9), (10,) * 5), (10,) * 5),
-    "n-1": (_words(11, 1, (3,), (10,)), (10,)),
-    "n-0": (_words(11, 0, ()), None),
-    "digits-only": (_words(11, 4, (0, 0, 0, 0), (9, 0, 9, 0), (9, 9, 9, 9), c=4), None),
-    "zero": (ColoredFunction(12, 3, 2, bytes(12**3)), None),
-}
-
-
-@pytest.mark.parametrize("f,word", SPELLING_CASES.values(), ids=SPELLING_CASES.keys())
-def test_writer_refuses_the_first_unspellable_word_as_the_per_cell_check(f, word):
-    got = _written_or_refused(format_language_file, f)
-    assert got == _former_written_or_refused(f)
-    if word is None:
-        assert parse_language_file(got) == f
-    else:
-        assert got.startswith(f"word {word} has a symbol >= 10")
-
-
-@PROPERTY
-@given(st.integers(11, 13).flatmap(lambda b: st.tuples(
-    st.just(b), st.integers(0, 4).flatmap(lambda n: st.tuples(
-        st.just(n), st.dictionaries(st.integers(0, b**n - 1), st.integers(1, 2), max_size=6))))))
-def test_writer_above_ten_symbols_is_the_per_cell_writer(drawn):
-    b, (n, cells) = drawn
-    f = ColoredFunction(b, n, 3, bytes(cells.get(r, 0) for r in range(b**n)))
-    assert _written_or_refused(format_language_file, f) == _former_written_or_refused(f)
-
-
-def test_writer_tests_heads_and_tails_not_cells(monkeypatch):
-    # 10^4 nonzero cells, 121 heads: the per-cell check unranked every cell
-    calls = []
-    monkeypatch.setattr(cli, "unrank", lambda *args: calls.append(args) or unrank(*args))
-    f = ColoredFunction(11, 4, 2, bytes(max(w) < 10 for w in product(range(11), repeat=4)))
-    assert len(format_language_file(f).splitlines()) == 1 + 10**4
-    bad = ColoredFunction(11, 4, 2, f.table[:-1] + b"\1")
-    with pytest.raises(InputError, match=r"^word \(10, 10, 10, 10\) has a symbol >= 10"):
-        format_language_file(bad)
-    assert len(calls) < 11**2
 
 
 LANGUAGE_TEXT = st.one_of(
